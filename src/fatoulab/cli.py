@@ -40,7 +40,7 @@ from .errors import CalibrationFailure, ConfigError, FatouLabError
 from .grid import classify_grid, label_components
 from .hyperbolic import contraction_audit
 from .measure import calibrate_disk, measure_report
-from .orbits import default_attractors
+from .orbits import default_attractors, parabolic_points
 
 SUBCOMMANDS = ("render", "periodic", "access", "audit", "measure", "inner", "scan")
 
@@ -62,11 +62,25 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_pair(v) -> bool:
-    return (
-        isinstance(v, (list, tuple)) and len(v) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_real(x) for x in v)
+
+
+def _require_int(section: dict, key: str, default: int, minimum: int, where: str) -> None:
+    v = section.get(key, default)
+    _require(
+        isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+        f"{where}.{key} must be an integer >= {minimum}",
     )
+
+
+def _require_positive(section: dict, key: str, default: float, where: str) -> None:
+    v = section.get(key, default)
+    _require(_is_real(v) and v > 0, f"{where}.{key} must be a positive number")
 
 
 def _as_complex(v, name: str) -> complex:
@@ -74,27 +88,32 @@ def _as_complex(v, name: str) -> complex:
     return complex(v[0], v[1])
 
 
-def _validate_section(subcommand: str, section: dict) -> None:
+def _validate_section(subcommand: str, section: dict, m: EntireMap) -> None:
     """Eager per-subcommand schema checks, so config problems never write outputs."""
     if subcommand == "periodic":
         region = section.get("seed_region")
         _require(
-            isinstance(region, list) and len(region) == 4
-            and all(isinstance(x, (int, float)) for x in region),
+            isinstance(region, list) and len(region) == 4 and all(_is_real(x) for x in region),
             "periodic.seed_region must be [re_min, re_max, im_min, im_max]",
         )
-        _require(int(section.get("max_period", 4)) >= 1, "periodic.max_period must be >= 1")
+        _require_int(section, "max_period", 4, 1, "periodic")
+        _require_positive(section, "return_radius_cells", 5.0, "periodic")
     elif subcommand == "access":
         _require(_is_pair(section.get("seed")), "access.seed must be a [re, im] pair")
         _require(_is_pair(section.get("z0")), "access.z0 must be a [re, im] pair")
-        _require(int(section.get("steps", 60)) >= 0, "access.steps must be >= 0")
-        _require(int(section.get("period", 1)) >= 1, "access.period must be >= 1")
+        _require_int(section, "steps", 60, 0, "access")
+        _require_int(section, "period", 1, 1, "access")
     elif subcommand == "audit":
         reg = section.get("region")
         _require(isinstance(reg, dict), "audit.region is required")
         _require(_is_pair(reg.get("center", [0.0, 0.0])), "audit.region.center must be [re, im]")
-        _require(float(reg.get("radius", 0.3)) > 0, "audit.region.radius must be positive")
-        _require(int(reg.get("count", 100)) >= 1, "audit.region.count must be >= 1")
+        _require_positive(reg, "radius", 0.3, "audit.region")
+        _require_int(reg, "count", 100, 1, "audit.region")
+        cloud = section.get("cloud", {})
+        _require(isinstance(cloud, dict), "audit.cloud must be an object")
+        _require_int(cloud, "depth", 20, 0, "audit.cloud")
+        _require_int(cloud, "k_bound", 2, 0, "audit.cloud")
+        _require_positive(cloud, "escape_radius", 1e6, "audit.cloud")
         if "orbit" in section:
             orbit = section["orbit"]
             _require(
@@ -103,18 +122,25 @@ def _validate_section(subcommand: str, section: dict) -> None:
             )
         else:
             _require(_is_pair(section.get("fixed_point")), "audit needs a fixed_point or an orbit")
-            _require(int(section.get("length", 2)) >= 1, "audit.length must be >= 1")
+            _require_int(section, "period", 1, 1, "audit")
+            _require_int(section, "length", 2, 1, "audit")
         seg = section.get("segment")
-        _require(seg is None or (isinstance(seg, (int, float)) and seg > 0),
+        _require(seg is None or (_is_real(seg) and seg > 0),
                  "audit.segment must be a positive number or null")
     elif subcommand == "measure":
         _require(_is_pair(section.get("basepoint")), "measure.basepoint must be [re, im]")
-        _require(int(section.get("n_samples", 2000)) >= 100, "measure.n_samples must be >= 100")
-        _require(int(section.get("orbit_budget", 100)) >= 1, "measure.orbit_budget must be >= 1")
-        _require(float(section.get("walk_eps_cells", 2.5)) >= 2.0,
+        _require_int(section, "n_samples", 2000, 100, "measure")
+        _require_int(section, "orbit_budget", 100, 1, "measure")
+        eps_cells = section.get("walk_eps_cells", 2.5)
+        _require(_is_real(eps_cells) and eps_cells >= 2.0,
                  "measure.walk_eps_cells must be >= 2 grid cells")
-        _require(all(_is_pair(t) for t in section.get("targets", [])),
+        targets = section.get("targets", [])
+        _require(isinstance(targets, list) and all(_is_pair(t) for t in targets),
                  "measure.targets must be [re, im] pairs")
+        cal = section.get("calibration", {})
+        _require(isinstance(cal, dict), "measure.calibration must be an object")
+        _require_int(cal, "samples", 10000, 1, "measure.calibration")
+        _require_int(cal, "resolution", 400, 2, "measure.calibration")
     elif subcommand == "inner":
         _require("blaschke" in section or "candidate" in section,
                  "inner needs a 'blaschke' and/or 'candidate' entry")
@@ -127,6 +153,7 @@ def _validate_section(subcommand: str, section: dict) -> None:
             )
         _require(all(isinstance(n, int) and n >= 1 for n in section.get("periods", [1])),
                  "inner.periods must be integers >= 1")
+        _require_int(section, "samples", 10000, 1, "inner")
     elif subcommand == "scan":
         _require(section.get("kind") in ("escaping", "parabolic"),
                  "scan.kind must be 'escaping' or 'parabolic'")
@@ -135,7 +162,11 @@ def _validate_section(subcommand: str, section: dict) -> None:
                  "scan.probes must be a nonempty list of [re, im] pairs")
         if section.get("kind") == "escaping":
             _require(_is_pair(section.get("point")), "scan.point (a periodic seed) is required")
-        _require(int(section.get("budget", 60)) >= 1, "scan.budget must be >= 1")
+            _require_int(section, "period", 1, 1, "scan")
+        else:
+            _require(bool(parabolic_points(m)),
+                     f"scan.kind 'parabolic' needs a parabolic map; {m.family} has none")
+        _require_int(section, "budget", 60, 1, "scan")
 
 
 def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
@@ -152,7 +183,7 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
 
     _require("map" in cfg, "config must declare a map")
     try:
-        EntireMap.from_json(cfg["map"])
+        m = EntireMap.from_json(cfg["map"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad map descriptor: {exc}") from exc
     w = cfg["window"]
@@ -170,7 +201,12 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     )
     _require(isinstance(cfg["rng_seed"], int), "rng_seed must be an integer")
     _require(isinstance(cfg["threads"], int) and cfg["threads"] >= 1, "threads must be >= 1")
+    _require(_is_real(cfg["escape_radius"]) and cfg["escape_radius"] > 0,
+             "escape_radius must be a positive number")
+    _require(isinstance(cfg["tolerances"], dict), "tolerances must be an object")
+    _require_positive(cfg["tolerances"], "orbit_tol", 1e-6, "tolerances")
     b = cfg["budgets"]
+    _require(isinstance(b, dict), "budgets must be an object")
     for key in ("orbit", "pullback", "walk"):
         _require(isinstance(b.get(key), int) and b[key] >= 1, f"budgets.{key} must be >= 1")
     att = cfg["attractors"]
@@ -184,7 +220,7 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     section = cfg.get(subcommand, {})
     _require(isinstance(section, dict), f"section {subcommand!r} must be an object")
     cfg[subcommand] = section
-    _validate_section(subcommand, section)
+    _validate_section(subcommand, section, m)
     return cfg
 
 
@@ -194,7 +230,7 @@ def _map_of(cfg: dict) -> EntireMap:
 
 def _attractors_of(cfg: dict, m: EntireMap):
     if cfg["attractors"] == "auto":
-        return default_attractors(m)
+        return default_attractors(m, escape_radius=cfg["escape_radius"])
     return tuple((complex(a[0], a[1]), int(a[2])) for a in cfg["attractors"])
 
 
@@ -349,7 +385,6 @@ def _run_measure(cfg: dict, out: Path) -> dict:
         int(section.get("orbit_budget", 100)),
         targets=tuple(_as_complex(t, "measure.targets[]") for t in section.get("targets", [])),
         rng_seed=cfg["rng_seed"],
-        threads=cfg["threads"],
         walk_budget=cfg["budgets"]["walk"],
     )
     payload = report.to_json()
@@ -382,14 +417,7 @@ def _run_inner(cfg: dict, out: Path) -> dict:
             counts[str(n)] = len(pts)
             rows.append((int(n), pts))
         results["periodic_counts"] = counts
-        with open(out / "periodic_points.csv", "w", newline="") as f:
-            import csv as _csv
-
-            w = _csv.writer(f)
-            w.writerow(["n", "j", "theta", "residual"])
-            for n, pts in rows:
-                for p in pts:
-                    w.writerow([n, p.branch, repr(p.theta), repr(p.residual)])
+        serialize.periodic_points_to_csv(rows, out / "periodic_points.csv")
         outputs.append("periodic_points.csv")
     if "candidate" in section:
         cand = RationalCircleMap(
@@ -492,7 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="fatoulab", description=__doc__)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="worker threads for grid classification"
+    )
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="rng seed override")
     args = parser.parse_args(argv)

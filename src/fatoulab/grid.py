@@ -151,10 +151,22 @@ class ClassificationGrid:
     # -- distance queries ----------------------------------------------------
 
     def _other_label_tree(self, label: int) -> cKDTree | None:
+        """KD-tree of the other-label cell centers that are 4-adjacent to `label`.
+
+        For a point outside every other-label cell, the nearest other-label
+        center has a 4-neighbour closer to the point, which is then not
+        other-label; so these centers give the same nearest distance as all
+        other-label centers, from a much smaller tree.
+        """
         if label in self._tree_cache:
             return self._tree_cache[label]
-        centers = self.cell_centers()
-        pts = centers[self.labels != label]
+        own = self.labels == label
+        near = np.zeros_like(own)
+        near[1:] |= own[:-1]
+        near[:-1] |= own[1:]
+        near[:, 1:] |= own[:, :-1]
+        near[:, :-1] |= own[:, 1:]
+        pts = self.cell_centers()[near & ~own]
         tree = cKDTree(np.column_stack([pts.real, pts.imag])) if pts.size else None
         self._tree_cache[label] = tree
         return tree

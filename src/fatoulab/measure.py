@@ -3,15 +3,17 @@
 Walks step by the conservative lower distance estimate, so they can never
 jump across Julia filaments; the reported numbers are budgeted estimates on
 the raster approximation of the boundary, at smoothing scale walk_eps.
-Randomness comes from counter-based Philox streams keyed by (seed,
-sample_index), making runs deterministic and independent of worker count.
+Walkers advance in lockstep, one KD-tree query per step for a whole block.
+Each walker draws from its own counter-based Philox stream keyed by (seed,
+sample_index), so every hit is independent of the block size and of the
+order in which walkers are processed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -23,11 +25,124 @@ from .orbits import Kind, classify_orbits_array
 
 TWO_PI = 2.0 * math.pi
 _MAX_WALK_STEPS = 100_000
+_BLOCK = 1024  # walkers advanced together; bounds the per-block arrays
+# Uniforms a walker takes from its stream per refill. A multiple of 4, since
+# one Philox4x64 counter block yields four doubles: a refill then starts on a
+# fresh counter block and can be addressed by (key, counter) alone.
+_DRAW_CHUNK = 32
 
 
 def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
     key = np.array([seed, sample_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _keyed_chunks(seed: int) -> Callable[[int, int], np.ndarray]:
+    """draw(i, r): the r-th chunk of _DRAW_CHUNK uniforms of stream _sample_rng(seed, i).
+
+    Philox is counter-based, so one generator re-keyed per chunk reproduces
+    every stream without keeping a generator per walker.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    blocks_per_chunk = _DRAW_CHUNK // 4
+
+    def draw(i: int, r: int) -> np.ndarray:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.array([r * blocks_per_chunk, 0, 0, 0], dtype=np.uint64),
+                "key": np.array([seed, i], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen.uniform(size=_DRAW_CHUNK)
+
+    return draw
+
+
+def _walk_lockstep(
+    grid: ClassificationGrid,
+    basepoint: complex,
+    walk_eps: float,
+    n: int,
+    draw: Callable[[int, int], np.ndarray],
+    max_steps: int,
+) -> np.ndarray:
+    """Walk-on-spheres from `basepoint` for walkers 0..n-1, in lockstep.
+
+    Each step queries the KD-tree once for all live walkers. A walker whose
+    lower distance estimate drops below walk_eps records the nearest
+    boundary-raster cell center; otherwise it jumps to a uniform point on the
+    circle of radius lower (capped at a quarter of the window diagonal). A
+    walker that leaves the window or exceeds max_steps records NaN. Walker j
+    takes one uniform per jump from its own stream, refilled in chunks by
+    draw(j, r) for r = 0, 1, ..., so its hit does not depend on the others.
+    """
+    hx, hy = grid.cell_size
+    if walk_eps < 2.0 * max(hx, hy) - 1e-12:
+        raise ValueError("walk_eps must be at least two grid cells")
+    label = grid.label_at(basepoint)
+    if label == 0:
+        raise ValueError(f"basepoint {basepoint} is not Fatou-classified")
+    tree = grid._other_label_tree(label)
+    hits = np.full(n, complex(math.nan, math.nan))
+    if tree is None:
+        # No boundary raster inside the window; every walk is an exit.
+        return hits
+    re_min, re_max, im_min, im_max = grid.window
+    cap = 0.25 * math.hypot(re_max - re_min, im_max - im_min)
+    diag = grid.cell_diagonal
+
+    live = np.arange(n)
+    x = np.full(n, float(basepoint.real))
+    y = np.full(n, float(basepoint.imag))
+    draws = np.empty((n, _DRAW_CHUNK))
+    for step in range(max_steps):
+        d, nearest = tree.query(np.column_stack((x, y)))
+        lower = np.maximum(d - diag, 0.0)
+        done = lower < walk_eps
+        if done.any():
+            cells = tree.data[nearest[done]]
+            hits.real[live[done]] = cells[:, 0]
+            hits.imag[live[done]] = cells[:, 1]
+            walking = ~done
+            live, x, y, lower = live[walking], x[walking], y[walking], lower[walking]
+        if live.size == 0:
+            break
+        refill, col = divmod(step, _DRAW_CHUNK)
+        if col == 0:
+            for j in live.tolist():
+                draws[j] = draw(j, refill)
+        radius = np.minimum(lower, cap)
+        theta = TWO_PI * draws[live, col]
+        x = x + radius * np.cos(theta)
+        y = y + radius * np.sin(theta)
+        inside = (re_min <= x) & (x <= re_max) & (im_min <= y) & (y <= im_max)
+        live, x, y = live[inside], x[inside], y[inside]
+    return hits
+
+
+def _walk_hits(
+    grid: ClassificationGrid,
+    basepoint: complex,
+    walk_eps: float,
+    seed: int,
+    n_walks: int,
+    max_steps: int = _MAX_WALK_STEPS,
+) -> np.ndarray:
+    """Hits of walks 0..n_walks-1 on the streams (seed, i); NaN marks an exit."""
+    draw = _keyed_chunks(seed)
+    hits = np.empty(n_walks, dtype=complex)
+    for lo in range(0, n_walks, _BLOCK):
+        hi = min(lo + _BLOCK, n_walks)
+        hits[lo:hi] = _walk_lockstep(
+            grid, basepoint, walk_eps, hi - lo, lambda j, r, lo=lo: draw(lo + j, r), max_steps
+        )
+    return hits
 
 
 def sample_boundary_hit(
@@ -43,35 +158,14 @@ def sample_boundary_hit(
     Jumps to a uniform point on the circle of radius distance_to_julia.lower
     (capped at a quarter of the window diagonal) until the lower estimate
     drops below walk_eps. Raises LeftWindow when the walk exits the window.
+    This is the lockstep walk with one walker, drawing from `rng` in order.
     """
-    hx, hy = grid.cell_size
-    if walk_eps < 2.0 * max(hx, hy) - 1e-12:
-        raise ValueError("walk_eps must be at least two grid cells")
-    label = grid.label_at(basepoint)
-    if label == 0:
-        raise ValueError(f"basepoint {basepoint} is not Fatou-classified")
-    tree = grid._other_label_tree(label)
-    if tree is None:
-        # No boundary raster inside the window; every walk is an exit.
-        raise LeftWindow("window contains no non-basepoint-label cells")
-    re_min, re_max, im_min, im_max = grid.window
-    cap = 0.25 * math.hypot(re_max - re_min, im_max - im_min)
-    diag = grid.cell_diagonal
-
-    x, y = basepoint.real, basepoint.imag
-    for _ in range(max_steps):
-        d, idx = tree.query([x, y])
-        lower = max(0.0, float(d) - diag)
-        if lower < walk_eps:
-            bx, by = tree.data[idx]
-            return complex(bx, by)
-        radius = min(lower, cap)
-        theta = TWO_PI * rng.uniform()
-        x += radius * math.cos(theta)
-        y += radius * math.sin(theta)
-        if not (re_min <= x <= re_max and im_min <= y <= im_max):
-            raise LeftWindow(f"walk left the window at {complex(x, y)}")
-    raise LeftWindow("walk exceeded the step cap")
+    hit = _walk_lockstep(
+        grid, basepoint, walk_eps, 1, lambda j, r: rng.uniform(size=_DRAW_CHUNK), max_steps
+    )[0]
+    if math.isnan(hit.real):
+        raise LeftWindow(f"walk from {basepoint} left the window within {max_steps} steps")
+    return complex(hit)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +215,6 @@ def measure_report(
     orbit_budget: int,
     targets: tuple[complex, ...] = (),
     rng_seed: int = 0,
-    threads: int = 1,
     walk_budget: int = _MAX_WALK_STEPS,
 ) -> MeasureReport:
     """Draw boundary hits, classify each hit's forward orbit, aggregate fractions.
@@ -134,22 +227,10 @@ def measure_report(
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
 
-    def one(i: int) -> complex | None:
-        try:
-            return sample_boundary_hit(
-                m, grid, basepoint, walk_eps, _sample_rng(rng_seed, i), max_steps=walk_budget
-            )
-        except LeftWindow:
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(one, range(n_samples)))
-    else:
-        raw = [one(i) for i in range(n_samples)]
-
-    ids = [i for i, h in enumerate(raw) if h is not None]
-    hits = np.array([raw[i] for i in ids], dtype=complex)
+    raw = _walk_hits(grid, basepoint, walk_eps, rng_seed, n_samples, walk_budget)
+    ok = ~np.isnan(raw.real)
+    ids = np.flatnonzero(ok).tolist()
+    hits = raw[ok]
     left = n_samples - len(ids)
     if left > 0.5 * n_samples:
         raise TooManyWindowExits(f"{left}/{n_samples} walks exited the window")
@@ -288,24 +369,15 @@ def calibrate_disk(
     """
     grid = disk_grid(resolution=resolution)
     eps = walk_eps_cells * max(grid.cell_size)
-    dummy = EntireMap("exp_lambda", 0.25)  # the walk itself never evaluates the map
 
-    center_hits = np.array(
-        [
-            sample_boundary_hit(dummy, grid, 0.0 + 0.0j, eps, _sample_rng(rng_seed, i))
-            for i in range(samples)
-        ]
-    )
-    angles = np.angle(center_hits)
-    counts, _ = np.histogram(angles, bins=chi2_bins, range=(-math.pi, math.pi))
+    center_hits = _walk_hits(grid, 0.0 + 0.0j, eps, rng_seed, samples)
+    offset_hits = _walk_hits(grid, 0.5 + 0.0j, eps, rng_seed + 1, samples)
+    exits = int(np.isnan(np.concatenate((center_hits, offset_hits)).real).sum())
+    if exits:
+        raise LeftWindow(f"{exits} disk calibration walks left the window")
+
+    counts, _ = np.histogram(np.angle(center_hits), bins=chi2_bins, range=(-math.pi, math.pi))
     chi2_p = float(stats.chisquare(counts).pvalue)
-
-    offset_hits = np.array(
-        [
-            sample_boundary_hit(dummy, grid, 0.5 + 0.0j, eps, _sample_rng(rng_seed + 1, i))
-            for i in range(samples)
-        ]
-    )
     ks = float(stats.kstest(np.angle(offset_hits), _poisson_cdf(0.5)).statistic)
 
     return CalibrationResult(

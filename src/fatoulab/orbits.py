@@ -85,14 +85,20 @@ class OrbitArrays:
     attractor_index: np.ndarray  # int16, -1 where not attracted
 
 
-def default_attractors(m: EntireMap, k_bound: int = 8) -> tuple[tuple[complex, int], ...]:
-    """Known attracting cycles per family (empty where none exist)."""
+def default_attractors(
+    m: EntireMap, k_bound: int = 8, escape_radius: float = DEFAULT_ESCAPE_RADIUS
+) -> tuple[tuple[complex, int], ...]:
+    """Known attracting cycles per family (empty where none exist).
+
+    Only cycles of modulus below `escape_radius` are kept: orbits escape
+    before they could reach the others.
+    """
+    cycles: tuple[tuple[complex, int], ...] = ()
     if m.family == EXP_LAMBDA and 0 < m.lam < 1.0 / math.e:
-        q = complex(-lambertw(-m.lam, 0))
-        return ((q, 1),)
-    if m.family == FATOU_MINUS:
-        return tuple((complex(0.0, TWO_PI * k), 1) for k in range(-k_bound, k_bound + 1))
-    return ()
+        cycles = ((complex(-lambertw(-m.lam, 0)), 1),)
+    elif m.family == FATOU_MINUS:
+        cycles = tuple((complex(0.0, TWO_PI * k), 1) for k in range(-k_bound, k_bound + 1))
+    return tuple(c for c in cycles if abs(c[0]) < escape_radius)
 
 
 def parabolic_points(m: EntireMap) -> tuple[complex, ...]:

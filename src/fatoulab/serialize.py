@@ -1,7 +1,9 @@
 """Output writers: binary PPM images, CSV tables, canonical JSON.
 
-All CSVs carry a header row and '.' decimal separators; floats print with
-repr-precision so reruns under fixed seeds are byte-identical.
+All CSVs carry a header row and '.' decimal separators; every float cell
+goes through _num, which prints the shortest repr of the Python float, so
+reruns under fixed seeds are byte-identical and numpy scalars print as plain
+numbers.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ PALETTE = {
     "attracting": (238, 153, 68),
     "parabolic": (102, 204, 102),
 }
+
+
+def _num(x) -> str:
+    """One float CSV cell: shortest round-trip repr, also for numpy scalars."""
+    return repr(float(x))
 
 
 def _cell_colors(grid: ClassificationGrid) -> np.ndarray:
@@ -65,7 +72,7 @@ def cloud_to_csv(cloud, path: str | Path) -> None:
         w = csv.writer(f)
         w.writerow(["source_id", "step", "re", "im"])
         for s in cloud.samples:
-            w.writerow([s.source, s.step, repr(s.point.real), repr(s.point.imag)])
+            w.writerow([s.source, s.step, _num(s.point.real), _num(s.point.imag)])
 
 
 def singular_to_csv(sd, path: str | Path) -> None:
@@ -73,7 +80,7 @@ def singular_to_csv(sd, path: str | Path) -> None:
         w = csv.writer(f)
         w.writerow(["source_id", "step", "re", "im"])
         for source, v in sd.sources():
-            w.writerow([source, 0, repr(v.real), repr(v.imag)])
+            w.writerow([source, 0, _num(v.real), _num(v.imag)])
 
 
 def curve_to_csv(curve, path: str | Path) -> None:
@@ -82,7 +89,7 @@ def curve_to_csv(curve, path: str | Path) -> None:
         w = csv.writer(f)
         w.writerow(["m", "re", "im", "gap"])
         for gen, v in zip(curve.segment_index, curve.vertices):
-            w.writerow([gen, repr(v.real), repr(v.imag), repr(abs(v - curve.landing_point))])
+            w.writerow([gen, _num(v.real), _num(v.imag), _num(abs(v - curve.landing_point))])
 
 
 def hits_to_csv(report, path: str | Path) -> None:
@@ -91,7 +98,7 @@ def hits_to_csv(report, path: str | Path) -> None:
         w.writerow(["sample_id", "hit_re", "hit_im", "verdict", "orbit_iterations"])
         for h in report.hits:
             w.writerow(
-                [h.sample_id, repr(h.hit.real), repr(h.hit.imag), h.verdict.lower(), h.orbit_iterations]
+                [h.sample_id, _num(h.hit.real), _num(h.hit.imag), h.verdict.lower(), h.orbit_iterations]
             )
 
 
@@ -102,10 +109,10 @@ def audit_to_csv(audit, path: str | Path) -> None:
         for row in audit.rows:
             w.writerow(
                 [
-                    repr(row.point.real),
-                    repr(row.point.imag),
-                    repr(row.ratio_lower),
-                    repr(row.ratio_upper),
+                    _num(row.point.real),
+                    _num(row.point.imag),
+                    _num(row.ratio_lower),
+                    _num(row.ratio_upper),
                     row.verdict,
                 ]
             )
@@ -118,16 +125,18 @@ def probe_violations_to_csv(report, path: str | Path) -> None:
         for v in report.violations:
             img = v.image if v.image is not None else complex("nan")
             w.writerow(
-                [repr(v.sample.real), repr(v.sample.imag), repr(img.real), repr(img.imag), v.note]
+                [_num(v.sample.real), _num(v.sample.imag), _num(img.real), _num(img.imag), v.note]
             )
 
 
-def periodic_points_to_csv(points, n: int, path: str | Path) -> None:
+def periodic_points_to_csv(rows, path: str | Path) -> None:
+    """Circle periodic points, one block per (period n, points of period n) in `rows`."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["n", "j", "theta", "residual"])
-        for p in points:
-            w.writerow([n, p.branch, repr(p.theta), repr(p.residual)])
+        for n, points in rows:
+            for p in points:
+                w.writerow([n, p.branch, _num(p.theta), _num(p.residual)])
 
 
 def write_json(obj, path: str | Path) -> None:

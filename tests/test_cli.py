@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import fatoulab.cli as cli
 from fatoulab.measure import CalibrationResult
@@ -50,6 +51,30 @@ def test_schema_violations_exit_2(tmp_path):
         out = tmp_path / "out_schema"
         assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 2, (sub, payload)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sub, payload",
+    [
+        ("periodic",
+         {**BASE, "periodic": {"seed_region": [2.0, 2.3, -0.1, 0.1], "max_period": "two"}}),
+        ("render", {**BASE, "escape_radius": "big"}),
+        ("scan", {**BASE, "scan": {"kind": "parabolic", "probes": [[-0.5, 0.0]], "budget": 100}}),
+    ],
+    ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point"],
+)
+def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_fatou_minus_auto_attractors_render(tmp_path):
+    """'auto' keeps only the attracting points 2 pi i k inside the escape radius."""
+    cfg = write_config(tmp_path, {"map": {"family": "fatou_minus"}, "resolution": [20, 20]})
+    out = tmp_path / "fm"
+    assert cli.main(["render", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_render_end_to_end_and_byte_identical(tmp_path):

@@ -183,6 +183,22 @@ def test_distance_refinement_under_doubling():
         assert lo_f >= lo_c - fine.cell_diagonal - 1e-12
 
 
+def test_distance_equals_brute_force_over_all_other_label_cells():
+    """The tree keeps only other-label cells next to the label, yet its nearest
+    distance equals the minimum over every other-label cell center."""
+    rng = np.random.default_rng(11)
+    kinds = (rng.uniform(size=(30, 40)) < 0.6).astype(int) * int(Kind.ATTRACTING)
+    g = _synthetic_grid(np.array(kinds))
+    centers = g.cell_centers()
+    for _ in range(300):
+        z = complex(rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0))
+        label = g.label_at(z)
+        others = centers[g.labels != label]
+        lo, hi = distance_to_julia(g, z)
+        d = np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
+        assert (lo, hi) == (max(0.0, d - g.cell_diagonal), d + g.cell_diagonal)
+
+
 def test_supersample_flag_runs(exp_map):
     g = fl.classify_grid(
         exp_map, (-2, 4, -3, 3), (40, 40), 100,

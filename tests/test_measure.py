@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import fatoulab as fl
-from fatoulab.errors import TooManyWindowExits
-from fatoulab.measure import _sample_rng
+from fatoulab import measure
+from fatoulab.errors import LeftWindow, TooManyWindowExits
+from fatoulab.measure import _DRAW_CHUNK, _keyed_chunks, _sample_rng, _walk_hits
 from fatoulab.orbits import Kind
 
 THREE_PI = 3 * np.pi
@@ -43,6 +44,22 @@ def test_calibration_disk_oracles(disk_calibration):
     assert disk_calibration.passed
 
 
+def test_calibration_pinned(disk_calibration):
+    """The hits of calibrate_disk(rng_seed=0) are fixed; one moved hit shifts
+    these statistics far beyond the tolerance."""
+    assert disk_calibration.chi2_p == pytest.approx(0.25798432928256493, rel=1e-12)
+    assert disk_calibration.ks_stat == pytest.approx(0.010589050454415327, rel=1e-12)
+
+
+def test_calibration_exit_raises_left_window(monkeypatch):
+    """A disk wider than the window lets walks exit; that is an error, not a NaN hit."""
+    monkeypatch.setattr(
+        measure, "disk_grid", lambda resolution: fl.disk_grid(resolution=resolution, margin=-0.1)
+    )
+    with pytest.raises(LeftWindow):
+        fl.calibrate_disk(samples=200, resolution=100)
+
+
 def test_measure_report_fractions_exact(exp_map, exp_wide_grid):
     eps = 2.5 * max(exp_wide_grid.cell_size)
     r = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 60, rng_seed=2)
@@ -52,12 +69,53 @@ def test_measure_report_fractions_exact(exp_map, exp_wide_grid):
     assert r.left_window < 150
 
 
-def test_measure_report_deterministic_and_thread_independent(exp_map, exp_wide_grid):
+def test_measure_report_independent_of_block_size(exp_map, exp_wide_grid, monkeypatch):
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r1 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5, threads=1)
-    r2 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5, threads=3)
+    r1 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
+    monkeypatch.setattr(measure, "_BLOCK", 7)
+    r2 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
     assert r1.fractions == r2.fractions
-    assert [h.hit for h in r1.hits] == [h.hit for h in r2.hits]
+    assert [(h.sample_id, h.hit) for h in r1.hits] == [(h.sample_id, h.hit) for h in r2.hits]
+
+
+def test_keyed_chunks_follow_the_sample_stream():
+    """Chunk r of walker i is draws r*k..(r+1)*k-1 of _sample_rng(seed, i)."""
+    draw = _keyed_chunks(4)
+    for i in (0, 1, 977):
+        stream = _sample_rng(4, i).uniform(size=3 * _DRAW_CHUNK)
+        for r in range(3):
+            assert np.array_equal(draw(i, r), stream[r * _DRAW_CHUNK:(r + 1) * _DRAW_CHUNK])
+
+
+def _single_walker_hits(m, grid, basepoint, eps, seed, n):
+    hits = []
+    for i in range(n):
+        try:
+            hits.append(fl.sample_boundary_hit(m, grid, basepoint, eps, _sample_rng(seed, i)))
+        except LeftWindow:
+            hits.append(None)
+    return hits
+
+
+def test_lockstep_hits_equal_single_walker_hits_on_disk():
+    g = fl.disk_grid(resolution=200)
+    eps = 2.5 * max(g.cell_size)
+    for basepoint in (0j, 0.5 + 0j):
+        batched = _walk_hits(g, basepoint, eps, 9, 300)
+        single = _single_walker_hits(fl.exp_lambda(0.25), g, basepoint, eps, 9, 300)
+        assert batched.tolist() == single
+
+
+def test_lockstep_hits_equal_single_walker_hits_with_exits(exp_map, exp_wide_grid):
+    eps = 2.5 * max(exp_wide_grid.cell_size)
+    batched = _walk_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
+    single = _single_walker_hits(exp_map, exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
+    exited = [h is None for h in single]
+    assert 0 < sum(exited) < 150
+    assert np.isnan(batched.real).tolist() == exited
+    assert [h for h, e in zip(batched.tolist(), exited) if not e] == [
+        h for h in single if h is not None
+    ]
 
 
 def test_measure_budget_monotonicity(exp_map, exp_wide_grid):

@@ -40,6 +40,9 @@ def test_audit_csv(tmp_path, exp_map):
     assert rows[0] == "re,im,ratio_lower,ratio_upper,verdict"
     assert len(rows) == 9
     assert all(r.rsplit(",", 1)[1] in ("ok", "inconclusive", "violation") for r in rows[1:])
+    for r in rows[1:]:
+        re, im, lower, upper = (float(c) for c in r.split(",")[:4])  # every number parses
+        assert lower <= upper
 
 
 def test_grid_ppm_palette(tmp_path, exp_grid):
