@@ -137,9 +137,6 @@ class CircleLift:
         delta = (raw - anchor + math.pi) % TWO_PI - math.pi
         return anchor + delta + TWO_PI * self.winding * wraps
 
-    def displacement(self, theta: float) -> float:
-        return self.eval_at(theta) - theta
-
 
 def build_lift(func, grid_bits: int = _DEFAULT_GRID_BITS, require_monotone: bool = True) -> CircleLift:
     """Track the argument of func along the circle, doubling the grid until unambiguous."""
@@ -179,47 +176,20 @@ class CirclePeriodicPoint:
     residual: float
 
 
-def _branch_roots(lift: CircleLift, two_pi_j: float, refine_tol: float = 5e-14) -> list[float]:
-    """All roots of lift(theta) - theta = two_pi_j on [0, 2pi) by scanning + bisection."""
-    h = lift.values - lift.thetas - two_pi_j
-    roots: list[float] = []
-    for k in range(len(h) - 1):
-        a, b = h[k], h[k + 1]
-        if a == 0.0:
-            roots.append(float(lift.thetas[k]))
-            continue
-        if a * b < 0.0:
-            lo, hi = float(lift.thetas[k]), float(lift.thetas[k + 1])
-            flo = a
-            while hi - lo > refine_tol:
-                mid = 0.5 * (lo + hi)
-                fm = lift.displacement(mid) - two_pi_j
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    if h[-1] == 0.0:
-        roots.append(float(lift.thetas[-1]))
-    return roots
+def _vector_branch_roots(lift: CircleLift, refine_tol: float = 5e-14) -> list[tuple[float, int]]:
+    """All roots (theta, j) of lift(theta) = theta + 2pi j on [0, 2pi], over every branch j.
 
-
-def _vector_branch_roots(
-    lift: CircleLift, func_n, j_values: np.ndarray, refine_tol: float = 5e-14
-) -> list[tuple[float, int]]:
-    """All roots of lift(theta) = theta + 2pi j over the given j's, bisected in lockstep.
-
-    Brackets from every branch equation are refined together, one vectorised
-    map evaluation per bisection level; lift values at midpoints continue
-    analytically from the tracked left-endpoint anchor.
+    The branches j are those the displacement lift(theta) - theta reaches on
+    the grid. Brackets from every branch equation are refined together, one
+    vectorised map evaluation per bisection level; lift values at midpoints
+    continue analytically from the tracked left-endpoint anchor.
     """
     h = lift.values - lift.thetas
+    j_lo = math.ceil(h.min() / TWO_PI - 1e-12)
+    j_hi = math.floor(h.max() / TWO_PI + 1e-12)
     roots: list[tuple[float, int]] = []
     lo_list, hi_list, glo_list, Glo_list, jj_list = [], [], [], [], []
-    for j in j_values:
+    for j in range(j_lo, j_hi + 1):
         hj = h - TWO_PI * j
         on_node = np.nonzero(hj == 0.0)[0]
         roots.extend((float(lift.thetas[k]), int(j)) for k in on_node)
@@ -238,7 +208,7 @@ def _vector_branch_roots(
         jj = np.array(jj_list, dtype=float)
         while np.max(hi - lo) > refine_tol:
             mid = 0.5 * (lo + hi)
-            raw = np.angle(func_n(np.exp(1j * mid)))
+            raw = np.angle(lift.func(np.exp(1j * mid)))
             G_mid = G_lo + (raw - G_lo + math.pi) % TWO_PI - math.pi
             g_mid = G_mid - mid - TWO_PI * jj
             left = (g_lo * g_mid < 0.0) | (g_mid == 0.0)
@@ -266,12 +236,7 @@ def circle_periodic_points(
         raise ValueError("n must be >= 1")
     if b.degree < 2:
         raise ValueError("degree must be >= 2")
-    lift = circle_lift(b, n)
-    disp = lift.values - lift.thetas
-    j_lo = math.ceil(disp.min() / TWO_PI - 1e-12)
-    j_hi = math.floor(disp.max() / TWO_PI + 1e-12)
-    j_values = np.arange(j_lo, j_hi + 1)
-    found = _vector_branch_roots(lift, lambda z: b.iterate(z, n), j_values)
+    found = _vector_branch_roots(circle_lift(b, n))
 
     per_j: dict[int, int] = {}
     for _, j in found:
@@ -360,14 +325,8 @@ def _newton_fixed_point(b: BlaschkeProduct, z: complex, steps: int = 50) -> comp
 
 
 def _circle_fixed_points(b: BlaschkeProduct) -> list[float]:
-    lift = build_lift(lambda z: b.evaluate(z), require_monotone=False)
-    disp = lift.values - lift.thetas
-    j_lo = math.ceil(disp.min() / TWO_PI - 1e-12)
-    j_hi = math.floor(disp.max() / TWO_PI + 1e-12)
-    roots: list[float] = []
-    for j in range(j_lo, j_hi + 1):
-        roots.extend(r % TWO_PI for r in _branch_roots(lift, TWO_PI * j))
-    return sorted(roots)
+    lift = build_lift(b.evaluate, require_monotone=False)
+    return sorted(t % TWO_PI for t, _ in _vector_branch_roots(lift))
 
 
 def _refine_boundary(b: BlaschkeProduct, theta_hat: float, tol: float) -> DenjoyWolff:
@@ -486,14 +445,7 @@ def verify_inner_candidate(
     fixed: list[complex] = []
     if circle_preserving:
         lift = build_lift(cand.evaluate, require_monotone=False)
-        disp = lift.values - lift.thetas
-        j_lo = math.ceil(disp.min() / TWO_PI - 1e-12)
-        j_hi = math.floor(disp.max() / TWO_PI + 1e-12)
-        roots: list[float] = []
-        for j in range(j_lo, j_hi + 1):
-            roots.extend(r % TWO_PI for r in _branch_roots(lift, TWO_PI * j, 1e-14))
-        roots.sort()
-        for t in roots:
+        for t in sorted(t % TWO_PI for t, _ in _vector_branch_roots(lift, 1e-14)):
             p = cmath.exp(1j * t)
             if any(abs(p - q) < 1e-9 for q in fixed):
                 continue

@@ -395,7 +395,8 @@ def proper_invertibility_probe(
     margin = margin_cells * grid.cell_diagonal
     fatou_pts = []
     for z in pts[labels == label]:
-        d, _ = tree.query([z.real, z.imag])
+        # a label without other-label neighbours is infinitely far from one
+        d = math.inf if tree is None else tree.query([z.real, z.imag])[0]
         if d >= margin:
             fatou_pts.append(complex(z))
     if len(fatou_pts) < 10:

@@ -132,7 +132,10 @@ class EntireMap:
     def from_json(d: dict) -> "EntireMap":
         if not isinstance(d, dict) or "family" not in d:
             raise ValueError("map descriptor must be an object with a 'family' key")
-        return EntireMap(family=d["family"], lam=d.get("lambda"))
+        lam = d.get("lambda")
+        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, (int, float))):
+            raise ValueError("map lambda must be a number")
+        return EntireMap(family=d["family"], lam=lam)
 
     def __str__(self) -> str:
         if self.family == EXP_LAMBDA:

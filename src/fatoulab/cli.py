@@ -1,9 +1,10 @@
 """Single command-line entry point: render, periodic, access, audit, measure, inner, scan.
 
-Every run validates its JSON config up front (exit 2 on any schema problem,
-with no partial outputs), echoes the resolved config with defaults filled
-next to the outputs, and writes a machine-readable summary.json. Exit codes:
-0 success, 2 config error, 3 numerical failure, 4 calibration failure.
+Every run checks its JSON config up front against the field table SCHEMA
+(exit 2 on any schema problem, with no partial outputs), echoes the resolved
+config with every default filled next to the outputs, and writes a
+machine-readable summary.json. Exit codes: 0 success, 2 config error,
+3 numerical failure, 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -40,21 +41,14 @@ from .errors import CalibrationFailure, ConfigError, FatouLabError
 from .grid import classify_grid, label_components
 from .hyperbolic import contraction_audit
 from .measure import calibrate_disk, measure_report
-from .orbits import default_attractors, parabolic_points
+from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, default_attractors, parabolic_points
 
 SUBCOMMANDS = ("render", "periodic", "access", "audit", "measure", "inner", "scan")
 
-_DEFAULTS = {
-    "window": [-2.0, 4.0, -3.0, 3.0],
-    "resolution": [200, 200],
-    "budgets": {"orbit": 300, "pullback": 200, "walk": 100000},
-    "escape_radius": 50.0,
-    "tolerances": {"orbit_tol": 1e-6},
-    "attractors": "auto",
-    "rng_seed": 0,
-    "threads": max(1, os.cpu_count() or 1),
-    "out_dir": "out",
-}
+# Markers for a table field without a default: REQUIRED ones must be given,
+# OPTIONAL ones may be absent and are then not echoed.
+REQUIRED = object()
+OPTIONAL = object()
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -66,161 +60,167 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, ok, length: int | None = None) -> bool:
+    return isinstance(v, list) and length in (None, len(v)) and all(ok(x) for x in v)
+
+
 def _is_pair(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_real(x) for x in v)
+    return _is_list(v, _is_real, 2)
 
 
-def _require_int(section: dict, key: str, default: int, minimum: int, where: str) -> None:
-    v = section.get(key, default)
-    _require(
-        isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
-        f"{where}.{key} must be an integer >= {minimum}",
-    )
+def _is_pairs(v) -> bool:
+    return _is_list(v, _is_pair)
 
 
-def _require_positive(section: dict, key: str, default: float, where: str) -> None:
-    v = section.get(key, default)
-    _require(_is_real(v) and v > 0, f"{where}.{key} must be a positive number")
+def _must(what: str, ok):
+    """A checker that raises ValueError('must be <what>') for values failing `ok`."""
+    def check(v) -> None:
+        if not ok(v):
+            raise ValueError(f"must be {what}")
+    return check
 
 
-def _as_complex(v, name: str) -> complex:
-    _require(_is_pair(v), f"{name} must be a [re, im] pair")
-    return complex(v[0], v[1])
+def _int_at_least(n: int):
+    return _must(f"an integer >= {n}", lambda v: _is_int(v) and v >= n)
 
 
-def _validate_section(subcommand: str, section: dict, m: EntireMap) -> None:
-    """Eager per-subcommand schema checks, so config problems never write outputs."""
-    if subcommand == "periodic":
-        region = section.get("seed_region")
-        _require(
-            isinstance(region, list) and len(region) == 4 and all(_is_real(x) for x in region),
-            "periodic.seed_region must be [re_min, re_max, im_min, im_max]",
-        )
-        _require_int(section, "max_period", 4, 1, "periodic")
-        _require_positive(section, "return_radius_cells", 5.0, "periodic")
-    elif subcommand == "access":
-        _require(_is_pair(section.get("seed")), "access.seed must be a [re, im] pair")
-        _require(_is_pair(section.get("z0")), "access.z0 must be a [re, im] pair")
-        _require_int(section, "steps", 60, 0, "access")
-        _require_int(section, "period", 1, 1, "access")
-    elif subcommand == "audit":
-        reg = section.get("region")
-        _require(isinstance(reg, dict), "audit.region is required")
-        _require(_is_pair(reg.get("center", [0.0, 0.0])), "audit.region.center must be [re, im]")
-        _require_positive(reg, "radius", 0.3, "audit.region")
-        _require_int(reg, "count", 100, 1, "audit.region")
-        cloud = section.get("cloud", {})
-        _require(isinstance(cloud, dict), "audit.cloud must be an object")
-        _require_int(cloud, "depth", 20, 0, "audit.cloud")
-        _require_int(cloud, "k_bound", 2, 0, "audit.cloud")
-        _require_positive(cloud, "escape_radius", 1e6, "audit.cloud")
-        if "orbit" in section:
-            orbit = section["orbit"]
-            _require(
-                isinstance(orbit, list) and len(orbit) >= 1 and all(_is_pair(v) for v in orbit),
-                "audit.orbit must be a nonempty list of [re, im] pairs",
-            )
-        else:
-            _require(_is_pair(section.get("fixed_point")), "audit needs a fixed_point or an orbit")
-            _require_int(section, "period", 1, 1, "audit")
-            _require_int(section, "length", 2, 1, "audit")
-        seg = section.get("segment")
-        _require(seg is None or (_is_real(seg) and seg > 0),
-                 "audit.segment must be a positive number or null")
-    elif subcommand == "measure":
-        _require(_is_pair(section.get("basepoint")), "measure.basepoint must be [re, im]")
-        _require_int(section, "n_samples", 2000, 100, "measure")
-        _require_int(section, "orbit_budget", 100, 1, "measure")
-        eps_cells = section.get("walk_eps_cells", 2.5)
-        _require(_is_real(eps_cells) and eps_cells >= 2.0,
-                 "measure.walk_eps_cells must be >= 2 grid cells")
-        targets = section.get("targets", [])
-        _require(isinstance(targets, list) and all(_is_pair(t) for t in targets),
-                 "measure.targets must be [re, im] pairs")
-        cal = section.get("calibration", {})
-        _require(isinstance(cal, dict), "measure.calibration must be an object")
-        _require_int(cal, "samples", 10000, 1, "measure.calibration")
-        _require_int(cal, "resolution", 400, 2, "measure.calibration")
-    elif subcommand == "inner":
-        _require("blaschke" in section or "candidate" in section,
-                 "inner needs a 'blaschke' and/or 'candidate' entry")
-        if "candidate" in section:
-            cand = section["candidate"]
-            _require(
-                isinstance(cand, dict)
-                and isinstance(cand.get("num"), list) and isinstance(cand.get("den"), list),
-                "inner.candidate needs 'num' and 'den' coefficient lists",
-            )
-        _require(all(isinstance(n, int) and n >= 1 for n in section.get("periods", [1])),
-                 "inner.periods must be integers >= 1")
-        _require_int(section, "samples", 10000, 1, "inner")
-    elif subcommand == "scan":
-        _require(section.get("kind") in ("escaping", "parabolic"),
-                 "scan.kind must be 'escaping' or 'parabolic'")
-        probes = section.get("probes", [])
-        _require(isinstance(probes, list) and len(probes) > 0 and all(_is_pair(v) for v in probes),
-                 "scan.probes must be a nonempty list of [re, im] pairs")
-        if section.get("kind") == "escaping":
-            _require(_is_pair(section.get("point")), "scan.point (a periodic seed) is required")
-            _require_int(section, "period", 1, 1, "scan")
-        else:
-            _require(bool(parabolic_points(m)),
-                     f"scan.kind 'parabolic' needs a parabolic map; {m.family} has none")
-        _require_int(section, "budget", 60, 1, "scan")
+def _blaschke(v) -> None:
+    if not (isinstance(v, dict) and _is_pair(v.get("rotation", [1.0, 0.0]))
+            and _is_pairs(v.get("zeros", []))):
+        raise ValueError("must be an object with a [re, im] rotation and [re, im] zeros")
+    BlaschkeProduct.from_json(v)  # raises for a zero outside the disk
+
+
+_OBJECT = _must("an object", lambda v: isinstance(v, dict))
+_POSITIVE = _must("a positive number", lambda v: _is_real(v) and v > 0)
+_PAIR = _must("a [re, im] pair", _is_pair)
+_PAIRS = _must("a list of [re, im] pairs", _is_pairs)
+_NONEMPTY_PAIRS = _must("a nonempty list of [re, im] pairs", lambda v: _is_pairs(v) and len(v) > 0)
+
+# The config schema: dotted key -> (default, checker). A checker raises
+# ValueError or TypeError for a bad value. resolve_config walks the table in
+# order, so an object comes before its fields. The first part of a key that
+# names a subcommand marks its section, which is walked only for that run.
+SCHEMA = {
+    "map": (REQUIRED, EntireMap.from_json),
+    "window": ([-2.0, 4.0, -3.0, 3.0], _must(
+        "[re_min, re_max, im_min, im_max] with min < max",
+        lambda v: _is_list(v, _is_real, 4) and v[0] < v[1] and v[2] < v[3])),
+    "resolution": ([200, 200], _must(
+        "two integers >= 2", lambda v: _is_list(v, lambda x: _is_int(x) and x >= 2, 2))),
+    "budgets": ({}, _OBJECT),
+    "budgets.orbit": (300, _int_at_least(1)),
+    "budgets.pullback": (200, _int_at_least(1)),
+    "budgets.walk": (100000, _int_at_least(1)),
+    "escape_radius": (DEFAULT_ESCAPE_RADIUS, _POSITIVE),
+    "tolerances": ({}, _OBJECT),
+    "tolerances.orbit_tol": (DEFAULT_TOL, _POSITIVE),
+    "attractors": ("auto", _must(
+        "'auto' or a list of [re, im, period]",
+        lambda v: v == "auto" or _is_list(
+            v, lambda a: _is_list(a, _is_real, 3) and _is_int(a[2]) and a[2] >= 1))),
+    "rng_seed": (0, _int_at_least(0)),
+    "threads": (max(1, os.cpu_count() or 1), _int_at_least(1)),
+    "out_dir": ("out", _must("a string", lambda v: isinstance(v, str))),
+    "render": ({}, _OBJECT),
+    "periodic": ({}, _OBJECT),
+    "periodic.seed_region": (REQUIRED, _must(
+        "[re_min, re_max, im_min, im_max]", lambda v: _is_list(v, _is_real, 4))),
+    "periodic.max_period": (4, _int_at_least(1)),
+    "periodic.return_radius_cells": (5.0, _POSITIVE),
+    "access": ({}, _OBJECT),
+    "access.seed": (REQUIRED, _PAIR),
+    "access.z0": (REQUIRED, _PAIR),
+    "access.steps": (60, _int_at_least(0)),
+    "access.period": (1, _int_at_least(1)),
+    "audit": ({}, _OBJECT),
+    "audit.region": (REQUIRED, _OBJECT),
+    "audit.region.center": ([0.0, 0.0], _PAIR),
+    "audit.region.radius": (0.3, _POSITIVE),
+    "audit.region.count": (100, _int_at_least(1)),
+    "audit.cloud": ({}, _OBJECT),
+    "audit.cloud.depth": (20, _int_at_least(0)),
+    "audit.cloud.k_bound": (2, _int_at_least(0)),
+    "audit.cloud.escape_radius": (1e6, _POSITIVE),
+    "audit.orbit": (OPTIONAL, _NONEMPTY_PAIRS),
+    "audit.fixed_point": (OPTIONAL, _PAIR),
+    "audit.period": (1, _int_at_least(1)),
+    "audit.length": (2, _int_at_least(1)),
+    "audit.segment": (None, _must("a positive number or null",
+                                  lambda v: v is None or _is_real(v) and v > 0)),
+    "measure": ({}, _OBJECT),
+    "measure.basepoint": (REQUIRED, _PAIR),
+    "measure.n_samples": (2000, _int_at_least(100)),
+    "measure.orbit_budget": (100, _int_at_least(1)),
+    "measure.walk_eps_cells": (2.5, _must("a number >= 2 (grid cells)",
+                                          lambda v: _is_real(v) and v >= 2.0)),
+    "measure.targets": ([], _PAIRS),
+    "measure.calibration": ({}, _OBJECT),
+    "measure.calibration.samples": (10000, _int_at_least(1)),
+    "measure.calibration.resolution": (400, _int_at_least(2)),
+    "inner": ({}, _OBJECT),
+    "inner.blaschke": (OPTIONAL, _blaschke),
+    "inner.candidate": (OPTIONAL, _must(
+        "an object with 'num' and 'den' lists of real coefficients",
+        lambda v: isinstance(v, dict) and all(_is_list(v.get(k), _is_real) for k in ("num", "den")))),
+    "inner.periods": ([1, 2, 3], _must(
+        "a list of integers >= 1", lambda v: _is_list(v, lambda n: _is_int(n) and n >= 1))),
+    "inner.samples": (10000, _int_at_least(1)),
+    "scan": ({}, _OBJECT),
+    "scan.kind": (REQUIRED, _must("'escaping' or 'parabolic'", lambda v: v in ("escaping", "parabolic"))),
+    "scan.probes": (REQUIRED, _NONEMPTY_PAIRS),
+    "scan.point": (OPTIONAL, _PAIR),
+    "scan.period": (1, _int_at_least(1)),
+    "scan.budget": (60, _int_at_least(1)),
+}
+
+# Where a run happens, not what it computes: the echo and the hash skip these,
+# so reruns into other directories or on other core counts stay byte-identical.
+_EXECUTION = ("out_dir", "threads")
 
 
 def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
+    """Check every field of the run and fill every default; ConfigError on the first bad one."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    cfg = copy.deepcopy(_DEFAULTS)
-    for k, v in raw.items():
-        if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-            cfg[k].update(v)
-        else:
-            cfg[k] = copy.deepcopy(v)
-    for k, v in overrides.items():
-        if v is not None:
-            cfg[k] = v
-
-    _require("map" in cfg, "config must declare a map")
-    try:
-        m = EntireMap.from_json(cfg["map"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad map descriptor: {exc}") from exc
-    w = cfg["window"]
-    _require(
-        isinstance(w, (list, tuple)) and len(w) == 4
-        and all(isinstance(x, (int, float)) for x in w)
-        and w[0] < w[1] and w[2] < w[3],
-        "window must be [re_min, re_max, im_min, im_max] with min < max",
-    )
-    r = cfg["resolution"]
-    _require(
-        isinstance(r, (list, tuple)) and len(r) == 2
-        and all(isinstance(x, int) and x >= 2 for x in r),
-        "resolution must be two integers >= 2",
-    )
-    _require(isinstance(cfg["rng_seed"], int), "rng_seed must be an integer")
-    _require(isinstance(cfg["threads"], int) and cfg["threads"] >= 1, "threads must be >= 1")
-    _require(_is_real(cfg["escape_radius"]) and cfg["escape_radius"] > 0,
-             "escape_radius must be a positive number")
-    _require(isinstance(cfg["tolerances"], dict), "tolerances must be an object")
-    _require_positive(cfg["tolerances"], "orbit_tol", 1e-6, "tolerances")
-    b = cfg["budgets"]
-    _require(isinstance(b, dict), "budgets must be an object")
-    for key in ("orbit", "pullback", "walk"):
-        _require(isinstance(b.get(key), int) and b[key] >= 1, f"budgets.{key} must be >= 1")
-    att = cfg["attractors"]
-    if att != "auto":
-        _require(
-            isinstance(att, list)
-            and all(isinstance(a, (list, tuple)) and len(a) == 3 for a in att),
-            "attractors must be 'auto' or a list of [re, im, period]",
-        )
     _require(subcommand in SUBCOMMANDS, f"unknown subcommand {subcommand}")
-    section = cfg.get(subcommand, {})
-    _require(isinstance(section, dict), f"section {subcommand!r} must be an object")
-    cfg[subcommand] = section
-    _validate_section(subcommand, section, m)
+    cfg = copy.deepcopy(raw)
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    for key, (default, check) in SCHEMA.items():
+        head = key.partition(".")[0]
+        if head in SUBCOMMANDS and head != subcommand:
+            continue
+        *parents, name = key.split(".")
+        holder = cfg
+        for p in parents:
+            holder = holder[p]
+        if name not in holder:
+            _require(default is not REQUIRED, f"{key} is required")
+            if default is not OPTIONAL:
+                holder[name] = copy.deepcopy(default)
+            continue
+        try:
+            check(holder[name])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    section = cfg[subcommand]
+    if subcommand == "audit":
+        _require(("orbit" in section) != ("fixed_point" in section),
+                 "audit takes either an orbit or a fixed_point")
+    elif subcommand == "scan":
+        if section["kind"] == "escaping":
+            _require("point" in section, "scan.point (a periodic seed) is required")
+        else:
+            m = _map_of(cfg)
+            _require(bool(parabolic_points(m)),
+                     f"scan.kind 'parabolic' needs a parabolic map; {m.family} has none")
+    elif subcommand == "inner":
+        _require("blaschke" in section or "candidate" in section,
+                 "inner needs a 'blaschke' and/or 'candidate' entry")
     return cfg
 
 
@@ -228,10 +228,14 @@ def _map_of(cfg: dict) -> EntireMap:
     return EntireMap.from_json(cfg["map"])
 
 
+def _as_complex(v) -> complex:
+    return complex(v[0], v[1])
+
+
 def _attractors_of(cfg: dict, m: EntireMap):
     if cfg["attractors"] == "auto":
         return default_attractors(m, escape_radius=cfg["escape_radius"])
-    return tuple((complex(a[0], a[1]), int(a[2])) for a in cfg["attractors"])
+    return tuple((_as_complex(a), a[2]) for a in cfg["attractors"])
 
 
 def _build_grid(cfg: dict, m: EntireMap):
@@ -249,7 +253,7 @@ def _build_grid(cfg: dict, m: EntireMap):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners: each returns (summary_extras, {filename: writer})
+# Subcommand runners: each returns its summary fields, with "outputs" listing its files
 # ---------------------------------------------------------------------------
 
 
@@ -275,17 +279,14 @@ def _run_render(cfg: dict, out: Path) -> dict:
 def _run_periodic(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["periodic"]
-    _require("seed_region" in section, "periodic.seed_region is required")
-    region = section["seed_region"]
-    _require(isinstance(region, list) and len(region) == 4, "seed_region must have 4 numbers")
     grid = _build_grid(cfg, m)
     point = find_periodic_boundary_point(
         m,
         grid,
-        tuple(region),
-        max_period=int(section.get("max_period", 4)),
+        tuple(section["seed_region"]),
+        max_period=section["max_period"],
         pullback_budget=cfg["budgets"]["pullback"],
-        return_radius_cells=float(section.get("return_radius_cells", 5.0)),
+        return_radius_cells=section["return_radius_cells"],
         rng_seed=cfg["rng_seed"],
     )
     serialize.write_json(point.to_json(), out / "points.json")
@@ -295,19 +296,9 @@ def _run_periodic(cfg: dict, out: Path) -> dict:
 def _run_access(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["access"]
-    for key in ("seed", "z0"):
-        _require(key in section, f"access.{key} is required")
     grid = _build_grid(cfg, m)
-    point = newton_periodic(
-        m, _as_complex(section["seed"], "access.seed"), int(section.get("period", 1)), grid=grid
-    )
-    curve = access_curve(
-        m,
-        point,
-        _as_complex(section["z0"], "access.z0"),
-        int(section.get("steps", 60)),
-        grid,
-    )
+    point = newton_periodic(m, _as_complex(section["seed"]), section["period"], grid=grid)
+    curve = access_curve(m, point, _as_complex(section["z0"]), section["steps"], grid)
     serialize.curve_to_csv(curve, out / "curve.csv")
     serialize.write_json(point.to_json(), out / "points.json")
     return {
@@ -321,36 +312,25 @@ def _run_access(cfg: dict, out: Path) -> dict:
 def _run_audit(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["audit"]
-    _require("region" in section, "audit.region is required")
     reg = section["region"]
-    center = _as_complex(reg.get("center", [0.0, 0.0]), "audit.region.center")
-    radius = float(reg.get("radius", 0.3))
-    count = int(reg.get("count", 100))
+    center, radius, count = _as_complex(reg["center"]), reg["radius"], reg["count"]
     region = [center + radius * np.exp(2j * np.pi * j / count) for j in range(count)]
 
     if "orbit" in section:
-        orbit = [_as_complex(v, "audit.orbit[]") for v in section["orbit"]]
+        orbit = [_as_complex(v) for v in section["orbit"]]
     else:
-        _require("fixed_point" in section, "audit needs a fixed_point or an orbit")
-        p = newton_periodic(
-            m, _as_complex(section["fixed_point"], "audit.fixed_point"),
-            int(section.get("period", 1)),
-        )
-        length = int(section.get("length", 2))
-        orbit = [p.point] * (length * p.period + 1)
+        p = newton_periodic(m, _as_complex(section["fixed_point"]), section["period"])
+        orbit = [p.point] * (section["length"] * p.period + 1)
     chain = pullback_chain(m, orbit)
 
-    cloud_cfg = section.get("cloud", {})
+    cloud_cfg = section["cloud"]
     cloud = postsingular_sample(
         m,
-        int(cloud_cfg.get("depth", 20)),
-        escape_radius=float(cloud_cfg.get("escape_radius", 1e6)),
-        k_bound=int(cloud_cfg.get("k_bound", 2)),
+        cloud_cfg["depth"],
+        escape_radius=cloud_cfg["escape_radius"],
+        k_bound=cloud_cfg["k_bound"],
     )
-    segment = section.get("segment")
-    audit = contraction_audit(
-        m, chain, region, cloud.points(), segment=None if segment is None else float(segment)
-    )
+    audit = contraction_audit(m, chain, region, cloud.points(), segment=section["segment"])
     serialize.audit_to_csv(audit, out / "audit.csv")
     return {
         "certified_violations": len(audit.certified_violations),
@@ -363,27 +343,24 @@ def _run_audit(cfg: dict, out: Path) -> dict:
 def _run_measure(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["measure"]
-    _require("basepoint" in section, "measure.basepoint is required")
-    cal_cfg = section.get("calibration", {})
     cal = calibrate_disk(
         rng_seed=cfg["rng_seed"],
-        samples=int(cal_cfg.get("samples", 10000)),
-        resolution=int(cal_cfg.get("resolution", 400)),
+        samples=section["calibration"]["samples"],
+        resolution=section["calibration"]["resolution"],
     )
     if not cal.passed:
         raise CalibrationFailure(
             f"disk oracle failed: chi2 p = {cal.chi2_p:.4g}, KS = {cal.ks_stat:.4g}"
         )
     grid = _build_grid(cfg, m)
-    walk_eps = float(section.get("walk_eps_cells", 2.5)) * max(grid.cell_size)
     report = measure_report(
         m,
         grid,
-        _as_complex(section["basepoint"], "measure.basepoint"),
-        int(section.get("n_samples", 2000)),
-        walk_eps,
-        int(section.get("orbit_budget", 100)),
-        targets=tuple(_as_complex(t, "measure.targets[]") for t in section.get("targets", [])),
+        _as_complex(section["basepoint"]),
+        section["n_samples"],
+        section["walk_eps_cells"] * max(grid.cell_size),
+        section["orbit_budget"],
+        targets=tuple(_as_complex(t) for t in section["targets"]),
         rng_seed=cfg["rng_seed"],
         walk_budget=cfg["budgets"]["walk"],
     )
@@ -412,10 +389,10 @@ def _run_inner(cfg: dict, out: Path) -> dict:
         }
         rows = []
         counts = {}
-        for n in section.get("periods", [1, 2, 3]):
-            pts = circle_periodic_points(b, int(n))
+        for n in section["periods"]:
+            pts = circle_periodic_points(b, n)
             counts[str(n)] = len(pts)
-            rows.append((int(n), pts))
+            rows.append((n, pts))
         results["periodic_counts"] = counts
         serialize.periodic_points_to_csv(rows, out / "periodic_points.csv")
         outputs.append("periodic_points.csv")
@@ -424,7 +401,7 @@ def _run_inner(cfg: dict, out: Path) -> dict:
             tuple(complex(c) for c in section["candidate"]["num"]),
             tuple(complex(c) for c in section["candidate"]["den"]),
         )
-        rep = verify_inner_candidate(cand, samples=int(section.get("samples", 10000)))
+        rep = verify_inner_candidate(cand, samples=section["samples"])
         results["candidate"] = {
             "circle_preserving": rep.circle_preserving,
             "maps_disk_in": rep.maps_disk_in,
@@ -432,7 +409,6 @@ def _run_inner(cfg: dict, out: Path) -> dict:
             "boundary_fixed_points": [[p.real, p.imag] for p in rep.boundary_fixed_points],
             "notes": list(rep.notes),
         }
-    _require(results, "inner section needs a 'blaschke' and/or 'candidate' entry")
     serialize.write_json(results, out / "points.json")
     outputs.append("points.json")
     return {**results, "outputs": outputs}
@@ -441,14 +417,10 @@ def _run_inner(cfg: dict, out: Path) -> dict:
 def _run_scan(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["scan"]
-    kind = section.get("kind")
-    _require(kind in ("escaping", "parabolic"), "scan.kind must be 'escaping' or 'parabolic'")
-    probes = [_as_complex(v, "scan.probes[]") for v in section.get("probes", [])]
-    _require(len(probes) > 0, "scan.probes must be nonempty")
-    budget = int(section.get("budget", 60))
-    if kind == "escaping":
-        _require("point" in section, "scan.point (a periodic seed) is required")
-        p = newton_periodic(m, _as_complex(section["point"], "scan.point"), int(section.get("period", 1)))
+    probes = [_as_complex(v) for v in section["probes"]]
+    budget = section["budget"]
+    if section["kind"] == "escaping":
+        p = newton_periodic(m, _as_complex(section["point"]), section["period"])
         rep = escaping_component_scan(m, p, probes, budget, cfg["escape_radius"])
         payload = {
             "escaping": [[e.probe.real, e.probe.imag] for e in rep.escaping],
@@ -483,9 +455,7 @@ def run(subcommand: str, cfg: dict) -> int:
     out = Path(cfg["out_dir"])
     started = time.monotonic()
     out.mkdir(parents=True, exist_ok=True)
-    # out_dir is a location, not a run parameter: the echo and the hash skip it
-    # so reruns into different directories stay byte-identical.
-    echoed = {k: v for k, v in cfg.items() if k != "out_dir"}
+    echoed = {k: v for k, v in cfg.items() if k not in _EXECUTION}
     resolved = serialize.canonical_json(echoed)
     config_hash = hashlib.sha256(resolved.encode()).hexdigest()
     (out / "resolved_config.json").write_text(resolved + "\n")
@@ -505,9 +475,6 @@ def run(subcommand: str, cfg: dict) -> int:
     except CalibrationFailure as exc:
         summary["errors"].append(str(exc))
         code = 4
-    except ConfigError as exc:  # eager validation should make this unreachable
-        summary["errors"].append(f"{type(exc).__name__}: {exc}")
-        code = 2
     except (FatouLabError, ValueError) as exc:
         summary["errors"].append(f"{type(exc).__name__}: {exc}")
         code = 3

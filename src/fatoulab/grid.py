@@ -1,10 +1,10 @@
 """Grid rendering of Fatou components: classification, labeling, distances.
 
-Cells are classified at their centers (optionally 2x2-supersampled for
-figures), labeled by 4-connectivity within their verdict class, and queried
-for conservative distances to the Julia raster. Label 0 always means
-"Julia / undecided / ambiguous escape"; only unambiguous Fatou evidence
-(attracting, parabolic, drift-certified Baker escape) is labeled.
+Cells are classified at their centers, labeled by 4-connectivity within
+their verdict class, and queried for conservative distances to the Julia
+raster. Label 0 always means "Julia / undecided / ambiguous escape"; only
+unambiguous Fatou evidence (attracting, parabolic, drift-certified Baker
+escape) is labeled.
 """
 
 from __future__ import annotations
@@ -181,18 +181,11 @@ def classify_grid(
     attractors: tuple[tuple[complex, int], ...] = (),
     tol: float = DEFAULT_TOL,
     threads: int = 1,
-    supersample: bool = False,
 ) -> ClassificationGrid:
     """Per-cell classify_orbit at cell centers; deterministic for any thread count."""
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ValueError("resolution components must be >= 2")
-    if supersample:
-        fine = classify_grid(
-            m, window, (2 * nx, 2 * ny), budget, escape_radius, attractors, tol, threads
-        )
-        return _downsample(fine, nx, ny)
-
     grid = ClassificationGrid(
         window=tuple(float(v) for v in window),
         nx=nx,
@@ -230,37 +223,6 @@ def classify_grid(
     else:
         work((0, ny))
     return grid
-
-
-def _downsample(fine: ClassificationGrid, nx: int, ny: int) -> ClassificationGrid:
-    """2x2 majority-kind reduction for figure rendering; ties go to the first sample."""
-    def blocks(a):
-        return a.reshape(ny, 2, nx, 2).transpose(0, 2, 1, 3).reshape(ny, nx, 4)
-
-    kind_blocks = blocks(fine.kinds)
-    counts = np.stack(
-        [(kind_blocks == int(k)).sum(axis=2) for k in Kind], axis=2
-    )
-    majority = np.argmax(counts, axis=2).astype(np.int8)
-    idx = np.argmax(kind_blocks == majority[:, :, None], axis=2)
-
-    def take(a):
-        return np.take_along_axis(blocks(a), idx[:, :, None], axis=2)[:, :, 0]
-
-    return dataclasses.replace(
-        fine,
-        nx=nx,
-        ny=ny,
-        kinds=take(fine.kinds),
-        labels=np.zeros((ny, nx), dtype=np.int32),
-        iterations=take(fine.iterations),
-        reasons=take(fine.reasons),
-        strips=take(fine.strips),
-        attractor_index=take(fine.attractor_index),
-        labeled=False,
-        label_table={},
-        _tree_cache={},
-    )
 
 
 def label_components(grid: ClassificationGrid) -> ClassificationGrid:

@@ -67,22 +67,6 @@ def grid_to_csv(grid: ClassificationGrid, path: str | Path) -> None:
                 )
 
 
-def cloud_to_csv(cloud, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["source_id", "step", "re", "im"])
-        for s in cloud.samples:
-            w.writerow([s.source, s.step, _num(s.point.real), _num(s.point.imag)])
-
-
-def singular_to_csv(sd, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["source_id", "step", "re", "im"])
-        for source, v in sd.sources():
-            w.writerow([source, 0, _num(v.real), _num(v.imag)])
-
-
 def curve_to_csv(curve, path: str | Path) -> None:
     """Access-curve polyline rows (m, re, im, gap to the landing point)."""
     with open(path, "w", newline="") as f:

@@ -177,6 +177,19 @@ def test_probe_insufficient_samples(exp_map, exp_tall_grid):
         fl.proper_invertibility_probe(exp_map, exp_tall_grid, 2.6, 0.2, chain, rng_seed=3)
 
 
+def test_probe_single_label_grid(exp_map):
+    """A label with no other-label neighbour: every sample clears the margin."""
+    grid = fl.label_components(fl.classify_grid(
+        exp_map, (0.0, 0.6, -0.3, 0.3), (30, 30), 200,
+        attractors=fl.default_attractors(exp_map),
+    ))
+    assert set(np.unique(grid.labels)) == {1}
+    chain = pullback_chain(exp_map, [0.3 + 0j])
+    rep = fl.proper_invertibility_probe(exp_map, grid, 0.3, 0.1, chain)
+    assert rep.holds_on_samples
+    assert rep.n_fatou_samples == 200
+
+
 def test_probe_violations_csv(tmp_path, exp_map, exp_tall_grid):
     from fatoulab.serialize import probe_violations_to_csv
 

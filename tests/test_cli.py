@@ -60,8 +60,21 @@ def test_schema_violations_exit_2(tmp_path):
          {**BASE, "periodic": {"seed_region": [2.0, 2.3, -0.1, 0.1], "max_period": "two"}}),
         ("render", {**BASE, "escape_radius": "big"}),
         ("scan", {**BASE, "scan": {"kind": "parabolic", "probes": [[-0.5, 0.0]], "budget": 100}}),
+        ("render", {**BASE, "map": {"family": "exp_lambda", "lambda": "quarter"}}),
+        ("render", {**BASE, "attractors": [["0.36", 0.0, 1]]}),
+        ("render", {**BASE, "budgets": 300}),
+        ("render", {**BASE, "threads": 0}),
+        ("audit", {**BASE, "audit": {"fixed_point": [0.0, 6.28], "region": {}, "segment": "e"}}),
+        ("audit", {**BASE, "audit": {"fixed_point": [0.0, 6.28], "orbit": [[0.0, 6.28]],
+                                     "region": {}}}),
+        ("inner", {**BASE, "inner": {"blaschke": {"zeros": [[2.0, 0.0]]}}}),
+        ("inner", {**BASE, "inner": {"candidate": {"num": ["3", 0, 1], "den": [1, 0, 3]}}}),
+        ("scan", {**BASE, "scan": {"kind": "escaping", "probes": [[2.0, 0.0]]}}),
     ],
-    ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point"],
+    ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
+         "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
+         "segment_string", "orbit_and_fixed_point", "blaschke_zero_outside_disk",
+         "candidate_string_coefficient", "escaping_scan_without_point"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
@@ -99,6 +112,74 @@ def test_resolved_config_echoes_defaults(tmp_path):
     assert resolved["escape_radius"] == 50.0  # default filled in
     assert resolved["tolerances"]["orbit_tol"] == 1e-6
     assert "out_dir" not in resolved  # location is not a run parameter
+    assert "threads" not in resolved  # nor is the worker count
+
+
+def test_threads_change_neither_echo_nor_hash(tmp_path):
+    cfg = write_config(tmp_path, BASE)
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert cli.main(["render", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
+    assert cli.main(["render", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+    assert (out1 / "resolved_config.json").read_bytes() == (out2 / "resolved_config.json").read_bytes()
+    h1 = json.loads((out1 / "summary.json").read_text())["config_hash"]
+    h2 = json.loads((out2 / "summary.json").read_text())["config_hash"]
+    assert h1 == h2
+
+
+TOP_DEFAULTS = {
+    "window": [-2.0, 4.0, -3.0, 3.0],
+    "resolution": [200, 200],
+    "budgets": {"orbit": 300, "pullback": 200, "walk": 100000},
+    "escape_radius": 50.0,
+    "tolerances": {"orbit_tol": 1e-6},
+    "attractors": "auto",
+    "rng_seed": 0,
+}
+
+# (minimal section, the defaults it must echo) per subcommand
+SECTIONS = {
+    "render": ({}, {}),
+    "periodic": ({"seed_region": [2.0, 2.3, -0.1, 0.1]},
+                 {"max_period": 4, "return_radius_cells": 5.0}),
+    "access": ({"seed": [2.2, 0.0], "z0": [1.8, 0.0]}, {"steps": 60, "period": 1}),
+    "audit": ({"fixed_point": [0.0, 6.28], "region": {}},
+              {"region": {"center": [0.0, 0.0], "radius": 0.3, "count": 100},
+               "cloud": {"depth": 20, "k_bound": 2, "escape_radius": 1e6},
+               "period": 1, "length": 2, "segment": None}),
+    "measure": ({"basepoint": [0.3, 0.0]},
+                {"n_samples": 2000, "orbit_budget": 100, "walk_eps_cells": 2.5, "targets": [],
+                 "calibration": {"samples": 10000, "resolution": 400}}),
+    "inner": ({"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}},
+              {"periods": [1, 2, 3], "samples": 10000}),
+    "scan": ({"kind": "escaping", "probes": [[2.0, 0.0]], "point": [2.2, 0.0]},
+             {"period": 1, "budget": 60}),
+}
+
+
+@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+def test_minimal_config_echoes_every_default(sub):
+    minimal, defaults = SECTIONS[sub]
+    raw = {"map": {"family": "exp_lambda", "lambda": 0.25}, sub: minimal}
+    cfg = cli.resolve_config(raw, sub, {})
+    assert {k: cfg[k] for k in TOP_DEFAULTS} == TOP_DEFAULTS
+    assert cfg[sub] == {**minimal, **defaults}
+
+
+def test_spelled_out_defaults_hash_like_omitted(tmp_path):
+    """inner without periods runs periods 1, 2, 3 and hashes like a config naming them."""
+    inner = {"blaschke": {"rotation": [1.0, 0.0], "zeros": [[0.0, 0.0], [0.0, 0.0]]}}
+    omitted = write_config(tmp_path, {**BASE, "inner": inner}, "omitted.json")
+    spelled = write_config(
+        tmp_path, {**BASE, "inner": {**inner, "periods": [1, 2, 3], "samples": 10000}}, "spelled.json"
+    )
+    out1, out2 = tmp_path / "i1", tmp_path / "i2"
+    assert cli.main(["inner", "--config", str(omitted), "--out", str(out1)]) == 0
+    assert cli.main(["inner", "--config", str(spelled), "--out", str(out2)]) == 0
+    s1 = json.loads((out1 / "summary.json").read_text())
+    s2 = json.loads((out2 / "summary.json").read_text())
+    assert s1["periodic_counts"] == {"1": 1, "2": 3, "3": 7}
+    assert s1["config_hash"] == s2["config_hash"]
+    assert (out1 / "resolved_config.json").read_bytes() == (out2 / "resolved_config.json").read_bytes()
 
 
 def test_periodic_subcommand(tmp_path):

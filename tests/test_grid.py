@@ -197,11 +197,3 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
         lo, hi = distance_to_julia(g, z)
         d = np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
         assert (lo, hi) == (max(0.0, d - g.cell_diagonal), d + g.cell_diagonal)
-
-
-def test_supersample_flag_runs(exp_map):
-    g = fl.classify_grid(
-        exp_map, (-2, 4, -3, 3), (40, 40), 100,
-        attractors=fl.default_attractors(exp_map), supersample=True,
-    )
-    assert g.kinds.shape == (40, 40)

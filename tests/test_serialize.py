@@ -6,21 +6,6 @@ from fatoulab import serialize
 from conftest import QR
 
 
-def test_cloud_and_singular_csv(tmp_path):
-    m = fl.z_exp()
-    cloud = fl.postsingular_sample(m, 3)
-    serialize.cloud_to_csv(cloud, tmp_path / "cloud.csv")
-    rows = (tmp_path / "cloud.csv").read_text().strip().splitlines()
-    assert rows[0] == "source_id,step,re,im"
-    assert len(rows) == 1 + len(cloud.samples)
-    assert rows[1].startswith("cv[k=0],0,0.36787944117144233,")
-
-    serialize.singular_to_csv(fl.singular_values(m), tmp_path / "sv.csv")
-    sv_rows = (tmp_path / "sv.csv").read_text().strip().splitlines()
-    assert sv_rows[0] == "source_id,step,re,im"
-    assert len(sv_rows) == 3  # critical value and asymptotic value
-
-
 def test_curve_csv(tmp_path, exp_map, exp_grid):
     p = fl.newton_periodic(exp_map, 2.2, 1, grid=exp_grid)
     curve = fl.access_curve(exp_map, p, 1.8 + 0j, 5, exp_grid)
