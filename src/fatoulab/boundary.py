@@ -20,11 +20,13 @@ from .errors import (
     ConvergedToFatouCycle,
     NewtonDiverged,
     NoReturnWithinBudget,
+    OutOfWindow,
     Overflow,
     VertexLeftFatou,
 )
 from .grid import ClassificationGrid
 from .orbits import Kind, classify_orbit
+from .raster import outer_ring
 
 _NEWTON_STEPS = 100
 _CONTRACTION_CAP = 500
@@ -61,14 +63,12 @@ def _cycle_eval(m: EntireMap, z: complex, n: int) -> tuple[complex, complex]:
 
 
 def _boundary_distance(grid: ClassificationGrid | None, z: complex) -> float:
-    """Distance from z to the nearest Julia-classified (label 0) cell center."""
+    """Distance from z to the nearest center of a cell labelled unlike z's cell
+    (label 0 outside the window)."""
     if grid is None or not grid.labeled:
         return math.nan
-    centers = grid.cell_centers()
-    julia = grid.julia_mask()
-    if not julia.any():
-        return math.inf
-    return float(np.min(np.abs(centers[julia] - z)))
+    label = grid.label_at(z) if grid.contains(z) else 0
+    return float(grid.nearest_other_label(label, z)[0])
 
 
 def newton_periodic(
@@ -145,18 +145,11 @@ def _julia_adjacent_cells(grid: ClassificationGrid, region) -> np.ndarray:
     """Centers of label-0 cells inside `region` having a labelled 4-neighbour."""
     re_min, re_max, im_min, im_max = region
     centers = grid.cell_centers()
-    julia = grid.julia_mask()
-    lab = grid.labels > 0
-    neigh = np.zeros_like(lab)
-    neigh[1:, :] |= lab[:-1, :]
-    neigh[:-1, :] |= lab[1:, :]
-    neigh[:, 1:] |= lab[:, :-1]
-    neigh[:, :-1] |= lab[:, 1:]
     window = (
         (centers.real >= re_min) & (centers.real <= re_max)
         & (centers.imag >= im_min) & (centers.imag <= im_max)
     )
-    return centers[julia & neigh & window]
+    return centers[outer_ring(grid.labels > 0) & window]
 
 
 def find_periodic_boundary_point(
@@ -298,7 +291,7 @@ def access_curve(
 def _check_vertex(grid: ClassificationGrid, v: complex, label: int, gen: int) -> None:
     try:
         vl = grid.label_at(v)
-    except Exception as exc:
+    except OutOfWindow as exc:
         raise VertexLeftFatou(f"vertex {v} (generation {gen}) left the window") from exc
     if vl != label:
         raise VertexLeftFatou(

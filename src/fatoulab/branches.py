@@ -379,26 +379,16 @@ def proper_invertibility_probe(
     phi = rng.uniform(0.0, TWO_PI, samples)
     pts = p + rho * np.exp(1j * phi)
 
-    labels = []
-    for z in pts:
-        try:
-            labels.append(grid.label_at(complex(z)))
-        except Exception:
-            labels.append(0)
-    labels = np.asarray(labels)
+    labels = np.array([grid.label_at(z) if grid.contains(z) else 0 for z in pts.tolist()])
     positive = labels[labels > 0]
     if positive.size == 0:
         raise InsufficientFatouSamples("no Fatou-labelled samples in the probe disk")
     label = int(np.bincount(positive).argmax())
 
-    tree = grid._other_label_tree(label)
-    margin = margin_cells * grid.cell_diagonal
-    fatou_pts = []
-    for z in pts[labels == label]:
-        # a label without other-label neighbours is infinitely far from one
-        d = math.inf if tree is None else tree.query([z.real, z.imag])[0]
-        if d >= margin:
-            fatou_pts.append(complex(z))
+    own = pts[labels == label]
+    # a label without other-label neighbours is infinitely far from one
+    d, _ = grid.nearest_other_label(label, own)
+    fatou_pts = own[d >= margin_cells * grid.cell_diagonal].tolist()
     if len(fatou_pts) < 10:
         raise InsufficientFatouSamples(
             f"only {len(fatou_pts)} confident samples carry Fatou label {label}"

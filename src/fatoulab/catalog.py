@@ -287,7 +287,10 @@ def ps_audit(
     allowed_contact: tuple[complex, ...] = (),
     sps: bool = False,
 ) -> PsAuditReport:
-    """Raster evidence (not proof) that postsingular samples stay `delta` away from Julia cells.
+    """Raster evidence (not proof) that postsingular samples stay `delta` off the boundary raster.
+
+    A sample's distance is measured to the nearest center of a cell labelled
+    unlike its own cell; a sample on a label-0 (Julia) cell is at distance 0.
 
     `allowed_contact` lists boundary points (e.g. a parabolic fixed point)
     whose neighbourhood is exempt from the distance check; samples within
@@ -312,25 +315,22 @@ def ps_audit(
             f"only {frac:.0%} of postsingular samples fall in the grid window"
         )
 
-    julia = grid.julia_mask()
-    dist_map = _julia_distance_map(julia, hx, hy)
-
-    offending: list[CloudSample] = []
-    min_distance = math.inf
-    for s, ok in zip(cloud.samples, inside):
-        if not ok:
-            continue
-        if any(abs(s.point - p) < delta + diag for p in allowed_contact):
-            continue
-        ix, iy = grid.cell_of(s.point)
-        d = float(dist_map[iy, ix])
-        min_distance = min(min_distance, d)
-        if d < delta:
-            offending.append(s)
+    checked = [
+        s for s, ok in zip(cloud.samples, inside)
+        if ok and not any(abs(s.point - p) < delta + diag for p in allowed_contact)
+    ]
+    points = np.array([s.point for s in checked], dtype=complex)
+    labels = np.array([grid.label_at(z) for z in points.tolist()], dtype=int)
+    dist = np.zeros(len(checked))
+    for label in np.unique(labels[labels > 0]).tolist():
+        dist[labels == label] = grid.nearest_other_label(label, points[labels == label])[0]
+    offending = [s for s, d in zip(checked, dist) if d < delta]
+    min_distance = float(dist.min()) if dist.size else math.inf
 
     sps_evidence = None
     enclosed: list[CloudSample] = []
     if sps:
+        julia = grid.julia_mask()
         filled = fill_from_infinity(julia)
         pocket = filled & ~julia
         for s, ok in zip(cloud.samples, inside):
@@ -349,14 +349,3 @@ def ps_audit(
         sps_evidence=sps_evidence,
         enclosed_samples=tuple(enclosed),
     )
-
-
-def _julia_distance_map(julia: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Per-cell Euclidean distance (plane units) to the nearest Julia-classified cell."""
-    from scipy import ndimage
-
-    if julia.all():
-        return np.zeros(julia.shape)
-    if not julia.any():
-        return np.full(julia.shape, np.inf)
-    return ndimage.distance_transform_edt(~julia, sampling=(hy, hx))

@@ -187,7 +187,12 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     """Check every field of the run and fill every default; ConfigError on the first bad one."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _require(subcommand in SUBCOMMANDS, f"unknown subcommand {subcommand}")
-    cfg = copy.deepcopy(raw)
+    # Only the table's top-level fields and this run's section reach the run,
+    # its echo and its hash; other sections and unknown keys are dropped.
+    cfg = copy.deepcopy({
+        k: v for k, v in raw.items()
+        if k in SCHEMA and "." not in k and (k not in SUBCOMMANDS or k == subcommand)
+    })
     cfg.update((k, v) for k, v in overrides.items() if v is not None)
     for key, (default, check) in SCHEMA.items():
         head = key.partition(".")[0]

@@ -25,7 +25,7 @@ from .orbits import (
     Kind,
     classify_orbits_array,
 )
-from .raster import label_by_class
+from .raster import label_by_class, outer_ring
 
 # Verdict-class encoding used for labeling and signature matching.
 _CLASS_ATTRACTING = 1000  # + attractor index
@@ -150,23 +150,35 @@ class ClassificationGrid:
 
     # -- distance queries ----------------------------------------------------
 
+    def nearest_other_label(self, label: int, points) -> tuple[np.ndarray, np.ndarray]:
+        """Distances from `points` to the nearest center of a cell not labelled `label`,
+        and those centers (inf and NaN when no cell carries another label).
+
+        Exact for points whose cell carries `label`; a point outside the
+        window counts as label 0.
+        """
+        z = np.asarray(points, dtype=complex)
+        tree = self._other_label_tree(label)
+        if tree is None:
+            return np.full(z.shape, np.inf), np.full(z.shape, complex(np.nan, np.nan))
+        d, i = tree.query(np.column_stack((z.real.ravel(), z.imag.ravel())))
+        c = tree.data[i]
+        return d.reshape(z.shape), (c[:, 0] + 1j * c[:, 1]).reshape(z.shape)
+
     def _other_label_tree(self, label: int) -> cKDTree | None:
         """KD-tree of the other-label cell centers that are 4-adjacent to `label`.
 
         For a point outside every other-label cell, the nearest other-label
         center has a 4-neighbour closer to the point, which is then not
         other-label; so these centers give the same nearest distance as all
-        other-label centers, from a much smaller tree.
+        other-label centers, from a much smaller tree. The raster is padded
+        with label 0, so for label 0 the labelled frame cells join the tree
+        and points outside the window get exact distances too.
         """
         if label in self._tree_cache:
             return self._tree_cache[label]
-        own = self.labels == label
-        near = np.zeros_like(own)
-        near[1:] |= own[:-1]
-        near[:-1] |= own[1:]
-        near[:, 1:] |= own[:, :-1]
-        near[:, :-1] |= own[:, 1:]
-        pts = self.cell_centers()[near & ~own]
+        own = np.pad(self.labels == label, 1, constant_values=label == 0)
+        pts = self.cell_centers()[outer_ring(own)[1:-1, 1:-1]]
         tree = cKDTree(np.column_stack([pts.real, pts.imag])) if pts.size else None
         self._tree_cache[label] = tree
         return tree
@@ -239,10 +251,6 @@ def distance_to_julia(grid: ClassificationGrid, z: complex) -> tuple[float, floa
     lower = nearest non-same-label cell-center distance minus one cell
     diagonal, clamped at zero; upper adds the diagonal instead.
     """
-    label = grid.label_at(z)
-    tree = grid._other_label_tree(label)
-    if tree is None:
-        return float("inf"), float("inf")
-    d, _ = tree.query([z.real, z.imag])
+    d = float(grid.nearest_other_label(grid.label_at(z), z)[0])
     diag = grid.cell_diagonal
-    return max(0.0, float(d) - diag), float(d) + diag
+    return max(0.0, d - diag), d + diag

@@ -88,9 +88,8 @@ def _walk_lockstep(
     label = grid.label_at(basepoint)
     if label == 0:
         raise ValueError(f"basepoint {basepoint} is not Fatou-classified")
-    tree = grid._other_label_tree(label)
     hits = np.full(n, complex(math.nan, math.nan))
-    if tree is None:
+    if math.isinf(grid.nearest_other_label(label, basepoint)[0]):
         # No boundary raster inside the window; every walk is an exit.
         return hits
     re_min, re_max, im_min, im_max = grid.window
@@ -102,13 +101,11 @@ def _walk_lockstep(
     y = np.full(n, float(basepoint.imag))
     draws = np.empty((n, _DRAW_CHUNK))
     for step in range(max_steps):
-        d, nearest = tree.query(np.column_stack((x, y)))
+        d, nearest = grid.nearest_other_label(label, x + 1j * y)
         lower = np.maximum(d - diag, 0.0)
         done = lower < walk_eps
         if done.any():
-            cells = tree.data[nearest[done]]
-            hits.real[live[done]] = cells[:, 0]
-            hits.imag[live[done]] = cells[:, 1]
+            hits[live[done]] = nearest[done]
             walking = ~done
             live, x, y, lower = live[walking], x[walking], y[walking], lower[walking]
         if live.size == 0:

@@ -1,4 +1,4 @@
-"""Raster primitives: flood fill from the frame and connected-component labeling."""
+"""Raster primitives: frame flood fill, 4-neighbour rings and component labeling."""
 
 from __future__ import annotations
 
@@ -34,6 +34,11 @@ def fill_from_infinity(mask: np.ndarray) -> np.ndarray:
     keep = np.zeros(n + 1, dtype=bool)
     keep[reachable] = True
     return mask | ~keep[labels]
+
+
+def outer_ring(mask: np.ndarray) -> np.ndarray:
+    """Cells outside `mask` that have a 4-neighbour inside it."""
+    return ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
 
 
 def label_by_class(classes: np.ndarray, labelable: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fatoulab as fl
-from fatoulab.catalog import FAMILIES, EntireMap
+from fatoulab.catalog import FAMILIES, CloudSample, EntireMap
 from fatoulab.errors import Overflow, WindowTooSmall
 
 from conftest import QA
@@ -188,6 +188,16 @@ def test_ps_audit_z_plus_exp(zplus_map):
     assert rep.in_window_fraction == 1.0
     assert rep.ps_evidence and rep.sps_evidence
     assert rep.min_distance > 2.0  # the critical-value orbit runs along R, ~pi off the edges
+
+
+def test_ps_audit_sample_on_label_0_cell_is_at_distance_0(exp_map, exp_grid):
+    deep, julia = CloudSample("fixed point", 0, QA + 0j), CloudSample("escaping", 1, 3.0 + 0j)
+    assert exp_grid.label_at(deep.point) > 0 and exp_grid.label_at(julia.point) == 0
+    cloud = fl.PostsingularCloud(samples=(deep, julia), depth=1, escape_radius=1e6)
+    rep = fl.ps_audit(exp_map, exp_grid, cloud, delta=0.1)
+    assert rep.offending_samples == (julia,)
+    assert rep.min_distance == 0.0
+    assert not rep.ps_evidence
 
 
 def test_ps_audit_window_too_small(zplus_map):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fatoulab
 import fatoulab.cli as cli
 from fatoulab.measure import CalibrationResult
 
@@ -120,6 +125,23 @@ def test_threads_change_neither_echo_nor_hash(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     assert cli.main(["render", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
     assert cli.main(["render", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+    assert (out1 / "resolved_config.json").read_bytes() == (out2 / "resolved_config.json").read_bytes()
+    h1 = json.loads((out1 / "summary.json").read_text())["config_hash"]
+    h2 = json.loads((out2 / "summary.json").read_text())["config_hash"]
+    assert h1 == h2
+
+
+@pytest.mark.parametrize("extra", [{"scan": {"kind": "nonsense"}}, {"notes": "not a field"}],
+                         ids=["other_section", "unknown_key"])
+def test_other_sections_change_neither_echo_nor_hash(tmp_path, extra):
+    """Only the top-level fields and the run's own section are echoed and hashed."""
+    inner = {"map": {"family": "z_exp"},
+             "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}}}
+    plain = write_config(tmp_path, inner, "plain.json")
+    padded = write_config(tmp_path, {**inner, **extra}, "padded.json")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert cli.main(["inner", "--config", str(plain), "--out", str(out1)]) == 0
+    assert cli.main(["inner", "--config", str(padded), "--out", str(out2)]) == 0
     assert (out1 / "resolved_config.json").read_bytes() == (out2 / "resolved_config.json").read_bytes()
     h1 = json.loads((out1 / "summary.json").read_text())["config_hash"]
     h2 = json.loads((out2 / "summary.json").read_text())["config_hash"]
@@ -275,3 +297,30 @@ def test_seed_override_changes_hash(tmp_path):
     h1 = json.loads((out1 / "summary.json").read_text())["config_hash"]
     h2 = json.loads((out2 / "summary.json").read_text())["config_hash"]
     assert h1 != h2
+
+
+def _python_m_fatoulab(*args):
+    """Run `python -m fatoulab` in a fresh interpreter on this checkout's package."""
+    src = str(Path(fatoulab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fatoulab", *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_fatoulab_entry_point(tmp_path):
+    cfg = write_config(tmp_path, {**BASE, "resolution": [20, 20]})
+    out = tmp_path / "render"
+    proc = _python_m_fatoulab("render", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "grid.csv", "grid.ppm", "resolved_config.json", "summary.json"
+    ]
+
+    bad = write_config(tmp_path, {**BASE, "escape_radius": "big"}, "bad.json")
+    out = tmp_path / "bad"
+    proc = _python_m_fatoulab("render", "--config", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert not out.exists()

@@ -185,15 +185,26 @@ def test_distance_refinement_under_doubling():
 
 def test_distance_equals_brute_force_over_all_other_label_cells():
     """The tree keeps only other-label cells next to the label, yet its nearest
-    distance equals the minimum over every other-label cell center."""
+    distance equals the minimum over every other-label cell center. A point
+    outside the window counts as label 0."""
     rng = np.random.default_rng(11)
     kinds = (rng.uniform(size=(30, 40)) < 0.6).astype(int) * int(Kind.ATTRACTING)
     g = _synthetic_grid(np.array(kinds))
     centers = g.cell_centers()
+
+    def brute_force(z, label):
+        others = centers[g.labels != label]
+        return np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
+
     for _ in range(300):
         z = complex(rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0))
-        label = g.label_at(z)
-        others = centers[g.labels != label]
+        d = brute_force(z, g.label_at(z))
         lo, hi = distance_to_julia(g, z)
-        d = np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
         assert (lo, hi) == (max(0.0, d - g.cell_diagonal), d + g.cell_diagonal)
+    outside = rng.uniform(-15.0, 55.0, 600) + 1j * rng.uniform(-15.0, 45.0, 600)
+    outside = outside[~g.contains(outside)]
+    assert outside.size > 300
+    d, nearest = g.nearest_other_label(0, outside)
+    assert d.tolist() == [brute_force(z, 0) for z in outside]
+    assert all(g.label_at(c) > 0 for c in nearest.tolist())
+    assert np.allclose(np.abs(nearest - outside), d, rtol=1e-14, atol=0.0)
