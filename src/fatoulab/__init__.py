@@ -13,7 +13,6 @@ from .blaschke import (
     RationalCircleMap,
     circle_lift,
     circle_periodic_points,
-    classify_component_dynamics,
     denjoy_wolff,
     verify_inner_candidate,
 )
@@ -31,7 +30,6 @@ from .branches import (
     apply_chain,
     chain_fixing,
     inverse,
-    proper_invertibility_probe,
     pullback_chain,
 )
 from .catalog import (
@@ -47,7 +45,7 @@ from .catalog import (
     z_exp,
     z_plus_exp,
 )
-from .grid import ClassificationGrid, classify_grid, distance_to_julia, label_components
+from .grid import ClassificationGrid, classify_grid, label_components
 from .hyperbolic import (
     DensityBound,
     contraction_audit,
@@ -62,7 +60,6 @@ from .measure import (
     calibrate_disk,
     disk_grid,
     measure_report,
-    sample_boundary_hit,
 )
 from .orbits import Kind, OrbitVerdict, classify_orbit, default_attractors
 from .raster import fill_from_infinity
@@ -76,7 +73,6 @@ __all__ = [
     "RationalCircleMap",
     "circle_lift",
     "circle_periodic_points",
-    "classify_component_dynamics",
     "denjoy_wolff",
     "verify_inner_candidate",
     "AccessCurve",
@@ -90,7 +86,6 @@ __all__ = [
     "apply_chain",
     "chain_fixing",
     "inverse",
-    "proper_invertibility_probe",
     "pullback_chain",
     "EntireMap",
     "PostsingularCloud",
@@ -105,7 +100,6 @@ __all__ = [
     "z_plus_exp",
     "ClassificationGrid",
     "classify_grid",
-    "distance_to_julia",
     "label_components",
     "DensityBound",
     "contraction_audit",
@@ -118,7 +112,6 @@ __all__ = [
     "calibrate_disk",
     "disk_grid",
     "measure_report",
-    "sample_boundary_hit",
     "Kind",
     "OrbitVerdict",
     "classify_orbit",

@@ -1,8 +1,8 @@
 """Finite Blaschke products and their unit-circle dynamics.
 
 Covers evaluation, argument lifts of the induced circle maps, Denjoy-Wolff
-point location, boundary periodic points, the ergodic/recurrent lookup for
-component types, and the audit of rational circle-map candidates. Only
+point location, boundary periodic points, and the audit of rational
+circle-map candidates. Only
 finite products are instantiated; infinite-degree inner functions have no
 finite representation here.
 """
@@ -115,27 +115,15 @@ class BlaschkeProduct:
 class CircleLift:
     """Continuous argument lift G of theta -> arg f(e^{i theta}) on [0, 2pi].
 
-    G(theta + 2pi) = G(theta) + 2pi * winding by construction. Evaluation at
-    off-grid angles continues analytically from the nearest left grid anchor;
-    the grid is dense enough that each anchored increment stays below pi.
+    G(theta + 2pi) = G(theta) + 2pi * winding by construction. The grid is
+    dense enough that each increment stays below pi, so values between nodes
+    continue analytically from the left node (see _vector_branch_roots).
     """
 
     func: object                 # callable complex -> complex
     thetas: np.ndarray           # N+1 nodes spanning [0, 2pi]
     values: np.ndarray           # lift values at the nodes
     winding: int
-
-    @property
-    def grid_step(self) -> float:
-        return float(self.thetas[1] - self.thetas[0])
-
-    def eval_at(self, theta: float) -> float:
-        wraps, t = divmod(theta, TWO_PI)
-        j = min(int(t / self.grid_step), len(self.thetas) - 2)
-        anchor = float(self.values[j])
-        raw = cmath.phase(self.func(cmath.exp(1j * t)))
-        delta = (raw - anchor + math.pi) % TWO_PI - math.pi
-        return anchor + delta + TWO_PI * self.winding * wraps
 
 
 def build_lift(func, grid_bits: int = _DEFAULT_GRID_BITS, require_monotone: bool = True) -> CircleLift:
@@ -343,49 +331,6 @@ def _refine_boundary(b: BlaschkeProduct, theta_hat: float, tol: float) -> Denjoy
         raise RotationLike("no non-repelling boundary fixed point found")
     _, t, dm = best
     return DenjoyWolff(cmath.exp(1j * t), BOUNDARY, dm)
-
-
-# ---------------------------------------------------------------------------
-# Ergodic / recurrent lookup
-# ---------------------------------------------------------------------------
-
-ATTRACTING_BASIN = "attracting"
-PARABOLIC_BASIN = "parabolic"
-SIEGEL_DISK = "siegel"
-BAKER_DOUBLY_PARABOLIC_DW_REGULAR = "baker_doubly_parabolic_dw_regular"
-BAKER_DOUBLY_PARABOLIC_DW_SINGULAR = "baker_doubly_parabolic_dw_singular"
-BAKER_SIMPLY_PARABOLIC = "baker_simply_parabolic"
-BAKER_HYPERBOLIC = "baker_hyperbolic"
-
-UNKNOWN = "unknown"
-
-_DYNAMICS_TABLE: dict[str, tuple[bool, bool | None]] = {
-    ATTRACTING_BASIN: (True, True),
-    PARABOLIC_BASIN: (True, True),
-    SIEGEL_DISK: (True, True),
-    BAKER_DOUBLY_PARABOLIC_DW_REGULAR: (True, True),
-    BAKER_DOUBLY_PARABOLIC_DW_SINGULAR: (True, None),
-    BAKER_SIMPLY_PARABOLIC: (False, False),
-    BAKER_HYPERBOLIC: (False, False),
-}
-
-
-def classify_component_dynamics(kind: str) -> dict:
-    """Ergodicity/recurrence of the boundary map by component type.
-
-    Attracting and parabolic basins and Siegel disks are ergodic and
-    recurrent; hyperbolic and simply parabolic Baker domains are neither;
-    doubly parabolic Baker domains are ergodic, and recurrent when the
-    Denjoy-Wolff point is a regular point of the inner function (unknown in
-    the singular case).
-    """
-    if kind not in _DYNAMICS_TABLE:
-        raise ValueError(f"unknown component kind {kind!r}")
-    ergodic, recurrent = _DYNAMICS_TABLE[kind]
-    return {
-        "ergodic": ergodic,
-        "recurrent": recurrent if recurrent is not None else UNKNOWN,
-    }
 
 
 # ---------------------------------------------------------------------------

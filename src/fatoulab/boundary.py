@@ -18,6 +18,7 @@ from .branches import BranchChain, apply_chain, chain_fixing, pullback_chain
 from .catalog import EntireMap
 from .errors import (
     ConvergedToFatouCycle,
+    FatouLabError,
     NewtonDiverged,
     NoReturnWithinBudget,
     OutOfWindow,
@@ -179,7 +180,7 @@ def find_periodic_boundary_point(
     order = rng.permutation(candidates.size)[:max_seeds]
     r = return_radius_cells * grid.cell_diagonal
 
-    last_error: Exception | None = None
+    last_error: FatouLabError | None = None
     for idx in order:
         z0 = complex(candidates[idx])
         orbit = [z0]
@@ -209,7 +210,7 @@ def find_periodic_boundary_point(
                 x = x_next
             point = newton_periodic(m, x, len(chain), grid=grid)
             point = _minimize_period(m, point, grid=grid)
-        except Exception as exc:  # try the next seed, remember why
+        except FatouLabError as exc:  # try the next seed, remember why
             last_error = exc
             continue
         if point.period <= max_period and point.repelling:

@@ -1,4 +1,4 @@
-"""Branch-indexed inverse maps, pullback chains and the proper-invertibility probe.
+"""Branch-indexed inverse maps and pullback chains.
 
 Branch indexing: for the exp-family maps (z + c + exp(-z)), branch k means
 the preimage with Im z in ((2k-1)pi, (2k+1)pi]; the map is 2 pi i
@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import lambertw
 
 from .catalog import (
@@ -30,11 +29,9 @@ from .errors import (
     AsymptoticValueCollision,
     BranchJumpDetected,
     CriticalValueCollision,
-    InsufficientFatouSamples,
     NewtonDiverged,
     Overflow,
 )
-from .orbits import classify_orbit
 
 _SV_TOL = 1e-12
 _NEWTON_STEPS = 200
@@ -251,15 +248,6 @@ class BranchChain:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def to_json(self) -> dict:
-        return {
-            "steps": [
-                {"k": s.branch, "anchor": [s.anchor.real, s.anchor.imag], "residual": s.residual}
-                for s in self.steps
-            ],
-            "terminal": [self.terminal.real, self.terminal.imag],
-        }
-
 
 def pullback_chain(m: EntireMap, orbit: list[complex]) -> BranchChain:
     """Select, per orbit step, the inverse branch that undoes it, recording indices.
@@ -330,97 +318,3 @@ def apply_chain(chain: BranchChain, z: complex, verify_trust: bool = True) -> co
 def chain_fixing(m: EntireMap, p: complex, length: int) -> BranchChain:
     """The pullback chain along the constant orbit at a fixed point p."""
     return pullback_chain(m, [p] * (length + 1))
-
-
-# ---------------------------------------------------------------------------
-# Proper-invertibility probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeViolation:
-    sample: complex
-    image: complex | None
-    note: str
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    holds_on_samples: bool
-    violations: tuple[ProbeViolation, ...]
-    label: int
-    n_fatou_samples: int
-
-
-def proper_invertibility_probe(
-    m: EntireMap,
-    grid,
-    p: complex,
-    r: float,
-    chain: BranchChain,
-    samples: int = 200,
-    rng_seed: int = 0,
-    budget: int | None = None,
-    margin_cells: float = 1.5,
-) -> ProbeReport:
-    """Sample D(p, r) inside one Fatou label, pull back, and reclassify the images.
-
-    Samples are kept only when their cell carries the dominant Fatou label
-    and they sit at least `margin_cells` cell diagonals away from any
-    other-label cell center, so borderline raster cells cannot produce
-    spurious verdicts. Images inside the window are reclassified by their
-    cell label; images outside fall back to a fresh orbit run matched
-    against the label's component-family signature.
-    """
-    if r <= 2.0 * max(grid.cell_size):
-        raise ValueError("probe radius must exceed two grid cells")
-    rng = np.random.default_rng(rng_seed)
-    rho = r * np.sqrt(rng.uniform(0.0, 1.0, samples))
-    phi = rng.uniform(0.0, TWO_PI, samples)
-    pts = p + rho * np.exp(1j * phi)
-
-    labels = np.array([grid.label_at(z) if grid.contains(z) else 0 for z in pts.tolist()])
-    positive = labels[labels > 0]
-    if positive.size == 0:
-        raise InsufficientFatouSamples("no Fatou-labelled samples in the probe disk")
-    label = int(np.bincount(positive).argmax())
-
-    own = pts[labels == label]
-    # a label without other-label neighbours is infinitely far from one
-    d, _ = grid.nearest_other_label(label, own)
-    fatou_pts = own[d >= margin_cells * grid.cell_diagonal].tolist()
-    if len(fatou_pts) < 10:
-        raise InsufficientFatouSamples(
-            f"only {len(fatou_pts)} confident samples carry Fatou label {label}"
-        )
-
-    budget = (budget if budget is not None else grid.budget) + len(chain)
-    violations: list[ProbeViolation] = []
-    for z in fatou_pts:
-        try:
-            img = apply_chain(chain, z)
-        except Exception as exc:  # chain errors count against the probe
-            violations.append(ProbeViolation(z, None, f"chain error: {exc}"))
-            continue
-        if bool(grid.contains(img)):
-            img_label = grid.label_at(img)
-            if img_label != label:
-                violations.append(
-                    ProbeViolation(z, img, f"image cell label {img_label} != {label}")
-                )
-        else:
-            verdict = classify_orbit(
-                m, img, budget, grid.escape_radius, grid.attractors, grid.tol
-            )
-            if not grid.verdict_matches_label(verdict, label):
-                violations.append(
-                    ProbeViolation(
-                        z, img, f"image verdict {verdict.kind.name} does not match label"
-                    )
-                )
-    return ProbeReport(
-        holds_on_samples=not violations,
-        violations=tuple(violations),
-        label=label,
-        n_fatou_samples=len(fatou_pts),
-    )

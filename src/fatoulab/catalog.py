@@ -137,11 +137,6 @@ class EntireMap:
             raise ValueError("map lambda must be a number")
         return EntireMap(family=d["family"], lam=lam)
 
-    def __str__(self) -> str:
-        if self.family == EXP_LAMBDA:
-            return f"exp_lambda(lam={self.lam})"
-        return self.family
-
 
 def exp_lambda(lam: float) -> EntireMap:
     return EntireMap(EXP_LAMBDA, lam)

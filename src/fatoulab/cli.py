@@ -212,6 +212,9 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
 
+    if cfg["attractors"] != "auto":
+        _require(all(abs(_as_complex(a)) < cfg["escape_radius"] for a in cfg["attractors"]),
+                 "attractors: every modulus must be below escape_radius")
     section = cfg[subcommand]
     if subcommand == "audit":
         _require(("orbit" in section) != ("fixed_point" in section),
@@ -226,6 +229,9 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     elif subcommand == "inner":
         _require("blaschke" in section or "candidate" in section,
                  "inner needs a 'blaschke' and/or 'candidate' entry")
+        _require("blaschke" not in section or len(section["blaschke"].get("zeros", [])) >= 2
+                 or section["periods"] == [],
+                 "inner.periods must be [] for a blaschke with fewer than 2 zeros")
     return cfg
 
 

@@ -47,10 +47,6 @@ class BranchJumpDetected(FatouLabError):
     """A pullback image strayed outside the trust radius of its anchor path."""
 
 
-class InsufficientFatouSamples(FatouLabError):
-    """Fewer than the required number of probe samples fall in Fatou-labelled cells."""
-
-
 class OnPostsingularSet(FatouLabError):
     """Density query point coincides with a postsingular sample."""
 

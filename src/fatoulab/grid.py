@@ -1,9 +1,9 @@
 """Grid rendering of Fatou components: classification, labeling, distances.
 
 Cells are classified at their centers, labeled by 4-connectivity within
-their verdict class, and queried for conservative distances to the Julia
-raster. Label 0 always means "Julia / undecided / ambiguous escape"; only
-unambiguous Fatou evidence (attracting, parabolic, drift-certified Baker
+their verdict class, and queried for exact distances to the nearest cell of
+another label. Label 0 always means "Julia / undecided / ambiguous escape";
+only unambiguous Fatou evidence (attracting, parabolic, drift-certified Baker
 escape) is labeled.
 """
 
@@ -27,7 +27,7 @@ from .orbits import (
 )
 from .raster import label_by_class, outer_ring
 
-# Verdict-class encoding used for labeling and signature matching.
+# Verdict-class encoding used for labeling.
 _CLASS_ATTRACTING = 1000  # + attractor index
 _CLASS_PARABOLIC = 2000
 _CLASS_DRIFT = 3000  # + strip index + _STRIP_OFFSET
@@ -56,7 +56,6 @@ class ClassificationGrid:
     escape_radius: float
     tol: float
     labeled: bool = False
-    label_table: dict[int, int] = field(default_factory=dict)
     _tree_cache: dict[int, cKDTree | None] = field(default_factory=dict, repr=False)
 
     # -- geometry ----------------------------------------------------------
@@ -99,10 +98,6 @@ class ClassificationGrid:
         ix, iy = self.cell_of(z)
         return int(self.labels[iy, ix])
 
-    def kind_at(self, z: complex) -> Kind:
-        ix, iy = self.cell_of(z)
-        return Kind(int(self.kinds[iy, ix]))
-
     # -- masks and signatures ------------------------------------------------
 
     def julia_mask(self) -> np.ndarray:
@@ -125,28 +120,6 @@ class ClassificationGrid:
             | (self.kinds == Kind.PARABOLIC)
             | ((self.kinds == Kind.ESCAPING) & (self.reasons == EscapeReason.DRIFT))
         )
-
-    def label_class(self, label: int) -> int:
-        return self.label_table[label]
-
-    def verdict_matches_label(self, verdict, label: int) -> bool:
-        """Does a fresh OrbitVerdict carry the same component-family signature as `label`?"""
-        cls = self.label_table.get(label)
-        if cls is None:
-            return False
-        if verdict.kind == Kind.ATTRACTING:
-            return cls == _CLASS_ATTRACTING + self._attractor_of(verdict)
-        if verdict.kind == Kind.PARABOLIC:
-            return cls == _CLASS_PARABOLIC
-        if verdict.kind == Kind.ESCAPING and verdict.escape_reason == EscapeReason.DRIFT:
-            return cls == _CLASS_DRIFT + _STRIP_OFFSET + int(verdict.drift_strip)
-        return False
-
-    def _attractor_of(self, verdict) -> int:
-        for j, (p, q) in enumerate(self.attractors):
-            if verdict.period == q and abs(verdict.target - p) < 1e-6:
-                return j
-        return -1
 
     # -- distance queries ----------------------------------------------------
 
@@ -239,18 +212,5 @@ def classify_grid(
 
 def label_components(grid: ClassificationGrid) -> ClassificationGrid:
     """4-connectivity flood labeling by (kind, attractor/drift signature); stable across runs."""
-    labels, table = label_by_class(grid.class_codes(), grid.labelable_mask())
-    return dataclasses.replace(
-        grid, labels=labels, labeled=True, label_table=table, _tree_cache={}
-    )
-
-
-def distance_to_julia(grid: ClassificationGrid, z: complex) -> tuple[float, float]:
-    """Conservative (lower, upper) bounds on the distance from z to other-label cells.
-
-    lower = nearest non-same-label cell-center distance minus one cell
-    diagonal, clamped at zero; upper adds the diagonal instead.
-    """
-    d = float(grid.nearest_other_label(grid.label_at(z), z)[0])
-    diag = grid.cell_diagonal
-    return max(0.0, d - diag), d + diag
+    labels = label_by_class(grid.class_codes(), grid.labelable_mask())
+    return dataclasses.replace(grid, labels=labels, labeled=True, _tree_cache={})

@@ -142,29 +142,6 @@ def _walk_hits(
     return hits
 
 
-def sample_boundary_hit(
-    m: EntireMap,
-    grid: ClassificationGrid,
-    basepoint: complex,
-    walk_eps: float,
-    rng: np.random.Generator,
-    max_steps: int = _MAX_WALK_STEPS,
-) -> complex:
-    """One walk-on-spheres boundary hit: the nearest boundary-raster cell center.
-
-    Jumps to a uniform point on the circle of radius distance_to_julia.lower
-    (capped at a quarter of the window diagonal) until the lower estimate
-    drops below walk_eps. Raises LeftWindow when the walk exits the window.
-    This is the lockstep walk with one walker, drawing from `rng` in order.
-    """
-    hit = _walk_lockstep(
-        grid, basepoint, walk_eps, 1, lambda j, r: rng.uniform(size=_DRAW_CHUNK), max_steps
-    )[0]
-    if math.isnan(hit.real):
-        raise LeftWindow(f"walk from {basepoint} left the window within {max_steps} steps")
-    return complex(hit)
-
-
 # ---------------------------------------------------------------------------
 # Measure report
 # ---------------------------------------------------------------------------

@@ -65,13 +65,6 @@ class OrbitVerdict:
     escape_reason: EscapeReason = EscapeReason.NONE
     drift_strip: int | None = None
 
-    @property
-    def is_fatou_evidence(self) -> bool:
-        """True for verdicts that are unambiguous Fatou evidence (labelable)."""
-        return self.kind in (Kind.ATTRACTING, Kind.PARABOLIC) or (
-            self.kind == Kind.ESCAPING and self.escape_reason == EscapeReason.DRIFT
-        )
-
 
 @dataclass
 class OrbitArrays:

@@ -41,22 +41,18 @@ def outer_ring(mask: np.ndarray) -> np.ndarray:
     return ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
 
 
-def label_by_class(classes: np.ndarray, labelable: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+def label_by_class(classes: np.ndarray, labelable: np.ndarray) -> np.ndarray:
     """4-connected labeling of `labelable` cells, split by the integer class field.
 
-    Returns (labels, label_to_class); labels are 1-based and assigned in
-    ascending class order then raster order, so reruns are stable. Cells with
-    labelable == False get label 0.
+    Labels are 1-based and assigned in ascending class order then raster
+    order, so reruns are stable. Cells with labelable == False get label 0.
     """
     classes = np.asarray(classes)
     labels = np.zeros(classes.shape, dtype=np.int32)
-    table: dict[int, int] = {}
     next_label = 1
     for cls in np.unique(classes[labelable]):
         mask = labelable & (classes == cls)
         lab, n = ndimage.label(mask, structure=_CROSS)
         labels[mask] = lab[mask] + (next_label - 1)
-        for i in range(n):
-            table[next_label + i] = int(cls)
         next_label += n
-    return labels, table
+    return labels

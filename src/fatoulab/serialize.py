@@ -102,17 +102,6 @@ def audit_to_csv(audit, path: str | Path) -> None:
             )
 
 
-def probe_violations_to_csv(report, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_re", "sample_im", "image_re", "image_im", "note"])
-        for v in report.violations:
-            img = v.image if v.image is not None else complex("nan")
-            w.writerow(
-                [_num(v.sample.real), _num(v.sample.imag), _num(img.real), _num(img.imag), v.note]
-            )
-
-
 def periodic_points_to_csv(rows, path: str | Path) -> None:
     """Circle periodic points, one block per (period n, points of period n) in `rows`."""
     with open(path, "w", newline="") as f:

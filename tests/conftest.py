@@ -39,16 +39,6 @@ def exp_grid(exp_map):
 
 
 @pytest.fixture(scope="session")
-def exp_tall_grid(exp_map):
-    """Window tall enough to raster the k=1 preimages of the real hair."""
-    grid = fl.classify_grid(
-        exp_map, (-2.0, 4.5, -3.0, 10.0), (217, 433), 300,
-        attractors=fl.default_attractors(exp_map),
-    )
-    return fl.label_components(grid)
-
-
-@pytest.fixture(scope="session")
 def exp_wide_grid(exp_map):
     """Wide window for harmonic-measure walks (keeps window exits below half)."""
     grid = fl.classify_grid(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fatoulab as fl
-from fatoulab.blaschke import BOUNDARY, INTERIOR, UNKNOWN, build_lift
+from fatoulab.blaschke import BOUNDARY, INTERIOR, build_lift
 from fatoulab.errors import PoleOnCircle, RotationLike
 
 TWO_PI = 2 * np.pi
@@ -50,8 +50,9 @@ def test_lift_consistency():
     for b in (B_SQUARE, B_GENERIC):
         lift = fl.circle_lift(b)
         assert lift.winding == b.degree
-        for theta in np.linspace(0.1, TWO_PI - 0.1, 7):
-            assert abs(lift.eval_at(theta + TWO_PI) - lift.eval_at(theta) - TWO_PI * b.degree) < 1e-10
+        # a lift of arg B on the circle, gaining 2 pi * degree over one turn
+        assert np.allclose(np.exp(1j * lift.values), b.evaluate(np.exp(1j * lift.thetas)))
+        assert abs(lift.values[-1] - lift.values[0] - TWO_PI * b.degree) < 1e-10
         # strictly increasing on the grid (orientation-preserving covering)
         assert np.all(np.diff(lift.values) > 0)
 
@@ -149,33 +150,6 @@ def test_degree_requirements():
         fl.circle_periodic_points(MOEBIUS, 2)
     with pytest.raises(ValueError):
         fl.circle_periodic_points(B_SQUARE, 0)
-
-
-# ---------------------------------------------------------------------------
-# Component-dynamics lookup
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kind,ergodic,recurrent",
-    [
-        ("attracting", True, True),
-        ("parabolic", True, True),
-        ("siegel", True, True),
-        ("baker_doubly_parabolic_dw_regular", True, True),
-        ("baker_doubly_parabolic_dw_singular", True, UNKNOWN),
-        ("baker_simply_parabolic", False, False),
-        ("baker_hyperbolic", False, False),
-    ],
-)
-def test_component_dynamics_table(kind, ergodic, recurrent):
-    res = fl.classify_component_dynamics(kind)
-    assert res == {"ergodic": ergodic, "recurrent": recurrent}
-
-
-def test_component_dynamics_unknown_kind():
-    with pytest.raises(ValueError):
-        fl.classify_component_dynamics("wandering")
 
 
 # ---------------------------------------------------------------------------

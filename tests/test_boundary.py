@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import fatoulab as fl
+from fatoulab import boundary
 from fatoulab.branches import BranchChain, ChainStep, inverse
-from fatoulab.errors import ConvergedToFatouCycle, NoReturnWithinBudget, VertexLeftFatou
+from fatoulab.errors import (
+    ConvergedToFatouCycle,
+    NewtonDiverged,
+    NoReturnWithinBudget,
+    VertexLeftFatou,
+)
 
 from conftest import MULT_2PI_I, QA, QR
 
@@ -97,6 +103,26 @@ def test_find_periodic_no_return(exp_map, exp_grid):
     with pytest.raises(NoReturnWithinBudget):
         fl.find_periodic_boundary_point(
             exp_map, exp_grid, (-1.9, -1.5, -2.9, -2.5), max_period=1, rng_seed=7
+        )
+
+
+def _failing_pullback(exc):
+    def pullback_chain(m, orbit):
+        raise exc
+    return pullback_chain
+
+
+def test_find_periodic_counts_only_package_errors_as_failed_seeds(exp_map, exp_grid, monkeypatch):
+    """A package error fails one seed; any other exception is a bug and propagates."""
+    monkeypatch.setattr(boundary, "pullback_chain", _failing_pullback(NewtonDiverged("stub")))
+    with pytest.raises(NoReturnWithinBudget, match="last failure: stub"):
+        fl.find_periodic_boundary_point(
+            exp_map, exp_grid, (2.0, 2.3, -0.1, 0.1), max_period=1, rng_seed=7
+        )
+    monkeypatch.setattr(boundary, "pullback_chain", _failing_pullback(TypeError("stub")))
+    with pytest.raises(TypeError):
+        fl.find_periodic_boundary_point(
+            exp_map, exp_grid, (2.0, 2.3, -0.1, 0.1), max_period=1, rng_seed=7
         )
 
 

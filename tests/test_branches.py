@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import fatoulab as fl
-from fatoulab.branches import BranchChain, ChainStep, branch_of, inverse, pullback_chain
+from fatoulab.branches import branch_of, inverse, pullback_chain
 from fatoulab.errors import (
     AmbiguousBranch,
     AsymptoticValueCollision,
     BranchJumpDetected,
     CriticalValueCollision,
-    InsufficientFatouSamples,
 )
 
 from conftest import QR
@@ -123,79 +122,6 @@ def test_chain_contraction_zexp(zexp_map):
 def test_branch_jump_detected(zplus_map):
     orbit = [0.0, 1.0, 1.0 + np.exp(-1.0)]
     chain = pullback_chain(zplus_map, orbit)
+    assert [(s.branch, s.anchor) for s in chain.steps] == [(0, 0.0), (0, 1.0)]
     with pytest.raises(BranchJumpDetected):
         fl.apply_chain(chain, chain.terminal + 30.0)
-
-
-def test_chain_json_export(zplus_map):
-    chain = pullback_chain(zplus_map, [0.0, 1.0])
-    d = chain.to_json()
-    assert d["steps"][0]["k"] == 0
-    assert d["steps"][0]["anchor"] == [0.0, 0.0]
-
-
-# ---------------------------------------------------------------------------
-# Proper-invertibility probe
-# ---------------------------------------------------------------------------
-
-
-def test_probe_principal_branch_holds(exp_map, exp_tall_grid):
-    chain = fl.chain_fixing(exp_map, QR, 1)
-    rep = fl.proper_invertibility_probe(exp_map, exp_tall_grid, QR, 0.2, chain, rng_seed=3)
-    assert rep.holds_on_samples
-    assert rep.n_fatou_samples >= 100
-
-
-def test_probe_identity_chain_trivially_true(exp_map, exp_tall_grid):
-    chain = pullback_chain(exp_map, [1.0 + 0.5j])
-    rep = fl.proper_invertibility_probe(exp_map, exp_tall_grid, 1.0 + 0.5j, 0.2, chain, rng_seed=5)
-    assert rep.holds_on_samples
-
-
-def _wrong_branch_chain(m, p, length):
-    """A deliberately wrong (k=1 twice) pullback chain: images land near the
-    2 pi i-translated Julia hair, where cells classify differently."""
-    anchors = [complex(p)]
-    for _ in range(length):
-        anchors.append(inverse(m, anchors[-1], 1))
-    steps = tuple(
-        ChainStep(1, anchors[length - i], 0.0, np.inf) for i in range(length)
-    )
-    return BranchChain(m, steps, complex(p), np.inf)
-
-
-def test_probe_wrong_branch_violations(exp_map, exp_tall_grid):
-    chain = _wrong_branch_chain(exp_map, 2.3, 2)
-    rep = fl.proper_invertibility_probe(exp_map, exp_tall_grid, 2.3, 0.2, chain, rng_seed=3)
-    assert not rep.holds_on_samples
-    assert len(rep.violations) > 0
-
-
-def test_probe_insufficient_samples(exp_map, exp_tall_grid):
-    chain = fl.chain_fixing(exp_map, QR, 1)
-    with pytest.raises(InsufficientFatouSamples):
-        fl.proper_invertibility_probe(exp_map, exp_tall_grid, 2.6, 0.2, chain, rng_seed=3)
-
-
-def test_probe_single_label_grid(exp_map):
-    """A label with no other-label neighbour: every sample clears the margin."""
-    grid = fl.label_components(fl.classify_grid(
-        exp_map, (0.0, 0.6, -0.3, 0.3), (30, 30), 200,
-        attractors=fl.default_attractors(exp_map),
-    ))
-    assert set(np.unique(grid.labels)) == {1}
-    chain = pullback_chain(exp_map, [0.3 + 0j])
-    rep = fl.proper_invertibility_probe(exp_map, grid, 0.3, 0.1, chain)
-    assert rep.holds_on_samples
-    assert rep.n_fatou_samples == 200
-
-
-def test_probe_violations_csv(tmp_path, exp_map, exp_tall_grid):
-    from fatoulab.serialize import probe_violations_to_csv
-
-    chain = _wrong_branch_chain(exp_map, 2.3, 2)
-    rep = fl.proper_invertibility_probe(exp_map, exp_tall_grid, 2.3, 0.2, chain, rng_seed=3)
-    probe_violations_to_csv(rep, tmp_path / "viol.csv")
-    rows = (tmp_path / "viol.csv").read_text().strip().splitlines()
-    assert rows[0] == "sample_re,sample_im,image_re,image_im,note"
-    assert len(rows) == 1 + len(rep.violations) >= 2

@@ -75,11 +75,15 @@ def test_schema_violations_exit_2(tmp_path):
         ("inner", {**BASE, "inner": {"blaschke": {"zeros": [[2.0, 0.0]]}}}),
         ("inner", {**BASE, "inner": {"candidate": {"num": ["3", 0, 1], "den": [1, 0, 3]}}}),
         ("scan", {**BASE, "scan": {"kind": "escaping", "probes": [[2.0, 0.0]]}}),
+        ("inner", {"map": {"family": "z_exp"},
+                   "inner": {"blaschke": {"zeros": [[0.5, 0.0]]}, "periods": [1]}}),
+        ("render", {**BASE, "attractors": [[60, 0, 1]]}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
          "segment_string", "orbit_and_fixed_point", "blaschke_zero_outside_disk",
-         "candidate_string_coefficient", "escaping_scan_without_point"],
+         "candidate_string_coefficient", "escaping_scan_without_point",
+         "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)

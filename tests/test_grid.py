@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import fatoulab as fl
 from fatoulab.errors import OutOfWindow
-from fatoulab.grid import distance_to_julia, label_components
+from fatoulab.grid import label_components
 from fatoulab.orbits import EscapeReason, Kind
 from fatoulab.raster import fill_from_infinity
 
@@ -24,8 +24,9 @@ def test_degenerate_two_by_two():
 
 def test_exp_lambda_grid_cells(exp_grid):
     # cell containing the attracting fixed point is bounded, 3.0 escapes
-    assert exp_grid.kind_at(0.357 + 0j) == Kind.ATTRACTING
-    assert exp_grid.kind_at(3.0 + 0j) == Kind.ESCAPING
+    for z, kind in ((0.357 + 0j, Kind.ATTRACTING), (3.0 + 0j, Kind.ESCAPING)):
+        ix, iy = exp_grid.cell_of(z)
+        assert exp_grid.kinds[iy, ix] == kind
 
 
 def test_zplus_strip_components(zplus_grid):
@@ -143,32 +144,38 @@ def test_fill_monotone(a, b):
 
 
 # ---------------------------------------------------------------------------
-# distance_to_julia
+# nearest_other_label
 # ---------------------------------------------------------------------------
+
+
+def _distance(g, z):
+    return float(g.nearest_other_label(g.label_at(z), z)[0])
 
 
 def test_distance_in_disk_grid():
     g = fl.disk_grid(resolution=100)
-    lo, hi = distance_to_julia(g, 0j)
-    assert hi >= lo >= 1.0 - 3 * g.cell_diagonal
+    assert _distance(g, 0j) >= 1.0 - 2 * g.cell_diagonal
     with pytest.raises(OutOfWindow):
-        distance_to_julia(g, 10 + 0j)
+        g.label_at(10 + 0j)
+    # outside the window is label 0, whose nearest other label is the disk
+    d = float(g.nearest_other_label(0, 10 + 0j)[0])
+    assert 9.0 < d <= 9.0 + g.cell_diagonal
 
 
 def test_distance_zero_at_boundary_adjacent_center():
-    """A cell center 4-adjacent to an other-label cell has lower bound exactly 0."""
+    """A cell center 4-adjacent to an other-label cell is within one diagonal of it."""
     g = fl.disk_grid(resolution=100)
     centers = g.cell_centers()
     inside = g.labels > 0
     adjacent = inside & ~np.roll(inside, 1, axis=1)
     adjacent[:, 0] = False
     z = complex(centers[adjacent][0])
-    lo, _ = distance_to_julia(g, z)
-    assert lo == 0.0
+    assert _distance(g, z) <= g.cell_diagonal
 
 
 def test_distance_refinement_under_doubling():
-    """Doubling resolution never decreases the lower bound by more than one new diagonal."""
+    """Doubling resolution never decreases the lower bound (distance minus one
+    cell diagonal, clamped at 0) by more than one new diagonal."""
     rng = np.random.default_rng(5)
     kinds = (rng.uniform(size=(20, 20)) < 0.7).astype(int) * int(Kind.ATTRACTING)
     coarse = _synthetic_grid(np.array(kinds))
@@ -178,8 +185,8 @@ def test_distance_refinement_under_doubling():
     )
     for _ in range(40):
         z = complex(rng.uniform(0.5, 19.5), rng.uniform(0.5, 19.5))
-        lo_c, _ = distance_to_julia(coarse, z)
-        lo_f, _ = distance_to_julia(fine, z)
+        lo_c = max(0.0, _distance(coarse, z) - coarse.cell_diagonal)
+        lo_f = max(0.0, _distance(fine, z) - fine.cell_diagonal)
         assert lo_f >= lo_c - fine.cell_diagonal - 1e-12
 
 
@@ -198,9 +205,7 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
 
     for _ in range(300):
         z = complex(rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0))
-        d = brute_force(z, g.label_at(z))
-        lo, hi = distance_to_julia(g, z)
-        assert (lo, hi) == (max(0.0, d - g.cell_diagonal), d + g.cell_diagonal)
+        assert _distance(g, z) == brute_force(z, g.label_at(z))
     outside = rng.uniform(-15.0, 55.0, 600) + 1j * rng.uniform(-15.0, 45.0, 600)
     outside = outside[~g.contains(outside)]
     assert outside.size > 300

@@ -4,7 +4,14 @@ import pytest
 import fatoulab as fl
 from fatoulab import measure
 from fatoulab.errors import LeftWindow, TooManyWindowExits
-from fatoulab.measure import _DRAW_CHUNK, _keyed_chunks, _sample_rng, _walk_hits
+from fatoulab.measure import (
+    _DRAW_CHUNK,
+    _MAX_WALK_STEPS,
+    _keyed_chunks,
+    _sample_rng,
+    _walk_hits,
+    _walk_lockstep,
+)
 from fatoulab.orbits import Kind
 
 THREE_PI = 3 * np.pi
@@ -12,27 +19,22 @@ THREE_PI = 3 * np.pi
 
 def test_sample_hit_deterministic():
     g = fl.disk_grid(resolution=200)
-    m = fl.exp_lambda(0.25)
     eps = 2.5 * max(g.cell_size)
-    h1 = [fl.sample_boundary_hit(m, g, 0j, eps, _sample_rng(9, i)) for i in range(50)]
-    h2 = [fl.sample_boundary_hit(m, g, 0j, eps, _sample_rng(9, i)) for i in range(50)]
-    assert h1 == h2
+    assert _walk_hits(g, 0j, eps, 9, 50).tolist() == _walk_hits(g, 0j, eps, 9, 50).tolist()
 
 
 def test_walk_eps_validation():
     g = fl.disk_grid(resolution=200)
     with pytest.raises(ValueError):
-        fl.sample_boundary_hit(fl.exp_lambda(0.25), g, 0j, 0.5 * max(g.cell_size), _sample_rng(0, 0))
+        _walk_hits(g, 0j, 0.5 * max(g.cell_size), 0, 1)
     with pytest.raises(ValueError):
-        fl.sample_boundary_hit(fl.exp_lambda(0.25), g, 1.15 + 0j, 2.5 * max(g.cell_size), _sample_rng(0, 0))
+        _walk_hits(g, 1.15 + 0j, 2.5 * max(g.cell_size), 0, 1)
 
 
 def test_hits_land_on_boundary_raster():
     g = fl.disk_grid(resolution=300)
-    m = fl.exp_lambda(0.25)
     eps = 2.5 * max(g.cell_size)
-    for i in range(100):
-        h = fl.sample_boundary_hit(m, g, 0j, eps, _sample_rng(4, i))
+    for h in _walk_hits(g, 0j, eps, 4, 100).tolist():
         assert g.label_at(h) != g.label_at(0j)
         assert abs(abs(h) - 1.0) < eps + 2 * g.cell_diagonal
 
@@ -87,13 +89,15 @@ def test_keyed_chunks_follow_the_sample_stream():
             assert np.array_equal(draw(i, r), stream[r * _DRAW_CHUNK:(r + 1) * _DRAW_CHUNK])
 
 
-def _single_walker_hits(m, grid, basepoint, eps, seed, n):
+def _single_walker_hits(grid, basepoint, eps, seed, n):
+    """Reference: walker i alone, drawing its chunks in order from _sample_rng(seed, i)."""
     hits = []
     for i in range(n):
-        try:
-            hits.append(fl.sample_boundary_hit(m, grid, basepoint, eps, _sample_rng(seed, i)))
-        except LeftWindow:
-            hits.append(None)
+        rng = _sample_rng(seed, i)
+        hit = _walk_lockstep(
+            grid, basepoint, eps, 1, lambda j, r: rng.uniform(size=_DRAW_CHUNK), _MAX_WALK_STEPS
+        )[0]
+        hits.append(None if np.isnan(hit.real) else complex(hit))
     return hits
 
 
@@ -102,14 +106,14 @@ def test_lockstep_hits_equal_single_walker_hits_on_disk():
     eps = 2.5 * max(g.cell_size)
     for basepoint in (0j, 0.5 + 0j):
         batched = _walk_hits(g, basepoint, eps, 9, 300)
-        single = _single_walker_hits(fl.exp_lambda(0.25), g, basepoint, eps, 9, 300)
+        single = _single_walker_hits(g, basepoint, eps, 9, 300)
         assert batched.tolist() == single
 
 
 def test_lockstep_hits_equal_single_walker_hits_with_exits(exp_map, exp_wide_grid):
     eps = 2.5 * max(exp_wide_grid.cell_size)
     batched = _walk_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
-    single = _single_walker_hits(exp_map, exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
+    single = _single_walker_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
     exited = [h is None for h in single]
     assert 0 < sum(exited) < 150
     assert np.isnan(batched.real).tolist() == exited
