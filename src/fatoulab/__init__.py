@@ -61,7 +61,7 @@ from .measure import (
     disk_grid,
     measure_report,
 )
-from .orbits import Kind, OrbitVerdict, classify_orbit, default_attractors
+from .orbits import Kind, default_attractors
 from .raster import fill_from_infinity
 
 __version__ = "0.1.0"
@@ -113,8 +113,6 @@ __all__ = [
     "disk_grid",
     "measure_report",
     "Kind",
-    "OrbitVerdict",
-    "classify_orbit",
     "default_attractors",
     "fill_from_infinity",
 ]

@@ -26,7 +26,7 @@ from .errors import (
     VertexLeftFatou,
 )
 from .grid import ClassificationGrid
-from .orbits import Kind, classify_orbit
+from .orbits import Kind, classify_orbits_array, parabolic_points
 from .raster import outer_ring
 
 _NEWTON_STEPS = 100
@@ -306,18 +306,21 @@ def _check_vertex(grid: ClassificationGrid, v: complex, label: int, gen: int) ->
 
 
 @dataclass(frozen=True)
-class ScanEntry:
-    probe: complex
-    verdict_kind: str
-    iterations: int
-    final_point: complex
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    escaping: tuple[ScanEntry, ...]
-    non_escaping: tuple[ScanEntry, ...]
+    escaping: tuple[complex, ...]
+    non_escaping: tuple[complex, ...]
     exempt: tuple[complex, ...]
+
+
+def _scan(m: EntireMap, probes, exempt_point: complex, exempt_tol: float, budget: int,
+          escape_radius: float) -> tuple[tuple[complex, ...], np.ndarray, np.ndarray]:
+    """The probes within `exempt_tol` of `exempt_point`, then the other probes
+    and their orbit kinds from one kernel call."""
+    z = np.asarray(probes, dtype=complex).ravel()
+    exempt = np.abs(z - exempt_point) < exempt_tol
+    rest = z[~exempt]
+    kinds = classify_orbits_array(m, rest, budget, escape_radius).kinds
+    return tuple(z[exempt].tolist()), rest, kinds
 
 
 def escaping_component_scan(
@@ -328,26 +331,17 @@ def escaping_component_scan(
     escape_radius: float = 50.0,
 ) -> ScanReport:
     """Classify probe orbits on the boundary component of p; p itself is exempt."""
-    escaping: list[ScanEntry] = []
-    other: list[ScanEntry] = []
-    exempt: list[complex] = []
-    for probe in probes:
-        probe = complex(probe)
-        if abs(probe - p.point) < 1e-9:
-            exempt.append(probe)
-            continue
-        v = classify_orbit(m, probe, budget, escape_radius)
-        entry = ScanEntry(probe, v.kind.name, v.iterations_used, v.final_point)
-        (escaping if v.kind == Kind.ESCAPING else other).append(entry)
-    return ScanReport(tuple(escaping), tuple(other), tuple(exempt))
+    exempt, rest, kinds = _scan(m, probes, p.point, 1e-9, budget, escape_radius)
+    escaping = kinds == Kind.ESCAPING
+    return ScanReport(tuple(rest[escaping].tolist()), tuple(rest[~escaping].tolist()), exempt)
 
 
 @dataclass(frozen=True)
 class ParabolicScanReport:
-    escaping: tuple[ScanEntry, ...]
-    interior_controls: tuple[ScanEntry, ...]
+    escaping: tuple[complex, ...]
+    interior_controls: tuple[complex, ...]
     fixed: tuple[complex, ...]
-    other: tuple[ScanEntry, ...]
+    other: tuple[complex, ...]
 
 
 def parabolic_boundary_scan(
@@ -358,27 +352,15 @@ def parabolic_boundary_scan(
 ) -> ParabolicScanReport:
     """Scan probes around a parabolic basin: boundary probes should escape,
     petal-interior controls converge to the fixed point, which is itself exempt."""
-    from .orbits import parabolic_points
-
     fixed_pts = parabolic_points(m)
     if not fixed_pts:
         raise ValueError(f"{m.family} has no parabolic fixed point in the catalog")
-    p = fixed_pts[0]
-    escaping: list[ScanEntry] = []
-    interior: list[ScanEntry] = []
-    other: list[ScanEntry] = []
-    fixed: list[complex] = []
-    for probe in probes:
-        probe = complex(probe)
-        if abs(probe - p) < 1e-12:
-            fixed.append(probe)
-            continue
-        v = classify_orbit(m, probe, budget, escape_radius)
-        entry = ScanEntry(probe, v.kind.name, v.iterations_used, v.final_point)
-        if v.kind == Kind.ESCAPING:
-            escaping.append(entry)
-        elif v.kind == Kind.PARABOLIC:
-            interior.append(entry)
-        else:
-            other.append(entry)
-    return ParabolicScanReport(tuple(escaping), tuple(interior), tuple(fixed), tuple(other))
+    fixed, rest, kinds = _scan(m, probes, fixed_pts[0], 1e-12, budget, escape_radius)
+    escaping = kinds == Kind.ESCAPING
+    interior = kinds == Kind.PARABOLIC
+    return ParabolicScanReport(
+        tuple(rest[escaping].tolist()),
+        tuple(rest[interior].tolist()),
+        fixed,
+        tuple(rest[~escaping & ~interior].tolist()),
+    )

@@ -161,12 +161,15 @@ SCHEMA = {
     "measure.targets": ([], _PAIRS),
     "measure.calibration": ({}, _OBJECT),
     "measure.calibration.samples": (10000, _int_at_least(1)),
-    "measure.calibration.resolution": (400, _int_at_least(2)),
+    # From 3 cells a side the corner cells of the disk grid lie outside the
+    # unit disk, so the calibration disk has a boundary to hit.
+    "measure.calibration.resolution": (400, _int_at_least(3)),
     "inner": ({}, _OBJECT),
     "inner.blaschke": (OPTIONAL, _blaschke),
     "inner.candidate": (OPTIONAL, _must(
-        "an object with 'num' and 'den' lists of real coefficients",
-        lambda v: isinstance(v, dict) and all(_is_list(v.get(k), _is_real) for k in ("num", "den")))),
+        "an object with nonempty 'num' and 'den' lists of real coefficients",
+        lambda v: isinstance(v, dict) and all(
+            _is_list(v.get(k), _is_real) and len(v[k]) > 0 for k in ("num", "den")))),
     "inner.periods": ([1, 2, 3], _must(
         "a list of integers >= 1", lambda v: _is_list(v, lambda n: _is_int(n) and n >= 1))),
     "inner.samples": (10000, _int_at_least(1)),
@@ -433,19 +436,9 @@ def _run_scan(cfg: dict, out: Path) -> dict:
     if section["kind"] == "escaping":
         p = newton_periodic(m, _as_complex(section["point"]), section["period"])
         rep = escaping_component_scan(m, p, probes, budget, cfg["escape_radius"])
-        payload = {
-            "escaping": [[e.probe.real, e.probe.imag] for e in rep.escaping],
-            "non_escaping": [[e.probe.real, e.probe.imag] for e in rep.non_escaping],
-            "exempt": [[z.real, z.imag] for z in rep.exempt],
-        }
     else:
         rep = parabolic_boundary_scan(m, probes, budget, cfg["escape_radius"])
-        payload = {
-            "escaping": [[e.probe.real, e.probe.imag] for e in rep.escaping],
-            "interior_controls": [[e.probe.real, e.probe.imag] for e in rep.interior_controls],
-            "fixed": [[z.real, z.imag] for z in rep.fixed],
-            "other": [[e.probe.real, e.probe.imag] for e in rep.other],
-        }
+    payload = {name: [[z.real, z.imag] for z in zs] for name, zs in vars(rep).items()}
     serialize.write_json(payload, out / "points.json")
     return {**payload, "outputs": ["points.json"]}
 

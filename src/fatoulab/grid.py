@@ -1,10 +1,10 @@
 """Grid rendering of Fatou components: classification, labeling, distances.
 
 Cells are classified at their centers, labeled by 4-connectivity within
-their verdict class, and queried for exact distances to the nearest cell of
-another label. Label 0 always means "Julia / undecided / ambiguous escape";
-only unambiguous Fatou evidence (attracting, parabolic, drift-certified Baker
-escape) is labeled.
+the label class the orbit kernel assigns, and queried for exact distances to
+the nearest cell of another label. Label 0 always means "Julia / undecided /
+ambiguous escape"; only cells of a nonzero class (attracting, parabolic,
+drift-certified Baker escape) are labeled.
 """
 
 from __future__ import annotations
@@ -18,20 +18,8 @@ from scipy.spatial import cKDTree
 
 from .catalog import EntireMap
 from .errors import OutOfWindow
-from .orbits import (
-    DEFAULT_ESCAPE_RADIUS,
-    DEFAULT_TOL,
-    EscapeReason,
-    Kind,
-    classify_orbits_array,
-)
+from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, classify_orbits_array
 from .raster import label_by_class, outer_ring
-
-# Verdict-class encoding used for labeling.
-_CLASS_ATTRACTING = 1000  # + attractor index
-_CLASS_PARABOLIC = 2000
-_CLASS_DRIFT = 3000  # + strip index + _STRIP_OFFSET
-_STRIP_OFFSET = 500
 
 
 @dataclass
@@ -48,9 +36,7 @@ class ClassificationGrid:
     kinds: np.ndarray        # int8 Kind per cell
     labels: np.ndarray       # int32 component ids, 0 = Julia/undecided
     iterations: np.ndarray   # int32
-    reasons: np.ndarray      # int8 EscapeReason
-    strips: np.ndarray       # int32
-    attractor_index: np.ndarray  # int16
+    classes: np.ndarray      # int32 label class from the orbit kernel, 0 = not Fatou evidence
     attractors: tuple[tuple[complex, int], ...]
     budget: int
     escape_radius: float
@@ -98,28 +84,11 @@ class ClassificationGrid:
         ix, iy = self.cell_of(z)
         return int(self.labels[iy, ix])
 
-    # -- masks and signatures ------------------------------------------------
+    # -- masks ---------------------------------------------------------------
 
     def julia_mask(self) -> np.ndarray:
         """Cells that are not unambiguous Fatou evidence (the Julia raster proxy)."""
         return self.labels == 0
-
-    def class_codes(self) -> np.ndarray:
-        codes = np.zeros((self.ny, self.nx), dtype=np.int32)
-        att = self.kinds == Kind.ATTRACTING
-        codes[att] = _CLASS_ATTRACTING + self.attractor_index[att]
-        par = self.kinds == Kind.PARABOLIC
-        codes[par] = _CLASS_PARABOLIC
-        drift = (self.kinds == Kind.ESCAPING) & (self.reasons == EscapeReason.DRIFT)
-        codes[drift] = _CLASS_DRIFT + _STRIP_OFFSET + self.strips[drift]
-        return codes
-
-    def labelable_mask(self) -> np.ndarray:
-        return (
-            (self.kinds == Kind.ATTRACTING)
-            | (self.kinds == Kind.PARABOLIC)
-            | ((self.kinds == Kind.ESCAPING) & (self.reasons == EscapeReason.DRIFT))
-        )
 
     # -- distance queries ----------------------------------------------------
 
@@ -167,7 +136,7 @@ def classify_grid(
     tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> ClassificationGrid:
-    """Per-cell classify_orbit at cell centers; deterministic for any thread count."""
+    """The orbit kernel at every cell center; deterministic for any thread count."""
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ValueError("resolution components must be >= 2")
@@ -178,9 +147,7 @@ def classify_grid(
         kinds=np.zeros((ny, nx), dtype=np.int8),
         labels=np.zeros((ny, nx), dtype=np.int32),
         iterations=np.zeros((ny, nx), dtype=np.int32),
-        reasons=np.zeros((ny, nx), dtype=np.int8),
-        strips=np.zeros((ny, nx), dtype=np.int32),
-        attractor_index=np.full((ny, nx), -1, dtype=np.int16),
+        classes=np.zeros((ny, nx), dtype=np.int32),
         attractors=tuple((complex(p), int(q)) for p, q in attractors),
         budget=budget,
         escape_radius=float(escape_radius),
@@ -196,9 +163,7 @@ def classify_grid(
         shape = (hi - lo, nx)
         grid.kinds[lo:hi] = res.kinds.reshape(shape)
         grid.iterations[lo:hi] = res.iterations.reshape(shape)
-        grid.reasons[lo:hi] = res.reasons.reshape(shape)
-        grid.strips[lo:hi] = res.strips.reshape(shape)
-        grid.attractor_index[lo:hi] = res.attractor_index.reshape(shape)
+        grid.classes[lo:hi] = res.classes.reshape(shape)
 
     if threads > 1:
         chunk = max(1, ny // (threads * 4))
@@ -211,6 +176,6 @@ def classify_grid(
 
 
 def label_components(grid: ClassificationGrid) -> ClassificationGrid:
-    """4-connectivity flood labeling by (kind, attractor/drift signature); stable across runs."""
-    labels = label_by_class(grid.class_codes(), grid.labelable_mask())
+    """4-connectivity flood labeling within each nonzero label class; stable across runs."""
+    labels = label_by_class(grid.classes)
     return dataclasses.replace(grid, labels=labels, labeled=True, _tree_cache={})

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import _cycle_eval
 from .branches import BranchChain, apply_chain
 from .catalog import EntireMap
 from .errors import OnPostsingularSet, OnSegment
@@ -203,13 +204,7 @@ def contraction_audit(
     for x in region:
         x = complex(x)
         y = apply_chain(chain, x)
-        deriv = 1.0 + 0.0j
-        u = y
-        for _ in range(n):
-            val, d = m.eval_with_derivative(u)
-            deriv *= d
-            u = val
-        f_prime = 1.0 / abs(deriv)  # |F'(x)| = 1/|(f^n)'(F(x))|
+        f_prime = 1.0 / abs(_cycle_eval(m, y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
 
         bx = density_bound(p, x, segment=segment, k=k)
         by = density_bound(p, y, segment=segment, k=k)

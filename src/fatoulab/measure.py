@@ -21,7 +21,7 @@ from scipy import stats
 from .catalog import EntireMap
 from .errors import LeftWindow, TooManyWindowExits
 from .grid import ClassificationGrid, label_components
-from .orbits import Kind, classify_orbits_array
+from .orbits import CLASS_ATTRACTING, Kind, classify_orbits_array
 
 TWO_PI = 2.0 * math.pi
 _MAX_WALK_STEPS = 100_000
@@ -278,14 +278,21 @@ def _dense_orbit_stat(
 # ---------------------------------------------------------------------------
 
 
-def disk_grid(
-    resolution: int = 400,
-    radius: float = 1.0,
-    margin: float = 0.2,
-    boundary_kind: Kind = Kind.ATTRACTING,
-) -> ClassificationGrid:
-    """Synthetic labeled grid: one Fatou disk |z| < radius in an undecided frame."""
-    half = radius + margin
+# The disk calibration walks on the unit disk with walk_eps of
+# _CAL_WALK_EPS_CELLS cells. It passes when the center hits give a
+# chi-squared p above _CAL_CHI2_P_MIN over _CAL_CHI2_BINS angle bins and the
+# hits from 0.5 a Kolmogorov-Smirnov distance to the Poisson kernel below
+# _CAL_KS_MAX.
+_DISK_RADIUS = 1.0
+_CAL_WALK_EPS_CELLS = 2.5
+_CAL_CHI2_BINS = 16
+_CAL_CHI2_P_MIN = 0.01
+_CAL_KS_MAX = 0.03
+
+
+def disk_grid(resolution: int = 400, margin: float = 0.2) -> ClassificationGrid:
+    """Synthetic labeled grid: one attracting disk |z| < 1 in an undecided frame."""
+    half = _DISK_RADIUS + margin
     window = (-half, half, -half, half)
     n = resolution
     grid = ClassificationGrid(
@@ -295,17 +302,15 @@ def disk_grid(
         kinds=np.zeros((n, n), dtype=np.int8),
         labels=np.zeros((n, n), dtype=np.int32),
         iterations=np.zeros((n, n), dtype=np.int32),
-        reasons=np.zeros((n, n), dtype=np.int8),
-        strips=np.zeros((n, n), dtype=np.int32),
-        attractor_index=np.full((n, n), -1, dtype=np.int16),
+        classes=np.zeros((n, n), dtype=np.int32),
         attractors=((0.0 + 0.0j, 1),),
         budget=1,
         escape_radius=50.0,
         tol=1e-6,
     )
-    inside = np.abs(grid.cell_centers()) < radius
-    grid.kinds[inside] = int(boundary_kind)
-    grid.attractor_index[inside] = 0
+    inside = np.abs(grid.cell_centers()) < _DISK_RADIUS
+    grid.kinds[inside] = Kind.ATTRACTING
+    grid.classes[inside] = CLASS_ATTRACTING
     return label_components(grid)
 
 
@@ -327,22 +332,15 @@ def _poisson_cdf(r: float):
 
 
 def calibrate_disk(
-    rng_seed: int = 0,
-    samples: int = 10**4,
-    resolution: int = 400,
-    walk_eps_cells: float = 2.5,
-    chi2_bins: int = 16,
-    chi2_p_min: float = 0.01,
-    ks_max: float = 0.03,
+    rng_seed: int = 0, samples: int = 10**4, resolution: int = 400
 ) -> CalibrationResult:
     """The two toy-mask oracles that gate every transcendental measure run.
 
-    From the disk center, hit angles must be uniform (chi-squared over
-    `chi2_bins` bins); from basepoint 0.5 they must follow the Poisson
-    kernel (Kolmogorov-Smirnov).
+    From the disk center, hit angles must be uniform (chi-squared); from
+    basepoint 0.5 they must follow the Poisson kernel (Kolmogorov-Smirnov).
     """
     grid = disk_grid(resolution=resolution)
-    eps = walk_eps_cells * max(grid.cell_size)
+    eps = _CAL_WALK_EPS_CELLS * max(grid.cell_size)
 
     center_hits = _walk_hits(grid, 0.0 + 0.0j, eps, rng_seed, samples)
     offset_hits = _walk_hits(grid, 0.5 + 0.0j, eps, rng_seed + 1, samples)
@@ -350,13 +348,13 @@ def calibrate_disk(
     if exits:
         raise LeftWindow(f"{exits} disk calibration walks left the window")
 
-    counts, _ = np.histogram(np.angle(center_hits), bins=chi2_bins, range=(-math.pi, math.pi))
+    counts, _ = np.histogram(np.angle(center_hits), bins=_CAL_CHI2_BINS, range=(-math.pi, math.pi))
     chi2_p = float(stats.chisquare(counts).pvalue)
     ks = float(stats.kstest(np.angle(offset_hits), _poisson_cdf(0.5)).statistic)
 
     return CalibrationResult(
         chi2_p=chi2_p,
         ks_stat=ks,
-        passed=(chi2_p > chi2_p_min) and (ks < ks_max),
+        passed=(chi2_p > _CAL_CHI2_P_MIN) and (ks < _CAL_KS_MAX),
         samples=samples,
     )

@@ -1,10 +1,11 @@
 """Forward-orbit classification into escaping / bounded / undecided.
 
-The scalar entry point wraps the vectorised kernel on a length-1 array, so
-grid runs and single-point queries share one code path and one semantics.
-Verdicts fire at the first step whose condition holds, which makes the
-classification monotone in the budget: any non-Undecided verdict at budget b
-is reproduced verbatim at every larger budget.
+One vectorised kernel decides every verdict, and with it the label class of
+each point: the one rule for which points count as Fatou evidence and which
+component class they join. Verdicts fire at the first step whose condition
+holds, which makes the classification monotone in the budget: any
+non-Undecided verdict at budget b is reproduced verbatim at every larger
+budget.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ _DRIFT_FAMILIES = (Z_PLUS_EXP, FATOU_PLUS)
 # a small modulus, an argument inside the petal sector and a shrinking step.
 PARABOLIC_ABS = 1e-3
 
+# Label classes of Fatou evidence; 0 marks a point that is not evidence
+# (undecided, or escaping past the radius or by overflow).
+CLASS_ATTRACTING = 1000  # + attractor index j
+CLASS_PARABOLIC = 2000
+CLASS_DRIFT = 3500  # + drift strip k, the nearest integer to Im z / 2 pi
+
 
 class Kind(enum.IntEnum):
     UNDECIDED = 0
@@ -48,34 +55,13 @@ class Kind(enum.IntEnum):
     PARABOLIC = 3
 
 
-class EscapeReason(enum.IntEnum):
-    NONE = 0
-    RADIUS = 1
-    OVERFLOW = 2
-    DRIFT = 3
-
-
-@dataclass(frozen=True)
-class OrbitVerdict:
-    kind: Kind
-    iterations_used: int
-    final_point: complex
-    target: complex | None = None
-    period: int | None = None
-    escape_reason: EscapeReason = EscapeReason.NONE
-    drift_strip: int | None = None
-
-
 @dataclass
 class OrbitArrays:
     """Struct-of-arrays result of the vectorised classifier."""
 
-    kinds: np.ndarray          # int8 Kind
-    iterations: np.ndarray     # int32, f-applications at verdict (budget if undecided)
-    final: np.ndarray          # complex final point
-    reasons: np.ndarray        # int8 EscapeReason
-    strips: np.ndarray         # int32 drift strip index (valid where reason==DRIFT)
-    attractor_index: np.ndarray  # int16, -1 where not attracted
+    kinds: np.ndarray       # int8 Kind
+    iterations: np.ndarray  # int32, f-applications at verdict (budget if undecided)
+    classes: np.ndarray     # int32 label class, 0 where not Fatou evidence
 
 
 def default_attractors(
@@ -106,6 +92,12 @@ def classify_orbits_array(
     attractors: tuple[tuple[complex, int], ...] = (),
     tol: float = DEFAULT_TOL,
 ) -> OrbitArrays:
+    """Kinds, verdict steps and label classes of the orbits of `z0`.
+
+    The class is the kernel's Fatou verdict: CLASS_ATTRACTING + j at capture
+    by attractor j, CLASS_PARABOLIC in the parabolic petal, CLASS_DRIFT + k
+    for a drift-certified escape ending near strip k, and 0 otherwise.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     for p, _ in attractors:
@@ -116,10 +108,7 @@ def classify_orbits_array(
     n = z.size
     kinds = np.zeros(n, dtype=np.int8)
     iterations = np.full(n, budget, dtype=np.int32)
-    final = z.copy()
-    reasons = np.zeros(n, dtype=np.int8)
-    strips = np.zeros(n, dtype=np.int32)
-    att_index = np.full(n, -1, dtype=np.int16)
+    classes = np.zeros(n, dtype=np.int32)
 
     active = np.arange(n)
     drift_count = np.zeros(n, dtype=np.int16)
@@ -132,15 +121,10 @@ def classify_orbits_array(
             break
         w, bad = m.evaluate_array(z[active])
 
-        # Overflow of the exponential is escape evidence for every catalog map.
+        # Overflow of the exponential is escape evidence for every catalog map;
+        # neither it nor a modulus past the radius is Fatou evidence (class 0).
         verdict_kind = np.zeros(active.size, dtype=np.int8)
-        verdict_reason = np.zeros(active.size, dtype=np.int8)
-        verdict_kind[bad] = Kind.ESCAPING
-        verdict_reason[bad] = EscapeReason.OVERFLOW
-
-        radius = ~bad & (np.abs(w) > escape_radius)
-        verdict_kind[radius] = Kind.ESCAPING
-        verdict_reason[radius] = EscapeReason.RADIUS
+        verdict_kind[bad | (np.abs(w) > escape_radius)] = Kind.ESCAPING
 
         undecided = verdict_kind == 0
         if attractors and undecided.any():
@@ -157,7 +141,7 @@ def classify_orbits_array(
                     good = okq & (np.abs(wq - w[idx]) < tol)
                     sel = idx[good]
                     verdict_kind[sel] = Kind.ATTRACTING
-                    att_index[active[sel]] = j
+                    classes[active[sel]] = CLASS_ATTRACTING + j
                     undecided[sel] = False
 
         if parabolic and undecided.any():
@@ -170,6 +154,7 @@ def classify_orbits_array(
                 good = ~bad1 & (np.abs(w1 - p) <= np.abs(dw[idx]))
                 sel = idx[good]
                 verdict_kind[sel] = Kind.PARABOLIC
+                classes[active[sel]] = CLASS_PARABOLIC
                 undecided[sel] = False
 
         if use_drift:
@@ -179,49 +164,16 @@ def classify_orbits_array(
             drift_count[active] = dc
             drifted = undecided & (dc >= DRIFT_RUN)
             verdict_kind[drifted] = Kind.ESCAPING
-            verdict_reason[drifted] = EscapeReason.DRIFT
-            strips[active[drifted]] = np.round(w[drifted].imag / TWO_PI).astype(np.int32)
+            strip = np.round(w[drifted].imag / TWO_PI).astype(np.int32)
+            classes[active[drifted]] = CLASS_DRIFT + strip
 
         z[active] = w
-        final[active] = w
         done = verdict_kind != 0
         if done.any():
             sel = active[done]
             kinds[sel] = verdict_kind[done]
-            reasons[sel] = verdict_reason[done]
             iterations[sel] = step
             active = active[~done]
 
-    return OrbitArrays(kinds, iterations, final, reasons, strips, att_index)
+    return OrbitArrays(kinds, iterations, classes)
 
-
-def classify_orbit(
-    m: EntireMap,
-    z0: complex,
-    budget: int,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-    attractors: tuple[tuple[complex, int], ...] = (),
-    tol: float = DEFAULT_TOL,
-) -> OrbitVerdict:
-    """Classify one starting point; Undecided is the budget-exhausted fallback."""
-    res = classify_orbits_array(
-        m, np.array([z0], dtype=complex), budget, escape_radius, attractors, tol
-    )
-    kind = Kind(int(res.kinds[0]))
-    reason = EscapeReason(int(res.reasons[0]))
-    target = None
-    period = None
-    if kind == Kind.ATTRACTING:
-        p, q = attractors[int(res.attractor_index[0])]
-        target, period = complex(p), int(q)
-    elif kind == Kind.PARABOLIC:
-        target = complex(parabolic_points(m)[0])
-    return OrbitVerdict(
-        kind=kind,
-        iterations_used=int(res.iterations[0]),
-        final_point=complex(res.final[0]),
-        target=target,
-        period=period,
-        escape_reason=reason,
-        drift_strip=int(res.strips[0]) if reason == EscapeReason.DRIFT else None,
-    )

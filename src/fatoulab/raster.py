@@ -41,17 +41,17 @@ def outer_ring(mask: np.ndarray) -> np.ndarray:
     return ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
 
 
-def label_by_class(classes: np.ndarray, labelable: np.ndarray) -> np.ndarray:
-    """4-connected labeling of `labelable` cells, split by the integer class field.
+def label_by_class(classes: np.ndarray) -> np.ndarray:
+    """4-connected labeling of the cells of every nonzero class, split by class.
 
     Labels are 1-based and assigned in ascending class order then raster
-    order, so reruns are stable. Cells with labelable == False get label 0.
+    order, so reruns are stable. Cells of class 0 get label 0.
     """
     classes = np.asarray(classes)
     labels = np.zeros(classes.shape, dtype=np.int32)
     next_label = 1
-    for cls in np.unique(classes[labelable]):
-        mask = labelable & (classes == cls)
+    for cls in np.unique(classes[classes != 0]):
+        mask = classes == cls
         lab, n = ndimage.label(mask, structure=_CROSS)
         labels[mask] = lab[mask] + (next_label - 1)
         next_label += n

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .grid import ClassificationGrid
-from .orbits import EscapeReason, Kind
+from .orbits import Kind
 
-# Fixed kind -> RGB palette (drift-certified Baker escape gets its own hue).
+# Fixed kind -> RGB palette. An escaping cell with a nonzero label class from
+# the orbit kernel (a drift-certified Baker escape) gets its own hue.
 PALETTE = {
     "undecided": (0, 0, 0),
     "escaping": (68, 119, 170),
@@ -36,8 +37,7 @@ def _cell_colors(grid: ClassificationGrid) -> np.ndarray:
     rgb = np.zeros((grid.ny, grid.nx, 3), dtype=np.uint8)
     kinds = grid.kinds
     rgb[kinds == Kind.ESCAPING] = PALETTE["escaping"]
-    drift = (kinds == Kind.ESCAPING) & (grid.reasons == EscapeReason.DRIFT)
-    rgb[drift] = PALETTE["escaping_drift"]
+    rgb[(kinds == Kind.ESCAPING) & (grid.classes != 0)] = PALETTE["escaping_drift"]
     rgb[kinds == Kind.ATTRACTING] = PALETTE["attracting"]
     rgb[kinds == Kind.PARABOLIC] = PALETTE["parabolic"]
     return rgb

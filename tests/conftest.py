@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,29 @@ QR = 2.1532923641103494
 MULT_2PI_I = 6.362265131567328
 
 THREE_PI = 3.0 * np.pi
+
+
+# Catalog maps in plain cmath, independent of fatoulab's evaluators.
+def cmath_exp_quarter(z):
+    return 0.25 * cmath.exp(z)
+
+
+def cmath_z_plus_exp(z):
+    return z + cmath.exp(-z)
+
+
+def cmath_z_exp(z):
+    return z * cmath.exp(-z)
+
+
+def iterate(f, z: complex, n: int) -> complex | None:
+    """The n-th iterate of z under f, or None once cmath overflows."""
+    for _ in range(n):
+        try:
+            z = f(z)
+        except OverflowError:
+            return None
+    return z
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,10 @@ import fatoulab as fl
 import fatoulab.cli as cli
 from fatoulab.branches import inverse, pullback_chain
 from fatoulab.hyperbolic import VERDICT_VIOLATION
-from fatoulab.orbits import Kind, classify_orbit
+from fatoulab.orbits import Kind, classify_orbits_array
 from fatoulab.raster import fill_from_infinity
 
-from conftest import QA, QR
+from conftest import QA, QR, cmath_exp_quarter, cmath_z_plus_exp, iterate
 
 
 def _report(n, detail):
@@ -24,12 +24,14 @@ def test_c01_exponential_fixed_points(exp_map):
     """lambda = 1/4: attracting 0.357403 +- 1e-6, repelling 2.15329 +- 1e-5,
     multiplier of the repelling point equals the point value to 1e-8; < 1 s."""
     t0 = time.monotonic()
-    att_verdict = classify_orbit(exp_map, 0.0, 200, attractors=fl.default_attractors(exp_map))
-    assert att_verdict.kind == Kind.ATTRACTING
+    res = classify_orbits_array(
+        exp_map, np.array([0j]), 200, attractors=fl.default_attractors(exp_map)
+    )
+    assert res.kinds[0] == Kind.ATTRACTING
     # polish the attracting landing point with plain Newton on f(z) - z
     from fatoulab.boundary import _cycle_eval
 
-    z = att_verdict.final_point
+    z = iterate(cmath_exp_quarter, 0j, int(res.iterations[0]))
     for _ in range(60):
         fz, d = _cycle_eval(exp_map, z, 1)
         if abs(fz - z) < 1e-14:
@@ -105,10 +107,11 @@ def test_c05_baker_slow_escape(zplus_map):
         x = x_next
     assert 4.0 <= x <= 5.2
 
-    for probe in (-1 + 1j * np.pi, 2 + 1j * np.pi, 5 + 1j * np.pi):
-        v = classify_orbit(zplus_map, probe, 400)
-        assert v.kind == Kind.ESCAPING
-        assert v.final_point.real < -50
+    probes = np.array([-1 + 1j * np.pi, 2 + 1j * np.pi, 5 + 1j * np.pi])
+    res = classify_orbits_array(zplus_map, probes, 400)
+    assert (res.kinds == Kind.ESCAPING).all()
+    for probe, n in zip(probes.tolist(), res.iterations):
+        assert iterate(cmath_z_plus_exp, probe, int(n)).real < -50
     _report(5, f"Re f^100(0) = {x:.4f}, line probes escape with Re -> -inf")
 
 
@@ -116,13 +119,12 @@ def test_c06_boundary_component_scans(exp_map, zexp_map):
     """Real-hair probes {3,4,5} certify Escaping within 20 iterations;
     z exp(-z) probe -0.5 certifies Escaping within 10."""
     p = fl.newton_periodic(exp_map, 2.2, 1)
+    # a verdict within the budget n is a verdict within n iterations
     rep = fl.escaping_component_scan(exp_map, p, [3.0, 4.0, 5.0], 20)
-    assert len(rep.escaping) == 3
-    assert all(e.iterations <= 20 for e in rep.escaping)
+    assert rep.escaping == (3 + 0j, 4 + 0j, 5 + 0j)
 
     prep = fl.parabolic_boundary_scan(zexp_map, [-0.5], budget=10)
-    assert len(prep.escaping) == 1
-    assert prep.escaping[0].iterations <= 10
+    assert prep.escaping == (-0.5 + 0j,)
     _report(6, "hair probes escape in <= 20 its, parabolic probe in <= 10")
 
 
@@ -216,14 +218,15 @@ def test_c10_engine_invariants(tmp_path, exp_map):
     trips < 1e-11, and byte-identical reruns under fixed seeds; < 120 s."""
     t0 = time.monotonic()
 
-    # classify_orbit budget monotonicity over a deterministic sample
+    # orbit-kernel budget monotonicity over a deterministic sample
     att = fl.default_attractors(exp_map)
     rng = np.random.default_rng(0)
-    for _ in range(60):
-        z = complex(rng.uniform(-2, 4), rng.uniform(-3, 3))
-        v1 = classify_orbit(exp_map, z, 60, attractors=att)
-        if v1.kind != Kind.UNDECIDED:
-            assert v1 == classify_orbit(exp_map, z, 180, attractors=att)
+    z = np.array([complex(rng.uniform(-2, 4), rng.uniform(-3, 3)) for _ in range(60)])
+    short = classify_orbits_array(exp_map, z, 60, attractors=att)
+    long = classify_orbits_array(exp_map, z, 180, attractors=att)
+    decided = short.kinds != Kind.UNDECIDED
+    for name in ("kinds", "iterations", "classes"):
+        assert np.array_equal(getattr(short, name)[decided], getattr(long, name)[decided])
 
     # fill_from_infinity: idempotent and monotone on random masks
     for _ in range(50):

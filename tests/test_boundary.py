@@ -10,8 +10,9 @@ from fatoulab.errors import (
     NoReturnWithinBudget,
     VertexLeftFatou,
 )
+from fatoulab.orbits import classify_orbits_array
 
-from conftest import MULT_2PI_I, QA, QR
+from conftest import MULT_2PI_I, QA, QR, cmath_z_plus_exp, iterate
 
 
 def test_newton_periodic_exp_lambda(exp_map, exp_grid):
@@ -198,35 +199,41 @@ def test_escaping_scan_real_hair(exp_map):
     # (1/4)e^3 ~ 5.02 > 3 and the growth is super-exponential from there
     p = fl.newton_periodic(exp_map, 2.2, 1)
     rep = fl.escaping_component_scan(exp_map, p, [3.0, 4.0, 5.0], 20)
-    assert len(rep.escaping) == 3
-    assert not rep.non_escaping
-    assert all(e.iterations <= 20 for e in rep.escaping)
+    assert rep.escaping == (3 + 0j, 4 + 0j, 5 + 0j)
+    assert rep.non_escaping == ()
+    assert rep.exempt == ()
+    # within 5 iterations, not only within the budget of 20
+    assert fl.escaping_component_scan(exp_map, p, [3.0, 4.0, 5.0], 5).escaping == rep.escaping
 
 
 def test_escaping_scan_exempts_the_point(exp_map):
     p = fl.newton_periodic(exp_map, 2.2, 1)
     rep = fl.escaping_component_scan(exp_map, p, [p.point, 3.0], 20)
     assert rep.exempt == (p.point,)
-    assert len(rep.escaping) == 1
+    assert rep.escaping == (3 + 0j,)
 
 
 def test_escaping_scan_zplus_line(zplus_map):
     # x -> x - e^{-x} on the Im = pi line; orbits run to Re -> -infinity
     p_seed = fl.newton_periodic(fl.z_exp(), 6j, 1)  # any repelling point; probes drive the scan
-    rep = fl.escaping_component_scan(
-        zplus_map, p_seed, [-1 + 1j * np.pi, 2 + 1j * np.pi, 5 + 1j * np.pi], 400
-    )
-    assert len(rep.escaping) == 3
-    assert all(e.final_point.real < -50 for e in rep.escaping)
+    probes = (-1 + 1j * np.pi, 2 + 1j * np.pi, 5 + 1j * np.pi)
+    rep = fl.escaping_component_scan(zplus_map, p_seed, list(probes), 400)
+    assert rep.escaping == probes
+    res = classify_orbits_array(zplus_map, np.array(probes), 400)
+    for probe, n in zip(probes, res.iterations):
+        assert iterate(cmath_z_plus_exp, probe, int(n)).real < -50
 
 
 def test_parabolic_scan(zexp_map):
     # orbit of -0.5: -0.8243606..., -1.8798903..., -12.3185...; escapes fast
     rep = fl.parabolic_boundary_scan(zexp_map, [-0.5, 0.0, 0.2], budget=2000)
-    assert [e.probe for e in rep.escaping] == [-0.5 + 0j]
-    assert rep.escaping[0].iterations <= 10
+    assert rep.escaping == (-0.5 + 0j,)
     assert rep.fixed == (0j,)
-    assert [e.probe for e in rep.interior_controls] == [0.2 + 0j]
+    assert rep.interior_controls == (0.2 + 0j,)
+    assert rep.other == ()
+    # -0.5 escapes within 10 iterations; 0.2 is still undecided at that budget
+    short = fl.parabolic_boundary_scan(zexp_map, [-0.5, 0.0, 0.2], budget=10)
+    assert (short.escaping, short.fixed, short.other) == ((-0.5 + 0j,), (0j,), (0.2 + 0j,))
 
 
 def test_parabolic_scan_requires_parabolic_map(exp_map):

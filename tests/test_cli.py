@@ -78,12 +78,17 @@ def test_schema_violations_exit_2(tmp_path):
         ("inner", {"map": {"family": "z_exp"},
                    "inner": {"blaschke": {"zeros": [[0.5, 0.0]]}, "periods": [1]}}),
         ("render", {**BASE, "attractors": [[60, 0, 1]]}),
+        ("inner", {**BASE, "inner": {"candidate": {"num": [], "den": [1]}}}),
+        ("inner", {**BASE, "inner": {"candidate": {"num": [1], "den": []}}}),
+        ("measure", {**BASE, "measure": {"basepoint": [0.3, 0.0],
+                                         "calibration": {"samples": 200, "resolution": 2}}}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
          "segment_string", "orbit_and_fixed_point", "blaschke_zero_outside_disk",
          "candidate_string_coefficient", "escaping_scan_without_point",
-         "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius"],
+         "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius",
+         "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
@@ -236,6 +241,18 @@ def test_calibration_failure_exits_4(tmp_path, monkeypatch):
     payload = {**BASE, "measure": {"basepoint": [0.3574, 0.0], "n_samples": 100, "orbit_budget": 20}}
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "fail4"
+    assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert "disk oracle failed" in summary["errors"][0]
+
+
+def test_coarsest_calibration_fails_its_test(tmp_path):
+    """At 3 cells a side the disk grid has a boundary raster, so the walks hit
+    it and the too coarse calibration fails its test (exit 4), not a walk."""
+    payload = {**BASE, "measure": {"basepoint": [0.3, 0.0],
+                                   "calibration": {"samples": 200, "resolution": 3}}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "coarse"
     assert cli.main(["measure", "--config", str(cfg), "--out", str(out)]) == 4
     summary = json.loads((out / "summary.json").read_text())
     assert "disk oracle failed" in summary["errors"][0]

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import fatoulab as fl
 from fatoulab.errors import OutOfWindow
 from fatoulab.grid import label_components
-from fatoulab.orbits import EscapeReason, Kind
+from fatoulab.orbits import CLASS_ATTRACTING, CLASS_DRIFT, CLASS_PARABOLIC, Kind
 from fatoulab.raster import fill_from_infinity
 
 TWO_PI = 2 * np.pi
@@ -45,31 +45,38 @@ def test_zplus_strip_escaping_fraction(zplus_grid):
     for k in (-1, 0, 1):
         core |= np.abs(centers.imag - TWO_PI * k) < 2.0
     core &= (centers.real > 0) & (centers.real < 8)
-    drift = (zplus_grid.kinds == Kind.ESCAPING) & (zplus_grid.reasons == EscapeReason.DRIFT)
+    drift = (zplus_grid.kinds == Kind.ESCAPING) & (zplus_grid.classes != 0)
     assert drift[core].mean() >= 0.95
 
 
 def test_label_partition_and_stability(zplus_grid):
     relabeled = label_components(zplus_grid)
     assert np.array_equal(relabeled.labels, zplus_grid.labels)
-    assert np.all((zplus_grid.labels > 0) == zplus_grid.labelable_mask())
 
 
-def _synthetic_grid(kinds, reasons=None, strips=None):
+def test_labeled_cells_are_the_nonzero_classes(exp_grid, zplus_grid, zexp_grid):
+    """Every rendered grid labels exactly the cells the kernel gave a class."""
+    for g in (exp_grid, zplus_grid, zexp_grid):
+        assert np.array_equal(g.labels > 0, g.classes != 0)
+        assert (g.labels > 0).any()
+
+
+def _synthetic_grid(kinds, classes=None):
+    """A labeled grid of the given kinds; attracting cells get attractor 0's
+    class unless `classes` is given."""
     ny, nx = kinds.shape
+    if classes is None:
+        classes = np.where(kinds == Kind.ATTRACTING, CLASS_ATTRACTING, 0)
     g = fl.ClassificationGrid(
         window=(0.0, float(nx), 0.0, float(ny)),
         nx=nx, ny=ny,
         kinds=kinds.astype(np.int8),
         labels=np.zeros((ny, nx), np.int32),
         iterations=np.zeros((ny, nx), np.int32),
-        reasons=(reasons if reasons is not None else np.zeros((ny, nx))).astype(np.int8),
-        strips=(strips if strips is not None else np.zeros((ny, nx))).astype(np.int32),
-        attractor_index=np.full((ny, nx), -1, np.int16),
+        classes=np.asarray(classes, dtype=np.int32),
         attractors=((0j, 1),),
         budget=1, escape_radius=50.0, tol=1e-6,
     )
-    g.attractor_index[kinds == Kind.ATTRACTING] = 0
     return label_components(g)
 
 
@@ -84,15 +91,35 @@ def test_two_disjoint_strips_get_two_labels():
 
 def test_uniform_drift_grid_one_label():
     kinds = np.full((6, 6), int(Kind.ESCAPING))
-    reasons = np.full((6, 6), int(EscapeReason.DRIFT))
-    g = _synthetic_grid(kinds, reasons=reasons)
+    g = _synthetic_grid(kinds, classes=np.full((6, 6), CLASS_DRIFT))
     assert set(np.unique(g.labels)) == {1}
 
 
 def test_ambiguous_escape_not_labeled():
     kinds = np.full((6, 6), int(Kind.ESCAPING))
-    g = _synthetic_grid(kinds, reasons=np.full((6, 6), int(EscapeReason.RADIUS)))
+    g = _synthetic_grid(kinds, classes=np.zeros((6, 6)))
     assert set(np.unique(g.labels)) == {0}
+
+
+def test_labels_follow_class_order():
+    """Labels run over attractor j, then parabolic, then drift strips ascending,
+    whatever the raster order of the cells."""
+    rows = [
+        (Kind.ESCAPING, CLASS_DRIFT + 1),
+        (Kind.ATTRACTING, CLASS_ATTRACTING + 1),
+        (Kind.ESCAPING, CLASS_DRIFT - 1),
+        (Kind.PARABOLIC, CLASS_PARABOLIC),
+        (Kind.ESCAPING, 0),
+        (Kind.ATTRACTING, CLASS_ATTRACTING + 0),
+    ]
+    kinds = np.zeros((2 * len(rows), 4), int)
+    classes = np.zeros_like(kinds)
+    for i, (kind, cls) in enumerate(rows):
+        kinds[2 * i] = kind
+        classes[2 * i] = cls
+    g = _synthetic_grid(kinds, classes)
+    assert [int(g.labels[2 * i, 0]) for i in range(len(rows))] == [5, 2, 4, 3, 0, 1]
+    assert np.array_equal(g.labels > 0, classes != 0)
 
 
 # ---------------------------------------------------------------------------

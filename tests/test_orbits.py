@@ -4,66 +4,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatoulab as fl
-from fatoulab.orbits import EscapeReason, Kind, classify_orbit
+from fatoulab.orbits import (
+    CLASS_ATTRACTING,
+    CLASS_DRIFT,
+    CLASS_PARABOLIC,
+    Kind,
+    classify_orbits_array,
+)
 
-from conftest import QA
+from conftest import QA, cmath_exp_quarter, cmath_z_exp, cmath_z_plus_exp, iterate
+
+
+def _one(m, z, budget, **kw):
+    """(kind, iterations, class) of the kernel on the single point z."""
+    res = classify_orbits_array(m, np.array([z], dtype=complex), budget, **kw)
+    return Kind(int(res.kinds[0])), int(res.iterations[0]), int(res.classes[0])
 
 
 def test_exp_lambda_escaping():
     # direct-iteration oracle: (1/4)e^3 ~ 5.02, then ~37.8, then past any radius
-    v = classify_orbit(fl.exp_lambda(0.25), 3.0, 100)
-    assert v.kind == Kind.ESCAPING
-    assert v.iterations_used <= 5
-    assert abs(v.final_point) > 50.0 or v.escape_reason == EscapeReason.OVERFLOW
+    kind, n, cls = _one(fl.exp_lambda(0.25), 3.0, 100)
+    assert (kind, cls) == (Kind.ESCAPING, 0)
+    assert n <= 5
+    w = iterate(cmath_exp_quarter, 3.0, n)
+    assert w is None or abs(w) > 50.0
 
 
 def test_exp_lambda_attracting():
     m = fl.exp_lambda(0.25)
     att = fl.default_attractors(m)
-    v = classify_orbit(m, 0.0, 200, attractors=att)
-    assert v.kind == Kind.ATTRACTING
-    assert v.period == 1
-    assert abs(v.target - QA) < 1e-9
-    # the verdict invariant: final point is nearly periodic
-    assert abs(m.evaluate(v.final_point) - v.final_point) < 1e-6
+    kind, n, cls = _one(m, 0.0, 200, attractors=att)
+    assert (kind, cls) == (Kind.ATTRACTING, CLASS_ATTRACTING + 0)
+    assert att[0][1] == 1
+    assert abs(att[0][0] - QA) < 1e-9
+    # the verdict invariant: the point reached is nearly fixed
+    w = iterate(cmath_exp_quarter, 0.0, n)
+    assert abs(cmath_exp_quarter(w) - w) < 1e-6
 
 
 def test_z_plus_exp_line_escape():
     # f(i pi) = i pi - 1, real parts then decrease without bound
-    v = classify_orbit(fl.z_plus_exp(), 1j * np.pi, 400)
-    assert v.kind == Kind.ESCAPING
-    assert v.escape_reason in (EscapeReason.RADIUS, EscapeReason.OVERFLOW)
-    assert v.final_point.real < -100.0
+    kind, n, cls = _one(fl.z_plus_exp(), 1j * np.pi, 400)
+    assert (kind, cls) == (Kind.ESCAPING, 0)
+    w = iterate(cmath_z_plus_exp, 1j * np.pi, n)
+    assert w.real < -100.0
 
 
 def test_z_plus_exp_slow_drift():
     # x_{n+1} = x_n + e^{-x_n} ~ log(n + e): never crosses the radius, certified by drift
-    v = classify_orbit(fl.z_plus_exp(), 0.0, 400)
-    assert v.kind == Kind.ESCAPING
-    assert v.escape_reason == EscapeReason.DRIFT
-    assert v.drift_strip == 0
-    assert 0 < v.final_point.real < 6.0
+    kind, n, cls = _one(fl.z_plus_exp(), 0.0, 400)
+    assert (kind, cls) == (Kind.ESCAPING, CLASS_DRIFT + 0)
+    assert 0 < iterate(cmath_z_plus_exp, 0.0, n).real < 6.0
 
 
 def test_z_exp_parabolic_and_escape():
-    v = classify_orbit(fl.z_exp(), 0.2, 2000)
-    assert v.kind == Kind.PARABOLIC
-    assert v.target == 0.0
-    v = classify_orbit(fl.z_exp(), -0.5, 50)
-    assert v.kind == Kind.ESCAPING
-    assert v.iterations_used <= 10
+    kind, _, cls = _one(fl.z_exp(), 0.2, 2000)
+    assert (kind, cls) == (Kind.PARABOLIC, CLASS_PARABOLIC)
+    kind, n, cls = _one(fl.z_exp(), -0.5, 50)
+    assert (kind, cls) == (Kind.ESCAPING, 0)
+    assert n <= 10
 
 
 def test_undecided_fallback():
-    v = classify_orbit(fl.z_exp(), 0.2, 5)
-    assert v.kind == Kind.UNDECIDED
-    assert v.iterations_used == 5
+    assert _one(fl.z_exp(), 0.2, 5) == (Kind.UNDECIDED, 5, 0)
 
 
 def test_escape_radius_must_exceed_attractors():
     m = fl.exp_lambda(0.25)
     with pytest.raises(ValueError):
-        classify_orbit(m, 0.0, 10, escape_radius=0.1, attractors=((QA, 1),))
+        _one(m, 0.0, 10, escape_radius=0.1, attractors=((QA, 1),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,49 +84,57 @@ def test_budget_monotonicity(re, im, budget):
     """A verdict other than Undecided at budget b is identical at every larger budget."""
     m = fl.exp_lambda(0.25)
     att = fl.default_attractors(m)
-    v1 = classify_orbit(m, complex(re, im), budget, attractors=att)
-    if v1.kind == Kind.UNDECIDED:
+    v1 = _one(m, complex(re, im), budget, attractors=att)
+    if v1[0] == Kind.UNDECIDED:
         return
-    v2 = classify_orbit(m, complex(re, im), 2 * budget + 17, attractors=att)
-    assert v1 == v2
+    assert v1 == _one(m, complex(re, im), 2 * budget + 17, attractors=att)
 
 
 def test_determinism():
     m = fl.z_plus_exp()
-    a = classify_orbit(m, 0.3 + 2.9j, 400)
-    b = classify_orbit(m, 0.3 + 2.9j, 400)
-    assert a == b
+    z = np.array([0.3 + 2.9j, 0.0, 1j * np.pi])
+    a = classify_orbits_array(m, z, 400)
+    b = classify_orbits_array(m, z, 400)
+    for name in ("kinds", "iterations", "classes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_escaping_verdicts_carry_their_trigger():
-    """Escaping requires |final| > radius, an overflow, or a certified drift run."""
+    """Escaping requires |f^n| > radius or an overflow at the verdict step n,
+    unless the class records a certified drift run ending near strip k."""
     rng = np.random.default_rng(8)
-    for m in (fl.exp_lambda(0.25), fl.z_plus_exp(), fl.z_exp()):
-        for _ in range(40):
-            z = complex(rng.uniform(-3, 6), rng.uniform(-6, 6))
-            v = classify_orbit(m, z, 300, attractors=fl.default_attractors(m))
-            if v.kind != Kind.ESCAPING:
+    maps = (
+        (fl.exp_lambda(0.25), cmath_exp_quarter),
+        (fl.z_plus_exp(), cmath_z_plus_exp),
+        (fl.z_exp(), cmath_z_exp),
+    )
+    drifts = 0
+    for m, f in maps:
+        z = rng.uniform(-3, 6, 40) + 1j * rng.uniform(-6, 6, 40)
+        res = classify_orbits_array(m, z, 300, attractors=fl.default_attractors(m))
+        for z0, kind, n, cls in zip(z.tolist(), res.kinds, res.iterations, res.classes):
+            if kind != Kind.ESCAPING:
                 continue
-            if v.escape_reason == EscapeReason.RADIUS:
-                assert abs(v.final_point) > 50.0
-            elif v.escape_reason == EscapeReason.DRIFT:
-                assert v.drift_strip is not None
+            w = iterate(f, z0, int(n))
+            if cls == 0:
+                assert w is None or abs(w) > 50.0
             else:
-                assert v.escape_reason == EscapeReason.OVERFLOW
+                drifts += 1
+                assert m.family == "z_plus_exp"
+                assert cls == CLASS_DRIFT + round(w.imag / (2 * np.pi))
+    assert drifts > 0
 
 
 def test_scalar_matches_array_kernel(exp_map, exp_grid):
+    """One point classified alone gets the verdict it gets inside a batch."""
     rng = np.random.default_rng(3)
     centers = exp_grid.cell_centers()
     idx = rng.integers(0, centers.size, 25)
     pts = centers.ravel()[idx]
-    res = fl.orbits.classify_orbits_array(
-        exp_map, pts, exp_grid.budget, exp_grid.escape_radius, exp_grid.attractors, exp_grid.tol
+    kw = dict(
+        escape_radius=exp_grid.escape_radius, attractors=exp_grid.attractors, tol=exp_grid.tol
     )
-    for i, z in enumerate(pts):
-        v = classify_orbit(
-            exp_map, complex(z), exp_grid.budget, exp_grid.escape_radius,
-            exp_grid.attractors, exp_grid.tol,
-        )
-        assert int(v.kind) == int(res.kinds[i])
-        assert v.iterations_used == int(res.iterations[i])
+    res = classify_orbits_array(exp_map, pts, exp_grid.budget, **kw)
+    batch = zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist())
+    for z, verdict in zip(pts.tolist(), batch):
+        assert _one(exp_map, z, exp_grid.budget, **kw) == verdict

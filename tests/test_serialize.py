@@ -48,4 +48,4 @@ def test_grid_threads_deterministic(exp_map):
     g4 = fl.classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=4, **kw)
     assert np.array_equal(g1.kinds, g4.kinds)
     assert np.array_equal(g1.iterations, g4.iterations)
-    assert np.array_equal(g1.reasons, g4.reasons)
+    assert np.array_equal(g1.classes, g4.classes)
