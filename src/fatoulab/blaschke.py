@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LiftNotExpandingWarning, PoleOnCircle, RotationLike
+from .errors import LiftGridExhausted, LiftNotExpandingWarning, PoleOnCircle, RotationLike
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,9 +81,6 @@ class BlaschkeProduct:
             return val, deriv
         return complex(val), complex(deriv)
 
-    def derivative(self, z):
-        return self.eval_with_derivative(z)[1]
-
     def iterate(self, z, n: int):
         for _ in range(n):
             z = self.evaluate(z)
@@ -91,13 +88,7 @@ class BlaschkeProduct:
 
     def boundary_derivative_modulus(self, theta: float) -> float:
         """|B'| on the unit circle; equals the sum of Poisson kernels at the zeros."""
-        return abs(self.derivative(cmath.exp(1j * theta)))
-
-    def to_json(self) -> dict:
-        return {
-            "rotation": [self.rotation.real, self.rotation.imag],
-            "zeros": [[a.real, a.imag] for a in self.zeros],
-        }
+        return abs(self.eval_with_derivative(cmath.exp(1j * theta))[1])
 
     @staticmethod
     def from_json(d: dict) -> "BlaschkeProduct":
@@ -144,7 +135,7 @@ def build_lift(func, grid_bits: int = _DEFAULT_GRID_BITS, require_monotone: bool
                 raise ValueError(f"lift winding {winding} is not an integer")
             return CircleLift(func, thetas, args, rounded)
         if bits >= _MAX_GRID_BITS:
-            raise ValueError("circle lift grid exhausted; map varies too fast")
+            raise LiftGridExhausted("circle lift grid exhausted; map varies too fast")
         bits += 1
 
 
@@ -238,9 +229,11 @@ def circle_periodic_points(
     points: list[CirclePeriodicPoint] = []
     for theta, j in found:
         t = theta % TWO_PI
+        # Sorted by angle, a root can only repeat the last point kept or,
+        # across 0 = 2pi, the first one.
         if any(
             abs(t - p.theta) < dedup_tol or abs(abs(t - p.theta) - TWO_PI) < dedup_tol
-            for p in points
+            for p in points[-1:] + points[:1]
         ):
             continue
         z = cmath.exp(1j * t)
@@ -290,7 +283,7 @@ def denjoy_wolff(
             boundary_run = 0
         if abs(w - z) < 1e-9 and abs(w) <= 1.0 - tol:
             p = _newton_fixed_point(b, w)
-            dm = abs(b.derivative(p))
+            dm = abs(b.eval_with_derivative(p)[1])
             if dm >= 1.0 - 1e-9:
                 # a neutral interior fixed point makes B an elliptic automorphism
                 raise RotationLike(f"neutral interior fixed point at {p}")

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import BranchChain, apply_chain, chain_fixing, pullback_chain
-from .catalog import EntireMap
+from .catalog import EntireMap, damped_newton
 from .errors import (
     ConvergedToFatouCycle,
     FatouLabError,
-    NewtonDiverged,
     NoReturnWithinBudget,
     OutOfWindow,
     Overflow,
@@ -42,25 +41,6 @@ class PeriodicBoundaryPoint:
     residual: float
     repelling: bool
     boundary_distance: float = math.nan
-
-    def to_json(self) -> dict:
-        return {
-            "point": [self.point.real, self.point.imag],
-            "period": self.period,
-            "multiplier": [self.multiplier.real, self.multiplier.imag],
-            "residual": self.residual,
-            "repelling": self.repelling,
-            "boundary_distance": self.boundary_distance,
-        }
-
-
-def _cycle_eval(m: EntireMap, z: complex, n: int) -> tuple[complex, complex]:
-    """(f^n(z), (f^n)'(z)) by the chain rule."""
-    deriv = 1.0 + 0.0j
-    for _ in range(n):
-        z, d = m.eval_with_derivative(z)
-        deriv *= d
-    return z, deriv
 
 
 def _boundary_distance(grid: ClassificationGrid | None, z: complex) -> float:
@@ -86,37 +66,14 @@ def newton_periodic(
     """
     if n < 1:
         raise ValueError("period must be >= 1")
-    z = complex(seed)
-    try:
-        fz, deriv = _cycle_eval(m, z, n)
-    except Overflow as exc:
-        raise NewtonDiverged(f"seed {seed} overflows") from exc
-    res = abs(fz - z)
-    for _ in range(_NEWTON_STEPS):
-        if res < residual_tol:
-            break
-        gp = deriv - 1.0
-        if gp == 0:
-            raise NewtonDiverged("derivative of f^n(z) - z vanished")
-        step = (fz - z) / gp
-        for _ in range(8):
-            cand = z - step
-            try:
-                fc, dc = _cycle_eval(m, cand, n)
-            except Overflow:
-                step *= 0.5
-                continue
-            rc = abs(fc - cand)
-            if rc < res or abs(step) < 1e-17:
-                z, fz, deriv, res = cand, fc, dc, rc
-                break
-            step *= 0.5
-        else:
-            raise NewtonDiverged(f"no descent step from seed {seed}")
-    if res >= residual_tol:
-        raise NewtonDiverged(f"residual {res:.3e} after {_NEWTON_STEPS} steps")
 
-    multiplier = _cycle_eval(m, z, n)[1]
+    def g(z: complex) -> tuple[complex, complex]:
+        fz, deriv = m.iterate_with_derivative(z, n)
+        return fz - z, deriv - 1.0
+
+    z = damped_newton(g, seed, residual_tol, _NEWTON_STEPS)
+    fz, multiplier = m.iterate_with_derivative(z, n)
+    res = abs(fz - z)
     if abs(multiplier) < 1.0 - 1e-9:
         raise ConvergedToFatouCycle(
             f"landed on an attracting cycle at {z} (|multiplier| = {abs(multiplier):.3g})"
@@ -134,7 +91,7 @@ def newton_periodic(
 def _minimize_period(m: EntireMap, p: PeriodicBoundaryPoint, grid=None) -> PeriodicBoundaryPoint:
     """Replace the period by its smallest divisor d with |f^d(point) - point| < 1e-8."""
     for d in sorted(k for k in range(1, p.period + 1) if p.period % k == 0):
-        fd, _ = _cycle_eval(m, p.point, d)
+        fd, _ = m.iterate_with_derivative(p.point, d)
         if abs(fd - p.point) < 1e-8:
             if d == p.period:
                 return p
@@ -256,7 +213,7 @@ def access_curve(
     invertibility at this site).
     """
     if chain is None:
-        chain = chain_fixing(m, p.point, p.period)
+        chain = chain_fixing(m, p.point, p.period, p.period)
     label = grid.label_at(z0)
     if label == 0:
         raise VertexLeftFatou(f"base point {z0} is not Fatou-classified")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from scipy.special import lambertw
@@ -23,6 +24,7 @@ from .catalog import (
     Z_EXP,
     Z_PLUS_EXP,
     EntireMap,
+    damped_newton,
 )
 from .errors import (
     AmbiguousBranch,
@@ -36,6 +38,8 @@ from .errors import (
 _SV_TOL = 1e-12
 _NEWTON_STEPS = 200
 _RESIDUAL_TOL = 1e-12
+# Consecutive points z_i, z_{i+1} of an orbit satisfy |f(z_i) - z_{i+1}| <= ORBIT_TOL.
+ORBIT_TOL = 1e-8
 
 _EXP_SHIFT = {FATOU_PLUS: 1.0, FATOU_MINUS: -1.0, Z_PLUS_EXP: 0.0}
 
@@ -77,37 +81,12 @@ def _singular_guard(m: EntireMap, w: complex, branch: int) -> complex | None:
 
 
 def _damped_newton(m: EntireMap, w: complex, seed: complex) -> complex:
-    """Solve f(z) = w by Newton with step halving (up to 8 times on residual increase)."""
-    z = complex(seed)
-    try:
+    """Solve f(z) = w by damped Newton from seed."""
+    def g(z: complex) -> tuple[complex, complex]:
         fz, dfz = m.eval_with_derivative(z)
-    except Overflow as exc:
-        raise NewtonDiverged(f"seed {seed} overflows") from exc
-    res = abs(fz - w)
-    for _ in range(_NEWTON_STEPS):
-        if res < _RESIDUAL_TOL:
-            return z
-        if dfz == 0:
-            raise NewtonDiverged("derivative vanished during inversion")
-        full = (fz - w) / dfz
-        step = full
-        for _ in range(8):
-            cand = z - step
-            try:
-                fc, dfc = m.eval_with_derivative(cand)
-            except Overflow:
-                step *= 0.5
-                continue
-            rc = abs(fc - w)
-            if rc < res or abs(step) < 1e-17:
-                z, fz, dfz, res = cand, fc, dfc, rc
-                break
-            step *= 0.5
-        else:
-            raise NewtonDiverged(f"no descent step while inverting near {seed}")
-    if res < _RESIDUAL_TOL:
-        return z
-    raise NewtonDiverged(f"residual {res:.3e} after {_NEWTON_STEPS} Newton steps")
+        return fz - w, dfz
+
+    return damped_newton(g, seed, _RESIDUAL_TOL, _NEWTON_STEPS)
 
 
 def inverse(
@@ -138,32 +117,33 @@ def inverse(
         return cmath.log(w / m.lam) + TWO_PI * 1j * branch
 
     if m.family == Z_EXP:
-        z = complex(-lambertw(-w, k=branch))
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise NewtonDiverged(f"Lambert-W branch {branch} undefined at {w}")
-        return _damped_newton(m, w, z)
+        return _lambert_root(m, w, branch)
 
-    c = _EXP_SHIFT[m.family]
     # Reduce to the principal strip via 2 pi i pseudoperiodicity.
     v = w - TWO_PI * 1j * branch
-    z0 = None
-    for cand_seed in (v - c, -_safe_log(v - c)):
-        if cand_seed is None:
-            continue
-        try:
-            z0 = _damped_newton(m, v, cand_seed)
-        except NewtonDiverged:
-            continue
+    for z0 in _seed_roots(m, v):
         if -math.pi < z0.imag <= math.pi + 1e-12:
-            break
-        z0 = None
-    if z0 is None:
-        raise NewtonDiverged(f"no principal-strip preimage found for {v}")
-    return z0 + TWO_PI * 1j * branch
+            return z0 + TWO_PI * 1j * branch
+    raise NewtonDiverged(f"no principal-strip preimage found for {v}")
 
 
-def _safe_log(v: complex) -> complex | None:
-    return cmath.log(v) if v != 0 else None
+def _lambert_root(m: EntireMap, w: complex, k: int) -> complex:
+    """The z_exp preimage -W_k(-w) on Lambert-W branch k, polished by Newton."""
+    z = complex(-lambertw(-w, k=k))
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NewtonDiverged(f"Lambert-W branch {k} undefined at {w}")
+    return _damped_newton(m, w, z)
+
+
+def _seed_roots(m: EntireMap, v: complex) -> Iterator[complex]:
+    """Newton roots of z + c + exp(-z) = v from the seeds v - c, where z
+    dominates, and -log(v - c), where exp(-z) does (skipped at v = c)."""
+    u = v - _EXP_SHIFT[m.family]
+    for seed in (u, -cmath.log(u)) if u != 0 else (u,):
+        try:
+            yield _damped_newton(m, v, seed)
+        except NewtonDiverged:
+            pass
 
 
 def branch_of(m: EntireMap, z: complex) -> int:
@@ -193,34 +173,17 @@ def _candidate_preimages(m: EntireMap, w: complex, near: complex, halo: int = 2)
             found.append(z)
 
     for k in range(base - halo, base + halo + 1):
-        if m.family == EXP_LAMBDA:
-            try:
+        try:
+            if m.family == EXP_LAMBDA:
                 push(inverse(m, w, branch=k))
-            except (AsymptoticValueCollision, NewtonDiverged):
-                pass
-            continue
-        if m.family == Z_EXP:
-            try:
-                z = complex(-lambertw(-w, k=k))
-                if math.isfinite(z.real) and math.isfinite(z.imag):
-                    push(_damped_newton(m, w, z))
-            except (NewtonDiverged, Overflow):
-                pass
-            continue
-        c = _EXP_SHIFT[m.family]
-        v = w - TWO_PI * 1j * k
-        for seed in (v - c, _safe_log_neg(v - c)):
-            if seed is None:
-                continue
-            try:
-                push(_damped_newton(m, v, seed) + TWO_PI * 1j * k)
-            except (NewtonDiverged, Overflow):
-                pass
+            elif m.family == Z_EXP:
+                push(_lambert_root(m, w, k))
+            else:
+                for z in _seed_roots(m, w - TWO_PI * 1j * k):
+                    push(z + TWO_PI * 1j * k)
+        except (AsymptoticValueCollision, NewtonDiverged, Overflow):
+            pass
     return found
-
-
-def _safe_log_neg(v: complex) -> complex | None:
-    return -cmath.log(v) if v != 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +215,7 @@ class BranchChain:
 def pullback_chain(m: EntireMap, orbit: list[complex]) -> BranchChain:
     """Select, per orbit step, the inverse branch that undoes it, recording indices.
 
-    Precondition: consecutive points satisfy f(z_i) = z_{i+1} to 1e-8. Raises
+    Precondition: consecutive points satisfy f(z_i) = z_{i+1} to ORBIT_TOL. Raises
     AmbiguousBranch when the two closest candidate preimages nearly merge
     (orbit through a critical value) or when the match is not clearly unique.
     """
@@ -263,7 +226,7 @@ def pullback_chain(m: EntireMap, orbit: list[complex]) -> BranchChain:
     for i in range(len(orbit) - 1):
         z_i, z_next = orbit[i], orbit[i + 1]
         residual = abs(m.evaluate(z_i) - z_next)
-        if residual > 1e-8:
+        if residual > ORBIT_TOL:
             raise ValueError(
                 f"orbit is not consecutive at step {i}: |f(z_{i}) - z_{i+1}| = {residual:.3e}"
             )
@@ -290,14 +253,12 @@ def pullback_chain(m: EntireMap, orbit: list[complex]) -> BranchChain:
 
 def _continuity_inverse(m: EntireMap, w: complex, anchor: complex) -> complex:
     """The preimage of w obtained by continuation from a known nearby preimage."""
-    if m.family == EXP_LAMBDA:
-        if abs(w) < _SV_TOL:
-            raise AsymptoticValueCollision("logarithm branch point at w = 0")
-        raw = cmath.log(w / m.lam)
-        return raw + TWO_PI * 1j * round((anchor.imag - raw.imag) / TWO_PI)
     guard = _singular_guard(m, w, branch_of(m, anchor))
     if guard is not None:
         return guard
+    if m.family == EXP_LAMBDA:
+        raw = cmath.log(w / m.lam)
+        return raw + TWO_PI * 1j * round((anchor.imag - raw.imag) / TWO_PI)
     return _damped_newton(m, w, anchor)
 
 
@@ -315,6 +276,12 @@ def apply_chain(chain: BranchChain, z: complex, verify_trust: bool = True) -> co
     return u
 
 
-def chain_fixing(m: EntireMap, p: complex, length: int) -> BranchChain:
-    """The pullback chain along the constant orbit at a fixed point p."""
-    return pullback_chain(m, [p] * (length + 1))
+def chain_fixing(m: EntireMap, p: complex, length: int, period: int = 1) -> BranchChain:
+    """The pullback chain of `length` steps along the cycle p, f(p), ..., f^(period-1)(p).
+
+    The composed branch fixes p when `length` is a multiple of `period`.
+    """
+    cycle = [complex(p)]
+    for _ in range(period - 1):
+        cycle.append(m.evaluate(cycle[-1]))
+    return pullback_chain(m, [cycle[k % period] for k in range(length + 1)])

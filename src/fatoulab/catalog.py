@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import Overflow, WindowTooSmall
+from .errors import NewtonDiverged, Overflow, WindowTooSmall
 
 EXP_LAMBDA = "exp_lambda"
 FATOU_PLUS = "fatou_plus"
@@ -50,18 +51,16 @@ class EntireMap:
         elif self.lam is not None:
             raise ValueError(f"{self.family} takes no lambda parameter")
 
-    # -- scalar evaluation ------------------------------------------------
+    # -- evaluation: one closed form per family, for scalars and arrays -----
 
-    def evaluate(self, z: complex) -> complex:
-        """f(z) by closed form; raises Overflow when the exp argument leaves double range."""
-        z = complex(z)
+    def _exp_argument(self, z):
+        """The argument of the family's exponential: z for exp_lambda, -z otherwise."""
+        return z if self.family == EXP_LAMBDA else -z
+
+    def _value(self, z, e):
+        """f(z) from e = exp(self._exp_argument(z)); z and e are scalars or arrays."""
         if self.family == EXP_LAMBDA:
-            if z.real > _EXP_OVERFLOW:
-                raise Overflow(f"exp({z.real:.3g}) overflows")
-            return self.lam * np.exp(z)
-        if -z.real > _EXP_OVERFLOW:
-            raise Overflow(f"exp({-z.real:.3g}) overflows")
-        e = np.exp(-z)
+            return self.lam * e
         if self.family == FATOU_PLUS:
             return z + 1.0 + e
         if self.family == FATOU_MINUS:
@@ -70,63 +69,44 @@ class EntireMap:
             return z + e
         return z * e
 
-    def derivative(self, z: complex) -> complex:
-        return self.eval_with_derivative(z)[1]
+    def evaluate(self, z: complex) -> complex:
+        """f(z); raises Overflow when the exp argument leaves double range."""
+        return self.eval_with_derivative(z)[0]
 
     def eval_with_derivative(self, z: complex) -> tuple[complex, complex]:
-        """(f(z), f'(z)) sharing one exp evaluation."""
+        """(f(z), f'(z)) sharing one exp evaluation; raises Overflow like evaluate."""
         z = complex(z)
+        arg = self._exp_argument(z)
+        if arg.real > _EXP_OVERFLOW:
+            raise Overflow(f"exp({arg.real:.3g}) overflows")
+        e = np.exp(arg)
+        w = self._value(z, e)
         if self.family == EXP_LAMBDA:
-            if z.real > _EXP_OVERFLOW:
-                raise Overflow(f"exp({z.real:.3g}) overflows")
-            w = self.lam * np.exp(z)
             return w, w
-        if -z.real > _EXP_OVERFLOW:
-            raise Overflow(f"exp({-z.real:.3g}) overflows")
-        e = np.exp(-z)
-        if self.family == FATOU_PLUS:
-            return z + 1.0 + e, 1.0 - e
-        if self.family == FATOU_MINUS:
-            return z - 1.0 + e, 1.0 - e
-        if self.family == Z_PLUS_EXP:
-            return z + e, 1.0 - e
-        return z * e, (1.0 - z) * e
+        if self.family == Z_EXP:
+            return w, (1.0 - z) * e
+        return w, 1.0 - e
 
-    # -- array evaluation (overflow returned as a mask, never raised) -----
+    def iterate_with_derivative(self, z: complex, n: int) -> tuple[complex, complex]:
+        """(f^n(z), (f^n)'(z)) by the chain rule."""
+        deriv = 1.0 + 0.0j
+        for _ in range(n):
+            z, d = self.eval_with_derivative(z)
+            deriv *= d
+        return z, deriv
 
     def evaluate_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised f(z); returns (values, overflow_mask).
+        """Vectorised f(z); returns (values, overflow_mask), never raises Overflow.
 
         Overflowing entries hold +inf-ish garbage and must be read through
         the mask; the orbit engine maps them to escape evidence.
         """
         z = np.asarray(z, dtype=complex)
-        if self.family == EXP_LAMBDA:
-            bad = z.real > _EXP_OVERFLOW
-            arg = np.where(bad, 0.0, z)
-            w = self.lam * np.exp(arg)
-        else:
-            bad = -z.real > _EXP_OVERFLOW
-            arg = np.where(bad, 0.0, -z)
-            e = np.exp(arg)
-            if self.family == FATOU_PLUS:
-                w = z + 1.0 + e
-            elif self.family == FATOU_MINUS:
-                w = z - 1.0 + e
-            elif self.family == Z_PLUS_EXP:
-                w = z + e
-            else:
-                w = z * e
+        arg = self._exp_argument(z)
+        bad = arg.real > _EXP_OVERFLOW
+        w = self._value(z, np.exp(np.where(bad, 0.0, arg)))
         bad = bad | ~np.isfinite(w.real) | ~np.isfinite(w.imag)
         return w, bad
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        d: dict = {"family": self.family}
-        if self.lam is not None:
-            d["lambda"] = self.lam
-        return d
 
     @staticmethod
     def from_json(d: dict) -> "EntireMap":
@@ -156,6 +136,55 @@ def z_plus_exp() -> EntireMap:
 
 def z_exp() -> EntireMap:
     return EntireMap(Z_EXP)
+
+
+# ---------------------------------------------------------------------------
+# Damped Newton
+# ---------------------------------------------------------------------------
+
+
+def damped_newton(
+    g: Callable[[complex], tuple[complex, complex]],
+    seed: complex,
+    residual_tol: float,
+    steps: int,
+) -> complex:
+    """A root z of g with |g(z)| < residual_tol; g(z) returns (g(z), g'(z)).
+
+    Each Newton step is halved, up to 8 times, until it lowers |g| (a step
+    whose evaluation overflows is halved too). Raises NewtonDiverged when the
+    seed overflows, g' vanishes, no halving descends, or `steps` steps end
+    above the tolerance.
+    """
+    z = complex(seed)
+    try:
+        gz, dg = g(z)
+    except Overflow as exc:
+        raise NewtonDiverged(f"seed {seed} overflows") from exc
+    res = abs(gz)
+    for _ in range(steps):
+        if res < residual_tol:
+            return z
+        if dg == 0:
+            raise NewtonDiverged(f"derivative vanished at {z}")
+        step = gz / dg
+        for _ in range(8):
+            cand = z - step
+            try:
+                gc, dc = g(cand)
+            except Overflow:
+                step *= 0.5
+                continue
+            rc = abs(gc)
+            if rc < res or abs(step) < 1e-17:
+                z, gz, dg, res = cand, gc, dc, rc
+                break
+            step *= 0.5
+        else:
+            raise NewtonDiverged(f"no descent step from seed {seed}")
+    if res < residual_tol:
+        return z
+    raise NewtonDiverged(f"residual {res:.3e} after {steps} Newton steps")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every run checks its JSON config up front against the field table SCHEMA
 (exit 2 on any schema problem, with no partial outputs), echoes the resolved
 config with every default filled next to the outputs, and writes a
 machine-readable summary.json. Exit codes: 0 success, 2 config error,
-3 numerical failure, 4 calibration failure.
+3 numerical failure (a package error), 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from .boundary import (
     newton_periodic,
     parabolic_boundary_scan,
 )
-from .branches import pullback_chain
+from .branches import ORBIT_TOL, chain_fixing, pullback_chain
 from .catalog import EntireMap, postsingular_sample
-from .errors import CalibrationFailure, ConfigError, FatouLabError
+from .errors import CalibrationFailure, ConfigError, FatouLabError, Overflow
 from .grid import classify_grid, label_components
 from .hyperbolic import contraction_audit
 from .measure import calibrate_disk, measure_report
-from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, default_attractors, parabolic_points
+from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, Kind, default_attractors, parabolic_points
 
 SUBCOMMANDS = ("render", "periodic", "access", "audit", "measure", "inner", "scan")
 
@@ -222,6 +222,16 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     if subcommand == "audit":
         _require(("orbit" in section) != ("fixed_point" in section),
                  "audit takes either an orbit or a fixed_point")
+        if "orbit" in section:
+            m = _map_of(cfg)
+            orbit = [_as_complex(v) for v in section["orbit"]]
+            try:
+                consecutive = all(abs(m.evaluate(a) - b) <= ORBIT_TOL
+                                  for a, b in zip(orbit, orbit[1:]))
+            except Overflow:
+                consecutive = False
+            _require(consecutive,
+                     f"audit.orbit: f must map each point to the next within {ORBIT_TOL:g}")
     elif subcommand == "scan":
         if section["kind"] == "escaping":
             _require("point" in section, "scan.point (a periodic seed) is required")
@@ -282,10 +292,7 @@ def _run_render(cfg: dict, out: Path) -> dict:
         "components": int(labels.size),
         "major_components": int(major.sum()),
         "major_labels": [int(l) for l in labels[major]],
-        "cells_by_kind": {
-            name.lower(): int((grid.kinds == kind).sum())
-            for name, kind in (("undecided", 0), ("escaping", 1), ("attracting", 2), ("parabolic", 3))
-        },
+        "cells_by_kind": {kind.name.lower(): int((grid.kinds == kind).sum()) for kind in Kind},
         "outputs": ["grid.ppm", "grid.csv"],
     }
 
@@ -303,8 +310,8 @@ def _run_periodic(cfg: dict, out: Path) -> dict:
         return_radius_cells=section["return_radius_cells"],
         rng_seed=cfg["rng_seed"],
     )
-    serialize.write_json(point.to_json(), out / "points.json")
-    return {"point": point.to_json(), "outputs": ["points.json"]}
+    serialize.write_json(point, out / "points.json")
+    return {"point": point, "outputs": ["points.json"]}
 
 
 def _run_access(cfg: dict, out: Path) -> dict:
@@ -314,9 +321,9 @@ def _run_access(cfg: dict, out: Path) -> dict:
     point = newton_periodic(m, _as_complex(section["seed"]), section["period"], grid=grid)
     curve = access_curve(m, point, _as_complex(section["z0"]), section["steps"], grid)
     serialize.curve_to_csv(curve, out / "curve.csv")
-    serialize.write_json(point.to_json(), out / "points.json")
+    serialize.write_json(point, out / "points.json")
     return {
-        "point": point.to_json(),
+        "point": point,
         "final_gap": curve.final_gap(),
         "vertices": len(curve.vertices),
         "outputs": ["curve.csv", "points.json"],
@@ -331,11 +338,10 @@ def _run_audit(cfg: dict, out: Path) -> dict:
     region = [center + radius * np.exp(2j * np.pi * j / count) for j in range(count)]
 
     if "orbit" in section:
-        orbit = [_as_complex(v) for v in section["orbit"]]
+        chain = pullback_chain(m, [_as_complex(v) for v in section["orbit"]])
     else:
         p = newton_periodic(m, _as_complex(section["fixed_point"]), section["period"])
-        orbit = [p.point] * (section["length"] * p.period + 1)
-    chain = pullback_chain(m, orbit)
+        chain = chain_fixing(m, p.point, section["length"] * p.period, p.period)
 
     cloud_cfg = section["cloud"]
     cloud = postsingular_sample(
@@ -358,7 +364,6 @@ def _run_measure(cfg: dict, out: Path) -> dict:
     m = _map_of(cfg)
     section = cfg["measure"]
     cal = calibrate_disk(
-        rng_seed=cfg["rng_seed"],
         samples=section["calibration"]["samples"],
         resolution=section["calibration"]["resolution"],
     )
@@ -395,12 +400,7 @@ def _run_inner(cfg: dict, out: Path) -> dict:
     outputs: list[str] = []
     if "blaschke" in section:
         b = BlaschkeProduct.from_json(section["blaschke"])
-        dw = denjoy_wolff(b)
-        results["denjoy_wolff"] = {
-            "point": [dw.point.real, dw.point.imag],
-            "location": dw.location,
-            "derivative_modulus": dw.derivative_modulus,
-        }
+        results["denjoy_wolff"] = denjoy_wolff(b)
         rows = []
         counts = {}
         for n in section["periods"]:
@@ -415,14 +415,7 @@ def _run_inner(cfg: dict, out: Path) -> dict:
             tuple(complex(c) for c in section["candidate"]["num"]),
             tuple(complex(c) for c in section["candidate"]["den"]),
         )
-        rep = verify_inner_candidate(cand, samples=section["samples"])
-        results["candidate"] = {
-            "circle_preserving": rep.circle_preserving,
-            "maps_disk_in": rep.maps_disk_in,
-            "max_circle_error": rep.max_circle_error,
-            "boundary_fixed_points": [[p.real, p.imag] for p in rep.boundary_fixed_points],
-            "notes": list(rep.notes),
-        }
+        results["candidate"] = verify_inner_candidate(cand, samples=section["samples"])
     serialize.write_json(results, out / "points.json")
     outputs.append("points.json")
     return {**results, "outputs": outputs}
@@ -438,9 +431,8 @@ def _run_scan(cfg: dict, out: Path) -> dict:
         rep = escaping_component_scan(m, p, probes, budget, cfg["escape_radius"])
     else:
         rep = parabolic_boundary_scan(m, probes, budget, cfg["escape_radius"])
-    payload = {name: [[z.real, z.imag] for z in zs] for name, zs in vars(rep).items()}
-    serialize.write_json(payload, out / "points.json")
-    return {**payload, "outputs": ["points.json"]}
+    serialize.write_json(rep, out / "points.json")
+    return {**vars(rep), "outputs": ["points.json"]}
 
 
 _RUNNERS = {
@@ -479,7 +471,7 @@ def run(subcommand: str, cfg: dict) -> int:
     except CalibrationFailure as exc:
         summary["errors"].append(str(exc))
         code = 4
-    except (FatouLabError, ValueError) as exc:
+    except FatouLabError as exc:
         summary["errors"].append(f"{type(exc).__name__}: {exc}")
         code = 3
     summary["wall_time"] = time.monotonic() - started

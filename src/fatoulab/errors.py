@@ -55,6 +55,10 @@ class OnSegment(FatouLabError):
     """Density query point lies on the removed segment."""
 
 
+class DegeneratePointSet(FatouLabError):
+    """A density bound got an empty point set, or a two-puncture bound fewer than two distinct points."""
+
+
 class ConvergedToFatouCycle(FatouLabError):
     """Periodic-point Newton landed on an attracting cycle (interior, not boundary)."""
 
@@ -65,6 +69,10 @@ class NoReturnWithinBudget(FatouLabError):
 
 class VertexLeftFatou(FatouLabError):
     """An access-curve vertex classified outside the expected Fatou component."""
+
+
+class NotFatouClassified(FatouLabError):
+    """A walk basepoint lies on a cell with no Fatou label."""
 
 
 class LeftWindow(FatouLabError):
@@ -81,6 +89,10 @@ class CalibrationFailure(FatouLabError):
 
 class ConfigError(FatouLabError):
     """Run configuration is malformed or violates the schema."""
+
+
+class LiftGridExhausted(FatouLabError):
+    """The circle-lift grid reached its finest size and still misses increments of pi or more."""
 
 
 class LiftNotExpandingWarning(UserWarning):

@@ -3,8 +3,8 @@
 Normalization (fixed once, used everywhere): curvature -1, so the unit disk
 has density 2/(1-|z|^2), the punctured disk 1/(|z| log(1/|z|)) and the right
 half-plane 1/Re z. The twice-punctured-plane lower bound uses the classical
-constant K = Gamma(1/4)^4/(4 pi^2) ~ 4.3769, configured slightly above at
-4.38 so the bound stays on the safe side.
+constant K = Gamma(1/4)^4/(4 pi^2) ~ 4.3769, fixed slightly above at 4.38
+(TWICE_PUNCTURED_K) so the bound stays on the safe side.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _cycle_eval
 from .branches import BranchChain, apply_chain
 from .catalog import EntireMap
-from .errors import OnPostsingularSet, OnSegment
+from .errors import DegeneratePointSet, OnPostsingularSet, OnSegment
 
 TWICE_PUNCTURED_K = 4.38
 
@@ -39,7 +38,7 @@ def punctured_disk_density(zeta: complex) -> float:
 def _as_points(p) -> np.ndarray:
     pts = np.asarray(p, dtype=complex).ravel()
     if pts.size == 0:
-        raise ValueError("point set is empty")
+        raise DegeneratePointSet("point set is empty")
     return pts
 
 
@@ -65,8 +64,8 @@ def density_lower(p, z: complex, k: float = TWICE_PUNCTURED_K) -> float:
     taking the maximum keeps the bound monotone under adding points to P.
     """
     pts = _as_points(p)
-    if pts.size < 2:
-        raise ValueError("density_lower needs at least two points")
+    if (pts == pts[0]).all():
+        raise DegeneratePointSet("density_lower needs at least two distinct points")
     if float(np.min(np.abs(pts - z))) < 1e-14:
         raise OnPostsingularSet(f"{z} is within 1e-14 of the point set")
     a = pts[:, None]
@@ -204,7 +203,7 @@ def contraction_audit(
     for x in region:
         x = complex(x)
         y = apply_chain(chain, x)
-        f_prime = 1.0 / abs(_cycle_eval(m, y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
+        f_prime = 1.0 / abs(m.iterate_with_derivative(y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
 
         bx = density_bound(p, x, segment=segment, k=k)
         by = density_bound(p, y, segment=segment, k=k)

@@ -3,12 +3,14 @@
 All CSVs carry a header row and '.' decimal separators; every float cell
 goes through _num, which prints the shortest repr of the Python float, so
 reruns under fixed seeds are byte-identical and numpy scalars print as plain
-numbers.
+numbers. canonical_json writes a complex number as its [re, im] pair and a
+dataclass instance as the object of its fields.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -116,11 +118,15 @@ def write_json(obj, path: str | Path) -> None:
     Path(path).write_text(canonical_json(obj) + "\n")
 
 
-def _scalar(o):
+def _encode(o):
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
     if isinstance(o, np.generic):
         return o.item()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_scalar)
+    return json.dumps(obj, indent=2, sort_keys=True, default=_encode)

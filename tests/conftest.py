@@ -90,4 +90,4 @@ def zexp_grid(zexp_map):
 @pytest.fixture(scope="session")
 def disk_calibration():
     """The walk-on-spheres disk oracle; shared by measure tests and acceptance."""
-    return fl.calibrate_disk(rng_seed=0, samples=10**4)
+    return fl.calibrate_disk(samples=10**4)

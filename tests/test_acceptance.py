@@ -29,11 +29,9 @@ def test_c01_exponential_fixed_points(exp_map):
     )
     assert res.kinds[0] == Kind.ATTRACTING
     # polish the attracting landing point with plain Newton on f(z) - z
-    from fatoulab.boundary import _cycle_eval
-
     z = iterate(cmath_exp_quarter, 0j, int(res.iterations[0]))
     for _ in range(60):
-        fz, d = _cycle_eval(exp_map, z, 1)
+        fz, d = exp_map.iterate_with_derivative(z, 1)
         if abs(fz - z) < 1e-14:
             break
         z = z - (fz - z) / (d - 1.0)

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import fatoulab as fl
 from fatoulab.blaschke import BOUNDARY, INTERIOR, build_lift
 from fatoulab.errors import PoleOnCircle, RotationLike
+from fatoulab.serialize import canonical_json
 
 TWO_PI = 2 * np.pi
 
@@ -58,8 +60,10 @@ def test_lift_consistency():
 
 
 def test_json_round_trip():
-    b2 = fl.BlaschkeProduct.from_json(B_GENERIC.to_json())
+    """canonical_json writes a product as its fields, the form from_json reads."""
+    b2 = fl.BlaschkeProduct.from_json(json.loads(canonical_json(B_GENERIC)))
     assert b2 == B_GENERIC
+    assert fl.BlaschkeProduct.from_json({"zeros": [[0.3, 0.2], [-0.1, 0.4]]}) == B_GENERIC
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,14 @@ def test_find_periodic_determinism(exp_map, exp_grid):
 def test_period_minimality(exp_map):
     # a Newton run at n = 3 still lands on the fixed point; divisor testing
     # reduces the reported period to 1 and no proper divisor is missed
-    from fatoulab.boundary import _cycle_eval, _minimize_period
+    from fatoulab.boundary import _minimize_period
 
     p3 = fl.newton_periodic(exp_map, 2.2, 3)
     assert abs(p3.point - QR) < 1e-10
     p = _minimize_period(exp_map, p3)
     assert p.period == 1
     assert 3 % p.period == 0
-    assert abs(_cycle_eval(exp_map, p.point, p.period)[0] - p.point) < 1e-8
+    assert abs(exp_map.iterate_with_derivative(p.point, p.period)[0] - p.point) < 1e-8
 
 
 def test_find_periodic_no_return(exp_map, exp_grid):

@@ -8,6 +8,7 @@ from fatoulab.errors import (
     AsymptoticValueCollision,
     BranchJumpDetected,
     CriticalValueCollision,
+    NewtonDiverged,
 )
 
 from conftest import QR
@@ -108,6 +109,26 @@ def test_chain_contraction_at_repelling_point(exp_map):
         z = QR + dz
         img = fl.apply_chain(chain, z)
         assert abs(img - QR) <= (1 / QR + 0.05) * abs(dz)
+
+
+def test_chain_fixing_follows_a_period_two_cycle(exp_map):
+    """The chain steps through p, f(p), p and its composed branch fixes p."""
+    p = fl.newton_periodic(exp_map, 2.5 + 6.0j, 2).point
+    chain = fl.chain_fixing(exp_map, p, 2, 2)
+    assert [s.anchor for s in chain.steps] == [p, exp_map.evaluate(p)]
+    assert abs(chain.terminal - p) < 1e-9
+    assert abs(fl.apply_chain(chain, p) - p) < 1e-9
+    assert len(fl.chain_fixing(exp_map, p, 4, 2)) == 4
+
+
+def test_inverse_at_the_shift_has_no_log_seed(zplus_map):
+    """At w = c the log seed is undefined; inverse skips it and either finds a
+    preimage from the other seed or fails with a package error."""
+    try:
+        z = inverse(zplus_map, 0.0, 0)
+    except NewtonDiverged:
+        return
+    assert abs(zplus_map.evaluate(z)) < 1e-12
 
 
 def test_chain_contraction_zexp(zexp_map):

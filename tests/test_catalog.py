@@ -58,7 +58,7 @@ def test_derivative_matches_central_difference():
         worst = 0.0
         for re, im in pts:
             z = complex(re, im)
-            d = m.derivative(z)
+            d = m.eval_with_derivative(z)[1]
             fd = (m.evaluate(z + h) - m.evaluate(z - h)) / (2 * h)
             worst = max(worst, abs(d - fd) / (1.0 + abs(d)))
         assert worst < 1e-6, (m.family, worst)
@@ -74,9 +74,18 @@ def test_family_validation():
     assert set(FAMILIES) == {"exp_lambda", "fatou_plus", "fatou_minus", "z_plus_exp", "z_exp"}
 
 
-def test_map_json_round_trip():
-    for m in all_maps():
-        assert EntireMap.from_json(m.to_json()) == m
+def test_map_from_json():
+    descriptors = [
+        {"family": "exp_lambda", "lambda": 0.25},
+        {"family": "fatou_plus"},
+        {"family": "fatou_minus"},
+        {"family": "z_plus_exp"},
+        {"family": "z_exp"},
+    ]
+    assert [EntireMap.from_json(d) for d in descriptors] == all_maps()
+    for bad in ({"lambda": 0.25}, {"family": "exp_lambda", "lambda": "quarter"}, ["z_exp"]):
+        with pytest.raises(ValueError):
+            EntireMap.from_json(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +116,7 @@ def test_critical_point_residuals():
     for m in all_maps():
         sd = fl.singular_values(m, k_bound=8)
         for cp, cv in zip(sd.critical_points, sd.critical_values):
-            assert abs(m.derivative(cp)) < 1e-12
+            assert abs(m.eval_with_derivative(cp)[1]) < 1e-12
             assert cv == m.evaluate(cp)  # listed values are exactly f(point)
 
 

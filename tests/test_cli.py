@@ -82,13 +82,16 @@ def test_schema_violations_exit_2(tmp_path):
         ("inner", {**BASE, "inner": {"candidate": {"num": [1], "den": []}}}),
         ("measure", {**BASE, "measure": {"basepoint": [0.3, 0.0],
                                          "calibration": {"samples": 200, "resolution": 2}}}),
+        ("audit", {**BASE, "audit": {"orbit": [[1.0, 0.0], [5.0, 0.0]], "region": {}}}),
+        ("audit", {**BASE, "audit": {"orbit": [[800.0, 0.0], [1.0, 0.0]], "region": {}}}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
          "segment_string", "orbit_and_fixed_point", "blaschke_zero_outside_disk",
          "candidate_string_coefficient", "escaping_scan_without_point",
          "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius",
-         "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2"],
+         "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2",
+         "audit_orbit_not_consecutive", "audit_orbit_overflows"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
@@ -231,6 +234,73 @@ def test_numerical_failure_exits_3(tmp_path):
     assert cli.main(["periodic", "--config", str(cfg), "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["errors"] and "NoReturnWithinBudget" in summary["errors"][0]
+
+
+EXP_QUARTER = {"family": "exp_lambda", "lambda": 0.25}
+
+
+@pytest.mark.parametrize(
+    "sub, payload, error",
+    [
+        ("measure", {"map": EXP_QUARTER, "resolution": [60, 60],
+                     "measure": {"basepoint": [3.5, 0.0], "n_samples": 100,
+                                 "calibration": {"samples": 2000, "resolution": 200}}},
+         "NotFatouClassified"),
+        ("audit", {"map": EXP_QUARTER,
+                   "audit": {"fixed_point": [2.2, 0.0], "cloud": {"depth": 0},
+                             "region": {"center": [2.15, 0.5], "radius": 0.1, "count": 4}}},
+         "DegeneratePointSet"),
+        ("audit", {"map": {"family": "z_exp"},
+                   "audit": {"fixed_point": [0.0, 2 * np.pi], "cloud": {"escape_radius": 1e-9},
+                             "region": {"center": [0.0, 2 * np.pi], "count": 4}}},
+         "DegeneratePointSet"),
+        ("inner", {"map": {"family": "z_exp"},
+                   "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}, "periods": [19]}},
+         "LiftGridExhausted"),
+    ],
+    ids=["basepoint_not_fatou", "cloud_of_one_point", "cloud_of_one_repeated_point",
+         "lift_grid_exhausted"],
+)
+def test_numerical_failures_are_package_errors(tmp_path, sub, payload, error):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "fail3"
+    assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["errors"][0].startswith(f"{error}: ")
+
+
+def test_run_lets_errors_from_outside_the_package_propagate(tmp_path, monkeypatch):
+    """Exit 3 reports a package error; any other exception is a bug and is not caught."""
+    def broken(cfg, out):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "render", broken)
+    cfg = cli.resolve_config(BASE, "render", {"out_dir": str(tmp_path / "out")})
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        cli.run("render", cfg)
+
+
+def test_access_and_audit_follow_a_period_two_cycle(tmp_path):
+    access = {"map": EXP_QUARTER, "window": [-2.0, 4.0, -8.0, 8.0], "resolution": [300, 300],
+              "access": {"seed": [2.5, 6.0], "period": 2, "z0": [0.5, 0.0], "steps": 3}}
+    cfg = write_config(tmp_path, access, "access.json")
+    out = tmp_path / "access"
+    assert cli.main(["access", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["point"]["period"] == 2
+    assert summary["point"]["point"] == pytest.approx([2.6550370741242513, 6.624256148158474],
+                                                      abs=1e-12)
+    assert 0.0 < summary["final_gap"] < 2e-4
+
+    audit = {"map": EXP_QUARTER,
+             "audit": {"fixed_point": [2.5, 6.0], "period": 2,
+                       "region": {"center": [2.6, 6.6], "radius": 0.1, "count": 10}}}
+    cfg = write_config(tmp_path, audit, "audit.json")
+    out = tmp_path / "audit"
+    assert cli.main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["points"] == 10
+    assert summary["certified_violations"] == 0
 
 
 def test_calibration_failure_exits_4(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 import fatoulab as fl
 from fatoulab import measure
-from fatoulab.errors import LeftWindow, TooManyWindowExits
+from fatoulab.errors import LeftWindow, NotFatouClassified, TooManyWindowExits
 from fatoulab.measure import (
     _DRAW_CHUNK,
     _MAX_WALK_STEPS,
@@ -27,7 +27,7 @@ def test_walk_eps_validation():
     g = fl.disk_grid(resolution=200)
     with pytest.raises(ValueError):
         _walk_hits(g, 0j, 0.5 * max(g.cell_size), 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotFatouClassified):
         _walk_hits(g, 1.15 + 0j, 2.5 * max(g.cell_size), 0, 1)
 
 
@@ -47,7 +47,7 @@ def test_calibration_disk_oracles(disk_calibration):
 
 
 def test_calibration_pinned(disk_calibration):
-    """The hits of calibrate_disk(rng_seed=0) are fixed; one moved hit shifts
+    """The hits of calibrate_disk are fixed; one moved hit shifts
     these statistics far beyond the tolerance."""
     assert disk_calibration.chi2_p == pytest.approx(0.25798432928256493, rel=1e-12)
     assert disk_calibration.ks_stat == pytest.approx(0.010589050454415327, rel=1e-12)
