@@ -14,8 +14,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from scipy.special import lambertw
-
 from .catalog import (
     EXP_LAMBDA,
     FATOU_MINUS,
@@ -42,6 +40,8 @@ _RESIDUAL_TOL = 1e-12
 ORBIT_TOL = 1e-8
 
 _EXP_SHIFT = {FATOU_PLUS: 1.0, FATOU_MINUS: -1.0, Z_PLUS_EXP: 0.0}
+# Principal Lambert W at -1: z e^z = -1, so z + exp(-z) = 0 (principal strip).
+_W0_MINUS_ONE = complex(-0.3181315052047642, 1.3372357014306893)
 
 
 def _singular_guard(m: EntireMap, w: complex, branch: int) -> complex | None:
@@ -129,6 +129,8 @@ def inverse(
 
 def _lambert_root(m: EntireMap, w: complex, k: int) -> complex:
     """The z_exp preimage -W_k(-w) on Lambert-W branch k, polished by Newton."""
+    from scipy.special import lambertw
+
     z = complex(-lambertw(-w, k=k))
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NewtonDiverged(f"Lambert-W branch {k} undefined at {w}")
@@ -137,9 +139,11 @@ def _lambert_root(m: EntireMap, w: complex, k: int) -> complex:
 
 def _seed_roots(m: EntireMap, v: complex) -> Iterator[complex]:
     """Newton roots of z + c + exp(-z) = v from the seeds v - c, where z
-    dominates, and -log(v - c), where exp(-z) does (skipped at v = c)."""
+    dominates, and -log(v - c), where exp(-z) does. At v = c the log seed does
+    not exist and v - c = 0 is the critical point, so the second seed is the
+    root W_0(-1) of z + exp(-z) = 0 itself."""
     u = v - _EXP_SHIFT[m.family]
-    for seed in (u, -cmath.log(u)) if u != 0 else (u,):
+    for seed in (u, -cmath.log(u) if u != 0 else _W0_MINUS_ONE):
         try:
             yield _damped_newton(m, v, seed)
         except NewtonDiverged:

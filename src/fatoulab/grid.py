@@ -12,14 +12,17 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .catalog import EntireMap
 from .errors import OutOfWindow
 from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, classify_orbits_array
 from .raster import label_by_class, outer_ring
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -119,6 +122,8 @@ class ClassificationGrid:
         """
         if label in self._tree_cache:
             return self._tree_cache[label]
+        from scipy.spatial import cKDTree
+
         own = np.pad(self.labels == label, 1, constant_values=label == 0)
         pts = self.cell_centers()[outer_ring(own)[1:-1, 1:-1]]
         tree = cKDTree(np.column_stack([pts.real, pts.imag])) if pts.size else None

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .catalog import EntireMap
 from .errors import LeftWindow, NotFatouClassified, TooManyWindowExits
@@ -340,9 +339,16 @@ def calibrate_disk(samples: int = 10**4, resolution: int = 400) -> CalibrationRe
     if exits:
         raise LeftWindow(f"{exits} disk calibration walks left the window")
 
+    from scipy.special import chdtrc
+
+    # Pearson's chi-squared against equal bins and the two-sided KS distance,
+    # computed as scipy.stats.chisquare and kstest do, so bit for bit equal.
     counts, _ = np.histogram(np.angle(center_hits), bins=_CAL_CHI2_BINS, range=(-math.pi, math.pi))
-    chi2_p = float(stats.chisquare(counts).pvalue)
-    ks = float(stats.kstest(np.angle(offset_hits), _poisson_cdf(0.5)).statistic)
+    expected = counts.mean()
+    chi2_p = float(chdtrc(_CAL_CHI2_BINS - 1, np.sum((counts - expected) ** 2 / expected)))
+    cdf = _poisson_cdf(0.5)(np.sort(np.angle(offset_hits)))
+    n = cdf.size
+    ks = float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
 
     return CalibrationResult(
         chi2_p=chi2_p,

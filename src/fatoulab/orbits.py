@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .catalog import (
     EXP_LAMBDA,
@@ -74,6 +73,8 @@ def default_attractors(
     """
     cycles: tuple[tuple[complex, int], ...] = ()
     if m.family == EXP_LAMBDA and 0 < m.lam < 1.0 / math.e:
+        from scipy.special import lambertw
+
         cycles = ((complex(-lambertw(-m.lam, 0)), 1),)
     elif m.family == FATOU_MINUS:
         cycles = tuple((complex(0.0, TWO_PI * k), 1) for k in range(-k_bound, k_bound + 1))

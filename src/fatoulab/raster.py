@@ -1,15 +1,18 @@
-"""Raster primitives: frame flood fill, 4-neighbour rings and component labeling."""
+"""Raster primitives: frame flood fill, 4-neighbour rings and component labeling.
+
+`scipy.ndimage` is imported inside each function, so importing this module
+(and every module that imports it) loads numpy alone.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 # 4-connectivity for foreground labeling avoids joining components across
 # diagonal Julia filaments; the complement flood uses the dual 8-connectivity
 # so that thin diagonal filaments do not spuriously enclose area.
-_CROSS = ndimage.generate_binary_structure(2, 1)
-_BOX = ndimage.generate_binary_structure(2, 2)
+_CROSS = np.array([[False, True, False], [True, True, True], [False, True, False]])
+_BOX = np.ones((3, 3), dtype=bool)
 
 
 def fill_from_infinity(mask: np.ndarray) -> np.ndarray:
@@ -19,6 +22,8 @@ def fill_from_infinity(mask: np.ndarray) -> np.ndarray:
     component touching them is reachable from infinity and stays unfilled.
     Idempotent and monotone in the mask.
     """
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-d boolean raster")
@@ -38,6 +43,8 @@ def fill_from_infinity(mask: np.ndarray) -> np.ndarray:
 
 def outer_ring(mask: np.ndarray) -> np.ndarray:
     """Cells outside `mask` that have a 4-neighbour inside it."""
+    from scipy import ndimage
+
     return ndimage.binary_dilation(mask, structure=_CROSS) & ~mask
 
 
@@ -47,6 +54,8 @@ def label_by_class(classes: np.ndarray) -> np.ndarray:
     Labels are 1-based and assigned in ascending class order then raster
     order, so reruns are stable. Cells of class 0 get label 0.
     """
+    from scipy import ndimage
+
     classes = np.asarray(classes)
     labels = np.zeros(classes.shape, dtype=np.int32)
     next_label = 1

@@ -1,10 +1,13 @@
 """Output writers: binary PPM images, CSV tables, canonical JSON.
 
-All CSVs carry a header row and '.' decimal separators; every float cell
-goes through _num, which prints the shortest repr of the Python float, so
-reruns under fixed seeds are byte-identical and numpy scalars print as plain
-numbers. canonical_json writes a complex number as its [re, im] pair and a
-dataclass instance as the object of its fields.
+All CSVs carry a header row and '.' decimal separators and end every line,
+the last one included, with CRLF, as csv.writer does. Every float cell goes
+through _num, which prints the shortest repr of the Python float, so reruns
+under fixed seeds are byte-identical and numpy scalars print as plain
+numbers. grid.csv has one row per cell, `x_index,y_index,kind,label,iterations`:
+integer indices, label and iteration count, and the kind's lower-case name,
+in raster order (iy outer, ix inner). canonical_json writes a complex number
+as its [re, im] pair and a dataclass instance as the object of its fields.
 """
 
 from __future__ import annotations
@@ -53,20 +56,14 @@ def grid_to_ppm(grid: ClassificationGrid, path: str | Path) -> None:
 
 
 def grid_to_csv(grid: ClassificationGrid, path: str | Path) -> None:
+    """One joined string per raster row; no cell needs csv quoting."""
+    names = [k.name.lower() for k in Kind]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x_index", "y_index", "kind", "label", "iterations"])
+        f.write("x_index,y_index,kind,label,iterations\r\n")
         for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                w.writerow(
-                    [
-                        ix,
-                        iy,
-                        Kind(int(grid.kinds[iy, ix])).name.lower(),
-                        int(grid.labels[iy, ix]),
-                        int(grid.iterations[iy, ix]),
-                    ]
-                )
+            row = zip(grid.kinds[iy].tolist(), grid.labels[iy].tolist(), grid.iterations[iy].tolist())
+            f.write("".join([f"{ix},{iy},{names[k]},{lab},{it}\r\n"
+                             for ix, (k, lab, it) in enumerate(row)]))
 
 
 def curve_to_csv(curve, path: str | Path) -> None:

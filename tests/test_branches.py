@@ -8,7 +8,6 @@ from fatoulab.errors import (
     AsymptoticValueCollision,
     BranchJumpDetected,
     CriticalValueCollision,
-    NewtonDiverged,
 )
 
 from conftest import QR
@@ -121,14 +120,16 @@ def test_chain_fixing_follows_a_period_two_cycle(exp_map):
     assert len(fl.chain_fixing(exp_map, p, 4, 2)) == 4
 
 
-def test_inverse_at_the_shift_has_no_log_seed(zplus_map):
-    """At w = c the log seed is undefined; inverse skips it and either finds a
-    preimage from the other seed or fails with a package error."""
-    try:
-        z = inverse(zplus_map, 0.0, 0)
-    except NewtonDiverged:
-        return
-    assert abs(zplus_map.evaluate(z)) < 1e-12
+def test_inverse_at_the_shift_has_no_log_seed():
+    """At w = c + 2 pi i k the log seed is undefined and v - c = 0 is the
+    critical point; the preimage W_0(-1) + 2 pi i k is still found."""
+    cases = [(fl.z_plus_exp(), 0.0, 0), (fl.fatou_plus(), 1.0, 0)]
+    cases += [(fl.fatou_minus(), -1.0 + TWO_PI * 1j * k, k) for k in range(-2, 3)]
+    for m, w, k in cases:
+        z = inverse(m, w, k)
+        assert abs(m.evaluate(z) - w) < 1e-12, (m.family, k)
+        assert branch_of(m, z) == k
+        assert abs(z - (-0.3181315052047642 + 1.3372357014306893j + TWO_PI * 1j * k)) < 1e-12
 
 
 def test_chain_contraction_zexp(zexp_map):

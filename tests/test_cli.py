@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fatoulab
 import fatoulab.cli as cli
@@ -390,14 +396,18 @@ def test_seed_override_changes_hash(tmp_path):
     assert h1 != h2
 
 
-def _python_m_fatoulab(*args):
-    """Run `python -m fatoulab` in a fresh interpreter on this checkout's package."""
+def _fresh_python(*args):
+    """Run `python *args` in a fresh interpreter on this checkout's package."""
     src = str(Path(fatoulab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "fatoulab", *args],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
+
+
+def _python_m_fatoulab(*args):
+    return _fresh_python("-m", "fatoulab", *args)
 
 
 def test_python_m_fatoulab_entry_point(tmp_path):
@@ -415,3 +425,139 @@ def test_python_m_fatoulab_entry_point(tmp_path):
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert not out.exists()
+
+
+# Prints the run's exit code (null when only importing) and the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+import fatoulab.cli as cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _scipy_loaded_by(*argv):
+    proc = _fresh_python("-c", _SCIPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    """SciPy is imported at its call sites: importing the CLI and an `inner`
+    run load none of it, and `render` loads neither stats nor spatial."""
+    assert _scipy_loaded_by() == [None, []]
+    inner = Path(__file__).resolve().parents[1] / "examples" / "inner.json"
+    assert _scipy_loaded_by("inner", "--config", str(inner), "--out", str(tmp_path / "inner")) == [0, []]
+    cfg = write_config(tmp_path, {**BASE, "resolution": [20, 20]})
+    code, loaded = _scipy_loaded_by("render", "--config", str(cfg), "--out", str(tmp_path / "render"))
+    assert code == 0
+    assert not [m for m in loaded if m.split(".")[1:2] in (["stats"], ["spatial"])]
+
+
+# One config per subcommand that gives every field of SCHEMA a value of the
+# JSON type it takes; `audit` holds both an orbit and a fixed point, so that
+# each of the two is typed (the pair passes the table, not the audit rule).
+_TOP = {
+    "map": {"family": "exp_lambda", "lambda": 0.25},
+    "window": [-2.0, 4.0, -3.0, 3.0],
+    "resolution": [20, 20],
+    "budgets": {"orbit": 50, "pullback": 50, "walk": 1000},
+    "escape_radius": 50.0,
+    "tolerances": {"orbit_tol": 1e-6},
+    "attractors": "auto",
+    "rng_seed": 0,
+    "threads": 1,
+    "out_dir": "out",
+}
+_SECTIONS = {
+    "render": {},
+    "periodic": {"seed_region": [2.0, 2.3, -0.1, 0.1], "max_period": 2, "return_radius_cells": 5.0},
+    "access": {"seed": [2.15, 0.0], "z0": [1.8, 0.0], "steps": 5, "period": 1},
+    "audit": {"region": {"center": [2.15, 0.0], "radius": 0.3, "count": 8},
+              "cloud": {"depth": 5, "k_bound": 1, "escape_radius": 1e6},
+              "orbit": [[2.15, 0.0]], "fixed_point": [2.15, 0.0], "period": 1, "length": 2,
+              "segment": 0.5},
+    "measure": {"basepoint": [0.3, 0.0], "n_samples": 100, "orbit_budget": 50,
+                "walk_eps_cells": 2.5, "targets": [[0.36, 0.0]],
+                "calibration": {"samples": 100, "resolution": 40}},
+    "inner": {"blaschke": {"rotation": [1.0, 0.0], "zeros": [[0.0, 0.0], [0.0, 0.0]]},
+              "candidate": {"num": [3, 0, 1], "den": [1, 0, 3]}, "periods": [1], "samples": 100},
+    "scan": {"kind": "escaping", "probes": [[2.0, 0.0]], "point": [2.15, 0.0], "period": 1,
+             "budget": 10},
+}
+# Fields that take more than the JSON type of the value above.
+_ALSO_TAKES = {"attractors": {"list"}, "audit.segment": {"null"}}
+
+
+def _json_type(v) -> str:
+    if isinstance(v, bool):
+        return "bool"
+    return {type(None): "null", int: "int", float: "float", str: "str",
+            list: "list", dict: "object"}[type(v)]
+
+
+def _typed_config(key: str) -> tuple[str, dict]:
+    """The subcommand whose run checks `key`, and its fully typed config."""
+    head = key.partition(".")[0]
+    sub = head if head in cli.SUBCOMMANDS else "render"
+    return sub, {**copy.deepcopy(_TOP), sub: copy.deepcopy(_SECTIONS[sub])}
+
+
+def _field(cfg: dict, key: str):
+    *parents, name = key.split(".")
+    for p in parents:
+        cfg = cfg[p]
+    return cfg, name
+
+
+def _accepted_types(key: str) -> set[str]:
+    holder, name = _field(_typed_config(key)[1], key)
+    kind = _json_type(holder[name])
+    return ({kind, "int"} if kind == "float" else {kind}) | _ALSO_TAKES.get(key, set())
+
+
+def test_typed_configs_name_every_schema_field():
+    for key in cli.SCHEMA:
+        holder, name = _field(_typed_config(key)[1], key)
+        assert name in holder, key
+    for sub in cli.SUBCOMMANDS:
+        cfg = _typed_config(sub)[1]
+        cfg[sub].pop("orbit", None)
+        cli.resolve_config(cfg, sub, {})
+
+
+_SCALAR = st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=6)
+_OF_TYPE = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=6),
+    "list": st.lists(_SCALAR, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _SCALAR, max_size=3),
+}
+# A field, then a JSON type it does not take, then a value of that type.
+_WRONG_TYPE = st.sampled_from(list(cli.SCHEMA)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(
+        sorted(set(_OF_TYPE) - _accepted_types(key))).flatmap(_OF_TYPE.get))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_WRONG_TYPE)
+def test_wrong_json_type_in_any_field_exits_2_and_writes_nothing(case):
+    key, value = case
+    sub, cfg = _typed_config(key)
+    holder, name = _field(cfg, key)
+    holder[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        if key != "out_dir":
+            cfg["out_dir"] = str(Path(tmp) / "out")
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([sub, "--config", str(path)])
+        assert code == 2, (key, value)
+        assert stderr.getvalue().startswith(f"config error: {key}:"), stderr.getvalue()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["cfg.json"]

@@ -53,6 +53,28 @@ def test_calibration_pinned(disk_calibration):
     assert disk_calibration.ks_stat == pytest.approx(0.010589050454415327, rel=1e-12)
 
 
+def test_calibration_statistics_equal_scipy_stats(monkeypatch):
+    """calibrate_disk's chi-squared p and KS distance are bit for bit those of
+    scipy.stats, on seeded hit sets of varied size and shape."""
+    from scipy import stats
+
+    rng = np.random.default_rng(11)
+    draws = {}
+
+    def fake_hits(grid, basepoint, eps, key, n):
+        # Uniform centre hits; offset hits peaked like a Poisson kernel.
+        theta = rng.uniform(-np.pi, np.pi, n) if key == 0 else rng.vonmises(0.0, 1.0, n)
+        draws[key] = np.exp(1j * theta)
+        return draws[key]
+
+    monkeypatch.setattr(measure, "_walk_hits", fake_hits)
+    for n in rng.integers(50, 3000, 50):
+        cal = measure.calibrate_disk(samples=int(n), resolution=8)
+        counts, _ = np.histogram(np.angle(draws[0]), bins=16, range=(-np.pi, np.pi))
+        assert cal.chi2_p == stats.chisquare(counts).pvalue
+        assert cal.ks_stat == stats.kstest(np.angle(draws[1]), measure._poisson_cdf(0.5)).statistic
+
+
 def test_calibration_exit_raises_left_window(monkeypatch):
     """A disk wider than the window lets walks exit; that is an error, not a NaN hit."""
     monkeypatch.setattr(

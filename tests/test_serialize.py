@@ -1,7 +1,11 @@
+import csv
+
 import numpy as np
 
 import fatoulab as fl
 from fatoulab import serialize
+from fatoulab.grid import ClassificationGrid
+from fatoulab.orbits import Kind
 
 from conftest import QR
 
@@ -49,3 +53,34 @@ def test_grid_threads_deterministic(exp_map):
     assert np.array_equal(g1.kinds, g4.kinds)
     assert np.array_equal(g1.iterations, g4.iterations)
     assert np.array_equal(g1.classes, g4.classes)
+
+
+def _grid_csv_reference(grid, path):
+    """grid.csv as csv.writer writes it, one row per cell: the reference bytes."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x_index", "y_index", "kind", "label", "iterations"])
+        for iy in range(grid.ny):
+            for ix in range(grid.nx):
+                w.writerow([ix, iy, Kind(int(grid.kinds[iy, ix])).name.lower(),
+                            int(grid.labels[iy, ix]), int(grid.iterations[iy, ix])])
+
+
+def test_grid_csv_bytes_equal_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    ny, nx = 7, 11
+    kinds = rng.integers(0, 4, (ny, nx)).astype(np.int8)
+    assert set(kinds.ravel().tolist()) == {int(k) for k in Kind}
+    grid = ClassificationGrid(
+        window=(-1.0, 1.0, -1.0, 1.0), nx=nx, ny=ny, kinds=kinds,
+        labels=rng.integers(0, 40, (ny, nx)).astype(np.int32),
+        iterations=rng.integers(0, 2000, (ny, nx)).astype(np.int32),
+        classes=np.zeros((ny, nx), dtype=np.int32), attractors=(), budget=2000,
+        escape_radius=50.0, tol=1e-6,
+    )
+    assert grid.labels.max() > 0
+    serialize.grid_to_csv(grid, tmp_path / "grid.csv")
+    _grid_csv_reference(grid, tmp_path / "reference.csv")
+    data = (tmp_path / "grid.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert data.count(b"\r\n") == 1 + nx * ny
