@@ -98,14 +98,18 @@ class EntireMap:
     def evaluate_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised f(z); returns (values, overflow_mask), never raises Overflow.
 
-        Overflowing entries hold +inf-ish garbage and must be read through
-        the mask; the orbit engine maps them to escape evidence.
+        An entry whose exp argument overflows holds f evaluated with that
+        argument replaced by 0, a finite value with no meaning; read it
+        through the mask, which the orbit engine maps to escape evidence.
+        The mask also marks non-finite values.
         """
         z = np.asarray(z, dtype=complex)
         arg = self._exp_argument(z)
         bad = arg.real > _EXP_OVERFLOW
-        w = self._value(z, np.exp(np.where(bad, 0.0, arg)))
-        bad = bad | ~np.isfinite(w.real) | ~np.isfinite(w.imag)
+        if bad.any():
+            arg = np.where(bad, 0.0, arg)
+        w = self._value(z, np.exp(arg))
+        bad |= ~np.isfinite(w)
         return w, bad
 
     @staticmethod

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 import fatoulab as fl
 from fatoulab.errors import OutOfWindow
 from fatoulab.grid import label_components
 from fatoulab.orbits import CLASS_ATTRACTING, CLASS_DRIFT, CLASS_PARABOLIC, Kind
-from fatoulab.raster import fill_from_infinity
+from fatoulab.raster import fill_from_infinity, label_by_class, outer_ring
 
 TWO_PI = 2 * np.pi
 
@@ -168,6 +169,90 @@ def test_fill_idempotent(m):
 def test_fill_monotone(a, b):
     small = a & b
     assert not (fill_from_infinity(small) & ~fill_from_infinity(a)).any()
+
+
+# ---------------------------------------------------------------------------
+# label_by_class and outer_ring against scipy.ndimage
+# ---------------------------------------------------------------------------
+
+_CROSS = np.array([[False, True, False], [True, True, True], [False, True, False]])
+
+
+def _ndimage_label_by_class(classes):
+    """Reference: `ndimage.label` of each nonzero class in ascending class order."""
+    labels = np.zeros(classes.shape, dtype=np.int32)
+    next_label = 1
+    for cls in np.unique(classes[classes != 0]):
+        mask = classes == cls
+        lab, n = ndimage.label(mask, structure=_CROSS)
+        labels[mask] = lab[mask] + (next_label - 1)
+        next_label += n
+    return labels
+
+
+def _assert_raster_primitives_equal_ndimage(classes):
+    assert np.array_equal(label_by_class(classes), _ndimage_label_by_class(classes))
+    mask = classes != 0
+    assert np.array_equal(outer_ring(mask), ndimage.binary_dilation(mask, _CROSS) & ~mask)
+
+
+def _spiral(n):
+    """A one-cell-wide square spiral path: one component made of many short runs."""
+    m = np.zeros((n, n), dtype=bool)
+    y = x = 0
+    m[0, 0] = True
+    lengths = [n - 1] * 3 + [k for k in range(n - 3, 0, -2) for _ in (0, 1)]
+    for i, length in enumerate(lengths):
+        dy, dx = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            m[y, x] = True
+    return m
+
+
+def _comb(n):
+    """Teeth on every other column, joined only along the top row."""
+    m = np.zeros((n, n), dtype=bool)
+    m[0] = True
+    m[:, ::2] = True
+    return m
+
+
+_WORST_CASES = {
+    "empty": np.zeros((7, 9), dtype=bool),
+    "full": np.ones((7, 9), dtype=bool),
+    "1xn": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool),
+    "nx1": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool).T,
+    "comb": _comb(31),
+    "comb_transposed": _comb(31).T,
+    "spiral": _spiral(31),
+    "spiral_even": _spiral(32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORST_CASES))
+def test_raster_primitives_equal_ndimage_on_worst_cases(name):
+    """The shapes that need the most propagation rounds, one class each."""
+    mask = _WORST_CASES[name]
+    if name.startswith("spiral"):
+        assert ndimage.label(mask, structure=_CROSS)[1] == 1
+    _assert_raster_primitives_equal_ndimage(mask.astype(np.int32) * CLASS_PARABOLIC)
+
+
+class_rasters = hnp.arrays(
+    np.int32,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+    elements=st.sampled_from(
+        [0, 0, CLASS_ATTRACTING, CLASS_ATTRACTING + 1, CLASS_PARABOLIC, CLASS_DRIFT - 1]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_rasters)
+def test_raster_primitives_equal_ndimage(classes):
+    """Per-class labels and the 4-neighbour ring equal scipy.ndimage's."""
+    _assert_raster_primitives_equal_ndimage(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatoulab as fl
+from fatoulab import orbits
 from fatoulab.orbits import (
     CLASS_ATTRACTING,
     CLASS_DRIFT,
@@ -138,3 +139,27 @@ def test_scalar_matches_array_kernel(exp_map, exp_grid):
     batch = zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist())
     for z, verdict in zip(pts.tolist(), batch):
         assert _one(exp_map, z, exp_grid.budget, **kw) == verdict
+
+
+@pytest.mark.parametrize("block, n", [(7, 150), (1000, 2500)])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
+    """Blocks of 7 and of 1000 points give the single-block kinds, iterations
+    and classes: drift runs (z_plus_exp), parabolic verdicts (z_exp) and
+    attractor captures (exp_lambda) end at many steps inside each block."""
+    rng = np.random.default_rng(5)
+    cases = (
+        (fl.z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING),
+        (fl.z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC),
+        (fl.exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING),
+    )
+    for m, (re0, re1, im0, im1), budget, kind in cases:
+        z = rng.uniform(re0, re1, n) + 1j * rng.uniform(im0, im1, n)
+        kw = dict(attractors=fl.default_attractors(m))
+        whole = classify_orbits_array(m, z, budget, **kw)
+        assert ((whole.kinds == kind) & (whole.classes != 0)).any()
+        assert np.unique(whole.iterations).size > 5
+        monkeypatch.setattr(orbits, "_BLOCK", block)
+        blocked = classify_orbits_array(m, z, budget, **kw)
+        monkeypatch.undo()
+        for name in ("kinds", "iterations", "classes"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (m.family, name)
