@@ -49,7 +49,7 @@ def _boundary_distance(grid: ClassificationGrid | None, z: complex) -> float:
     if grid is None or not grid.labeled:
         return math.nan
     label = grid.label_at(z) if grid.contains(z) else 0
-    return float(grid.nearest_other_label(label, z)[0])
+    return float(grid.nearest_other_label(label, (z.real, z.imag))[0])
 
 
 def newton_periodic(

@@ -351,7 +351,9 @@ def ps_audit(
     labels = np.array([grid.label_at(z) for z in points.tolist()], dtype=int)
     dist = np.zeros(len(checked))
     for label in np.unique(labels[labels > 0]).tolist():
-        dist[labels == label] = grid.nearest_other_label(label, points[labels == label])[0]
+        own = points[labels == label]
+        xy = np.stack((own.real, own.imag), -1)
+        dist[labels == label] = grid.nearest_other_label(label, xy)[0]
     offending = [s for s, d in zip(checked, dist) if d < delta]
     min_distance = float(dist.min()) if dist.size else math.inf
 

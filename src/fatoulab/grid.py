@@ -95,20 +95,26 @@ class ClassificationGrid:
 
     # -- distance queries ----------------------------------------------------
 
-    def nearest_other_label(self, label: int, points) -> tuple[np.ndarray, np.ndarray]:
-        """Distances from `points` to the nearest center of a cell not labelled `label`,
-        and those centers (inf and NaN when no cell carries another label).
+    def nearest_other_label(self, label: int, xy) -> tuple[np.ndarray, np.ndarray]:
+        """Distances from the points `xy` (real coordinates along a last axis
+        of length 2) to the nearest center of a cell not labelled `label`, and
+        the indices of those centers for `other_label_center` (inf and -1 when
+        no cell carries another label).
 
         Exact for points whose cell carries `label`; a point outside the
         window counts as label 0.
         """
-        z = np.asarray(points, dtype=complex)
+        xy = np.asarray(xy, dtype=float)
         tree = self._other_label_tree(label)
         if tree is None:
-            return np.full(z.shape, np.inf), np.full(z.shape, complex(np.nan, np.nan))
-        d, i = tree.query(np.column_stack((z.real.ravel(), z.imag.ravel())))
-        c = tree.data[i]
-        return d.reshape(z.shape), (c[:, 0] + 1j * c[:, 1]).reshape(z.shape)
+            return np.full(xy.shape[:-1], np.inf), np.full(xy.shape[:-1], -1)
+        return tree.query(xy)
+
+    def other_label_center(self, label: int, index) -> np.ndarray:
+        """The centers, as complex numbers, that `nearest_other_label(label, ...)`
+        returned as `index` (with finite distance)."""
+        c = self._other_label_tree(label).data[index]
+        return c[..., 0] + 1j * c[..., 1]
 
     def _other_label_tree(self, label: int) -> cKDTree | None:
         """KD-tree of the other-label cell centers that are 4-adjacent to `label`.

@@ -3,10 +3,11 @@
 Walks step by the conservative lower distance estimate, so they can never
 jump across Julia filaments; the reported numbers are budgeted estimates on
 the raster approximation of the boundary, at smoothing scale walk_eps.
-Walkers advance in lockstep, one KD-tree query per step for a whole block.
-Each walker draws from its own counter-based Philox stream keyed by (seed,
-sample_index), so every hit is independent of the block size and of the
-order in which walkers are processed.
+Walkers advance in lockstep, one KD-tree query per step for a whole block
+(the first step reuses the basepoint's query). Each walker draws from its
+own counter-based Philox stream keyed by (seed, sample_index); one numpy
+call computes the next chunk of every stream that needs one. So every hit is
+independent of the block size and of the order in which walkers are processed.
 """
 
 from __future__ import annotations
@@ -30,37 +31,44 @@ _BLOCK = 1024  # walkers advanced together; bounds the per-block arrays
 # fresh counter block and can be addressed by (key, counter) alone.
 _DRAW_CHUNK = 32
 
+# Philox4x64-10 (Salmon et al. 2011): round multipliers and Weyl key bumps.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
 
-def _sample_rng(seed: int, sample_index: int) -> np.random.Generator:
-    key = np.array([seed, sample_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products m*x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> 32
+    lo_hi, hi_lo = x_lo * m_hi, x_hi * m_lo
+    carry = ((x_lo * m_lo) >> 32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    return x * np.uint64(m), x_hi * m_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
 
 
-def _keyed_chunks(seed: int) -> Callable[[int, int], np.ndarray]:
-    """draw(i, r): the r-th chunk of _DRAW_CHUNK uniforms of stream _sample_rng(seed, i).
+def _philox_chunks(seed: int, walkers, refill: int) -> np.ndarray:
+    """Chunk `refill` of _DRAW_CHUNK uniforms of each stream (seed, i), i in `walkers`.
 
-    Philox is counter-based, so one generator re-keyed per chunk reproduces
-    every stream without keeping a generator per walker.
+    Row k holds the draws refill*_DRAW_CHUNK.. of
+    np.random.Generator(np.random.Philox(key=[seed, walkers[k]])).uniform(),
+    bit for bit: that generator increments its 256-bit counter before each
+    block of four words, so block b of a stream is Philox4x64-10 of the
+    counter b + 1 under the key (seed, i), and each uniform is
+    (word >> 11) * 2**-53. All arithmetic is on uint64 arrays, which wrap.
     """
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    blocks_per_chunk = _DRAW_CHUNK // 4
-
-    def draw(i: int, r: int) -> np.ndarray:
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([r * blocks_per_chunk, 0, 0, 0], dtype=np.uint64),
-                "key": np.array([seed, i], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen.uniform(size=_DRAW_CHUNK)
-
-    return draw
+    blocks = _DRAW_CHUNK // 4
+    k1 = np.asarray(walkers, dtype=np.uint64)[:, None]
+    k0 = np.full(1, seed, dtype=np.uint64)
+    c0 = np.arange(refill * blocks + 1, (refill + 1) * blocks + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(c0, (k1.shape[0], blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for _ in range(10):
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(k1.shape[0], _DRAW_CHUNK)
+    return (words >> 11) * 2.0**-53
 
 
 def _walk_lockstep(
@@ -68,18 +76,19 @@ def _walk_lockstep(
     basepoint: complex,
     walk_eps: float,
     n: int,
-    draw: Callable[[int, int], np.ndarray],
+    draw: Callable[[np.ndarray, int], np.ndarray],
     max_steps: int,
 ) -> np.ndarray:
     """Walk-on-spheres from `basepoint` for walkers 0..n-1, in lockstep.
 
-    Each step queries the KD-tree once for all live walkers. A walker whose
-    lower distance estimate drops below walk_eps records the nearest
-    boundary-raster cell center; otherwise it jumps to a uniform point on the
-    circle of radius lower (capped at a quarter of the window diagonal). A
-    walker that leaves the window or exceeds max_steps records NaN. Walker j
-    takes one uniform per jump from its own stream, refilled in chunks by
-    draw(j, r) for r = 0, 1, ..., so its hit does not depend on the others.
+    Each step queries the KD-tree once for all live walkers; step 0 reuses
+    the basepoint's own query. A walker whose lower distance estimate drops
+    below walk_eps records the nearest boundary-raster cell center;
+    otherwise it jumps to a uniform point on the circle of radius lower
+    (capped at a quarter of the window diagonal). A walker that leaves the
+    window or exceeds max_steps records NaN. Walker j takes one uniform per
+    jump from its own stream, refilled in chunks: draw(js, r) holds chunk r
+    of the streams of walkers js, one row each, so no hit depends on another.
     """
     hx, hy = grid.cell_size
     if walk_eps < 2.0 * max(hx, hy) - 1e-12:
@@ -88,37 +97,40 @@ def _walk_lockstep(
     if label == 0:
         raise NotFatouClassified(f"basepoint {basepoint} is not Fatou-classified")
     hits = np.full(n, complex(math.nan, math.nan))
-    if math.isinf(grid.nearest_other_label(label, basepoint)[0]):
+    start = (basepoint.real, basepoint.imag)
+    d0, nearest0 = grid.nearest_other_label(label, start)
+    if math.isinf(d0):
         # No boundary raster inside the window; every walk is an exit.
         return hits
     re_min, re_max, im_min, im_max = grid.window
     cap = 0.25 * math.hypot(re_max - re_min, im_max - im_min)
+    corner_lo, corner_hi = np.array([re_min, im_min]), np.array([re_max, im_max])
     diag = grid.cell_diagonal
 
     live = np.arange(n)
-    x = np.full(n, float(basepoint.real))
-    y = np.full(n, float(basepoint.imag))
+    xy = np.tile(np.array(start, dtype=float), (n, 1))
+    d, nearest = np.full(n, d0), np.full(n, nearest0)
     draws = np.empty((n, _DRAW_CHUNK))
     for step in range(max_steps):
-        d, nearest = grid.nearest_other_label(label, x + 1j * y)
+        if step:
+            d, nearest = grid.nearest_other_label(label, xy)
         lower = np.maximum(d - diag, 0.0)
         done = lower < walk_eps
         if done.any():
-            hits[live[done]] = nearest[done]
+            hits[live[done]] = grid.other_label_center(label, nearest[done])
             walking = ~done
-            live, x, y, lower = live[walking], x[walking], y[walking], lower[walking]
+            live, xy, lower = live[walking], xy[walking], lower[walking]
         if live.size == 0:
             break
         refill, col = divmod(step, _DRAW_CHUNK)
         if col == 0:
-            for j in live.tolist():
-                draws[j] = draw(j, refill)
+            draws[live] = draw(live, refill)
         radius = np.minimum(lower, cap)
         theta = TWO_PI * draws[live, col]
-        x = x + radius * np.cos(theta)
-        y = y + radius * np.sin(theta)
-        inside = (re_min <= x) & (x <= re_max) & (im_min <= y) & (y <= im_max)
-        live, x, y = live[inside], x[inside], y[inside]
+        xy[:, 0] += radius * np.cos(theta)
+        xy[:, 1] += radius * np.sin(theta)
+        inside = ((corner_lo <= xy) & (xy <= corner_hi)).all(axis=1)
+        live, xy = live[inside], xy[inside]
     return hits
 
 
@@ -131,12 +143,12 @@ def _walk_hits(
     max_steps: int = _MAX_WALK_STEPS,
 ) -> np.ndarray:
     """Hits of walks 0..n_walks-1 on the streams (seed, i); NaN marks an exit."""
-    draw = _keyed_chunks(seed)
     hits = np.empty(n_walks, dtype=complex)
     for lo in range(0, n_walks, _BLOCK):
         hi = min(lo + _BLOCK, n_walks)
         hits[lo:hi] = _walk_lockstep(
-            grid, basepoint, walk_eps, hi - lo, lambda j, r, lo=lo: draw(lo + j, r), max_steps
+            grid, basepoint, walk_eps, hi - lo,
+            lambda js, r, lo=lo: _philox_chunks(seed, lo + js, r), max_steps,
         )
     return hits
 

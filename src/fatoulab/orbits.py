@@ -29,6 +29,7 @@ from .catalog import (
     Z_EXP,
     Z_PLUS_EXP,
     EntireMap,
+    damped_newton,
 )
 
 DEFAULT_ESCAPE_RADIUS = 50.0
@@ -83,9 +84,14 @@ def default_attractors(
     """
     cycles: tuple[tuple[complex, int], ...] = ()
     if m.family == EXP_LAMBDA and 0 < m.lam < 1.0 / math.e:
-        from scipy.special import lambertw
 
-        cycles = ((complex(-lambertw(-m.lam, 0)), 1),)
+        def g(z: complex) -> tuple[complex, complex]:
+            fz, dfz = m.eval_with_derivative(z)
+            return fz - z, dfz - 1.0
+
+        # From 0, Newton lands on -W0(-lam) in [0, 1). A residual of 1e-15 can
+        # stop a step early, up to 3e-15 off; 3e-16 is just above rounding.
+        cycles = ((complex(damped_newton(g, 0.0, 3e-16, 50)), 1),)
     elif m.family == FATOU_MINUS:
         cycles = tuple((complex(0.0, TWO_PI * k), 1) for k in range(-k_bound, k_bound + 1))
     return tuple(c for c in cycles if abs(c[0]) < escape_radius)

@@ -444,19 +444,15 @@ def _scipy_loaded_by(*argv):
 
 def test_scipy_loads_only_where_it_is_used(tmp_path):
     """SciPy is imported at its call sites: importing the CLI, an `inner` run
-    and a `render` of a map without an attracting cycle load none of it, and
-    the `exp_lambda` render loads `scipy.special` (its Lambert W attractor)
-    but neither ndimage, stats nor spatial."""
+    and a `render` of `z_exp` or of `exp_lambda` (its attracting fixed point
+    found by damped Newton) load none of it."""
     assert _scipy_loaded_by() == [None, []]
     inner = Path(__file__).resolve().parents[1] / "examples" / "inner.json"
     assert _scipy_loaded_by("inner", "--config", str(inner), "--out", str(tmp_path / "inner")) == [0, []]
     zexp = write_config(tmp_path, {**BASE, "map": {"family": "z_exp"}, "resolution": [20, 20]}, "z.json")
     assert _scipy_loaded_by("render", "--config", str(zexp), "--out", str(tmp_path / "z")) == [0, []]
     cfg = write_config(tmp_path, {**BASE, "resolution": [20, 20]})
-    code, loaded = _scipy_loaded_by("render", "--config", str(cfg), "--out", str(tmp_path / "render"))
-    assert code == 0
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.split(".")[1:2] in (["ndimage"], ["stats"], ["spatial"])]
+    assert _scipy_loaded_by("render", "--config", str(cfg), "--out", str(tmp_path / "render")) == [0, []]
 
 
 # One config per subcommand that gives every field of SCHEMA a value of the

@@ -261,7 +261,7 @@ def test_raster_primitives_equal_ndimage(classes):
 
 
 def _distance(g, z):
-    return float(g.nearest_other_label(g.label_at(z), z)[0])
+    return float(g.nearest_other_label(g.label_at(z), (z.real, z.imag))[0])
 
 
 def test_distance_in_disk_grid():
@@ -270,7 +270,7 @@ def test_distance_in_disk_grid():
     with pytest.raises(OutOfWindow):
         g.label_at(10 + 0j)
     # outside the window is label 0, whose nearest other label is the disk
-    d = float(g.nearest_other_label(0, 10 + 0j)[0])
+    d = float(g.nearest_other_label(0, (10.0, 0.0))[0])
     assert 9.0 < d <= 9.0 + g.cell_diagonal
 
 
@@ -321,7 +321,8 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
     outside = rng.uniform(-15.0, 55.0, 600) + 1j * rng.uniform(-15.0, 45.0, 600)
     outside = outside[~g.contains(outside)]
     assert outside.size > 300
-    d, nearest = g.nearest_other_label(0, outside)
+    d, i = g.nearest_other_label(0, np.stack((outside.real, outside.imag), -1))
+    nearest = g.other_label_center(0, i)
     assert d.tolist() == [brute_force(z, 0) for z in outside]
     assert all(g.label_at(c) > 0 for c in nearest.tolist())
     assert np.allclose(np.abs(nearest - outside), d, rtol=1e-14, atol=0.0)

@@ -7,8 +7,7 @@ from fatoulab.errors import LeftWindow, NotFatouClassified, TooManyWindowExits
 from fatoulab.measure import (
     _DRAW_CHUNK,
     _MAX_WALK_STEPS,
-    _keyed_chunks,
-    _sample_rng,
+    _philox_chunks,
     _walk_hits,
     _walk_lockstep,
 )
@@ -102,13 +101,22 @@ def test_measure_report_independent_of_block_size(exp_map, exp_wide_grid, monkey
     assert [(h.sample_id, h.hit) for h in r1.hits] == [(h.sample_id, h.hit) for h in r2.hits]
 
 
-def test_keyed_chunks_follow_the_sample_stream():
-    """Chunk r of walker i is draws r*k..(r+1)*k-1 of _sample_rng(seed, i)."""
-    draw = _keyed_chunks(4)
-    for i in (0, 1, 977):
-        stream = _sample_rng(4, i).uniform(size=3 * _DRAW_CHUNK)
-        for r in range(3):
-            assert np.array_equal(draw(i, r), stream[r * _DRAW_CHUNK:(r + 1) * _DRAW_CHUNK])
+def _sample_rng(seed, sample_index):
+    """The stream (seed, sample_index), from numpy's own Philox bit generator."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, sample_index], dtype=np.uint64)))
+
+
+def test_philox_chunks_equal_numpy_philox_at_edge_keys_and_counters():
+    """Chunk r of walker i is draws r*k..(r+1)*k-1 of _sample_rng(seed, i), bit for
+    bit, for keys at the edges of both 64-bit words, drawn for all walkers at once."""
+    walkers = np.array([0, 2**32 - 1, 2**32, 2**63], dtype=np.uint64)
+    for seed in (0, 1, 2**64 - 1):
+        streams = [_sample_rng(seed, int(i)).uniform(size=4 * _DRAW_CHUNK) for i in walkers]
+        for r in range(4):
+            chunks = _philox_chunks(seed, walkers, r)
+            assert chunks.shape == (walkers.size, _DRAW_CHUNK)
+            for chunk, stream in zip(chunks, streams):
+                assert chunk.tobytes() == stream[r * _DRAW_CHUNK:(r + 1) * _DRAW_CHUNK].tobytes()
 
 
 def _single_walker_hits(grid, basepoint, eps, seed, n):
@@ -117,7 +125,7 @@ def _single_walker_hits(grid, basepoint, eps, seed, n):
     for i in range(n):
         rng = _sample_rng(seed, i)
         hit = _walk_lockstep(
-            grid, basepoint, eps, 1, lambda j, r: rng.uniform(size=_DRAW_CHUNK), _MAX_WALK_STEPS
+            grid, basepoint, eps, 1, lambda js, r: rng.uniform(size=(1, _DRAW_CHUNK)), _MAX_WALK_STEPS
         )[0]
         hits.append(None if np.isnan(hit.real) else complex(hit))
     return hits
@@ -142,6 +150,39 @@ def test_lockstep_hits_equal_single_walker_hits_with_exits(exp_map, exp_wide_gri
     assert [h for h, e in zip(batched.tolist(), exited) if not e] == [
         h for h in single if h is not None
     ]
+
+
+def test_basepoint_near_the_boundary_stops_every_walker_at_step_0(monkeypatch):
+    """Within walk_eps of the boundary raster, every walk ends before its first
+    jump, at the basepoint's nearest center, from the one basepoint query."""
+    g = fl.disk_grid(resolution=200)
+    eps = 2.5 * max(g.cell_size)
+    basepoint = 0.985 + 0.01j
+    label = g.label_at(basepoint)
+    d, i = g.nearest_other_label(label, (basepoint.real, basepoint.imag))
+    assert d - g.cell_diagonal < eps
+    nearest = complex(g.other_label_center(label, i))
+    queries = []
+    query = type(g).nearest_other_label
+
+    def counted(self, *args):
+        queries.append(args)
+        return query(self, *args)
+
+    monkeypatch.setattr(type(g), "nearest_other_label", counted)
+    hits = _walk_hits(g, basepoint, eps, 3, 40)
+    assert hits.tolist() == [nearest] * 40
+    assert len(queries) == 1
+
+
+def test_hits_do_not_depend_on_the_block_size(monkeypatch):
+    g = fl.disk_grid(resolution=200)
+    eps = 2.5 * max(g.cell_size)
+    for basepoint in (0j, 0.5 + 0j):
+        ref = _walk_hits(g, basepoint, eps, 6, 300)
+        for block in (1, 7, 1024):
+            monkeypatch.setattr(measure, "_BLOCK", block)
+            assert _walk_hits(g, basepoint, eps, 6, 300).tobytes() == ref.tobytes()
 
 
 def test_measure_budget_monotonicity(exp_map, exp_wide_grid):

@@ -43,6 +43,17 @@ def test_exp_lambda_attracting():
     assert abs(cmath_exp_quarter(w) - w) < 1e-6
 
 
+def test_exp_lambda_attractor_is_minus_lambert_w():
+    """The auto attractor of exp_lambda is -W0(-lam) within 1e-15, by mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    lams = np.concatenate((np.geomspace(1e-6, 0.36, 300), np.linspace(0.34, 0.36, 100)))
+    with mp.workdps(30):
+        for lam in lams.tolist():
+            ((p, period),) = fl.default_attractors(fl.exp_lambda(lam))
+            assert period == 1
+            assert abs(mp.mpc(p) + mp.lambertw(-mp.mpf(lam), 0)) <= 1e-15
+
+
 def test_z_plus_exp_line_escape():
     # f(i pi) = i pi - 1, real parts then decrease without bound
     kind, n, cls = _one(fl.z_plus_exp(), 1j * np.pi, 400)
