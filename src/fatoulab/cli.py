@@ -123,7 +123,8 @@ SCHEMA = {
         "'auto' or a list of [re, im, period]",
         lambda v: v == "auto" or _is_list(
             v, lambda a: _is_list(a, _is_real, 3) and _is_int(a[2]) and a[2] >= 1))),
-    "rng_seed": (0, _int_at_least(0)),
+    # The seed is a uint64 word of every Philox key (measure._philox_chunks).
+    "rng_seed": (0, _must("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)),
     "threads": (max(1, os.cpu_count() or 1), _int_at_least(1)),
     "out_dir": ("out", _must("a string", lambda v: isinstance(v, str))),
     "render": ({}, _OBJECT),

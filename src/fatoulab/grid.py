@@ -45,7 +45,10 @@ class ClassificationGrid:
     escape_radius: float
     tol: float
     labeled: bool = False
-    _tree_cache: dict[int, cKDTree | None] = field(default_factory=dict, repr=False)
+    # Per-label caches of the distance layer. Not init fields, so every
+    # dataclasses.replace starts them empty.
+    _centers: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _trees: dict[int, cKDTree] = field(default_factory=dict, init=False, repr=False)
 
     # -- geometry ----------------------------------------------------------
 
@@ -102,39 +105,52 @@ class ClassificationGrid:
         no cell carries another label).
 
         Exact for points whose cell carries `label`; a point outside the
-        window counts as label 0.
+        window counts as label 0. One point (`xy` of shape (2,)) is answered
+        by a numpy scan of the candidate centers, so it loads no SciPy; an
+        array of points by a KD-tree built once per label. Both paths give
+        sqrt(dx*dx + dy*dy), the same bits. Among equally near centers the
+        scan returns the lowest index, the tree any one of them.
         """
         xy = np.asarray(xy, dtype=float)
-        tree = self._other_label_tree(label)
-        if tree is None:
+        centers = self._other_label_centers(label)
+        if not len(centers):
             return np.full(xy.shape[:-1], np.inf), np.full(xy.shape[:-1], -1)
-        return tree.query(xy)
+        if xy.shape == (2,):
+            dx, dy = centers[:, 0] - xy[0], centers[:, 1] - xy[1]
+            d2 = dx * dx + dy * dy
+            i = np.argmin(d2)  # the first of equal minima
+            return np.sqrt(d2[i]), i
+        return self._other_label_tree(label).query(xy)
 
     def other_label_center(self, label: int, index) -> np.ndarray:
         """The centers, as complex numbers, that `nearest_other_label(label, ...)`
         returned as `index` (with finite distance)."""
-        c = self._other_label_tree(label).data[index]
+        c = self._other_label_centers(label)[index]
         return c[..., 0] + 1j * c[..., 1]
 
-    def _other_label_tree(self, label: int) -> cKDTree | None:
-        """KD-tree of the other-label cell centers that are 4-adjacent to `label`.
+    def _other_label_centers(self, label: int) -> np.ndarray:
+        """(x, y) rows of the other-label cell centers that are 4-adjacent to `label`.
 
         For a point outside every other-label cell, the nearest other-label
         center has a 4-neighbour closer to the point, which is then not
         other-label; so these centers give the same nearest distance as all
-        other-label centers, from a much smaller tree. The raster is padded
-        with label 0, so for label 0 the labelled frame cells join the tree
+        other-label centers, from a much smaller set. The raster is padded
+        with label 0, so for label 0 the labelled frame cells join the set
         and points outside the window get exact distances too.
         """
-        if label in self._tree_cache:
-            return self._tree_cache[label]
-        from scipy.spatial import cKDTree
+        if label not in self._centers:
+            own = np.pad(self.labels == label, 1, constant_values=label == 0)
+            pts = self.cell_centers()[outer_ring(own)[1:-1, 1:-1]]
+            self._centers[label] = np.column_stack([pts.real, pts.imag])
+        return self._centers[label]
 
-        own = np.pad(self.labels == label, 1, constant_values=label == 0)
-        pts = self.cell_centers()[outer_ring(own)[1:-1, 1:-1]]
-        tree = cKDTree(np.column_stack([pts.real, pts.imag])) if pts.size else None
-        self._tree_cache[label] = tree
-        return tree
+    def _other_label_tree(self, label: int) -> cKDTree:
+        """KD-tree over the nonempty `_other_label_centers(label)`."""
+        if label not in self._trees:
+            from scipy.spatial import cKDTree
+
+            self._trees[label] = cKDTree(self._other_label_centers(label))
+        return self._trees[label]
 
 
 def classify_grid(
@@ -189,4 +205,4 @@ def classify_grid(
 def label_components(grid: ClassificationGrid) -> ClassificationGrid:
     """4-connectivity flood labeling within each nonzero label class; stable across runs."""
     labels = label_by_class(grid.classes)
-    return dataclasses.replace(grid, labels=labels, labeled=True, _tree_cache={})
+    return dataclasses.replace(grid, labels=labels, labeled=True)

@@ -3,11 +3,13 @@
 Walks step by the conservative lower distance estimate, so they can never
 jump across Julia filaments; the reported numbers are budgeted estimates on
 the raster approximation of the boundary, at smoothing scale walk_eps.
-Walkers advance in lockstep, one KD-tree query per step for a whole block
-(the first step reuses the basepoint's query). Each walker draws from its
-own counter-based Philox stream keyed by (seed, sample_index); one numpy
-call computes the next chunk of every stream that needs one. So every hit is
-independent of the block size and of the order in which walkers are processed.
+Walkers advance in lockstep, one KD-tree query per step for a whole block;
+the first step reuses the basepoint's query, a numpy scan of the boundary
+cell centers (`ClassificationGrid.nearest_other_label`). Each walker draws
+from its own counter-based Philox stream keyed by (seed, sample_index); one
+numpy call computes the next chunk of every stream that needs one. So every
+hit is independent of the block size and of the order in which walkers are
+processed.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _walk_lockstep(
     """Walk-on-spheres from `basepoint` for walkers 0..n-1, in lockstep.
 
     Each step queries the KD-tree once for all live walkers; step 0 reuses
-    the basepoint's own query. A walker whose lower distance estimate drops
+    the basepoint's own query, which is a scan. A walker whose lower distance estimate drops
     below walk_eps records the nearest boundary-raster cell center;
     otherwise it jumps to a uniform point on the circle of radius lower
     (capped at a quarter of the window diagonal). A walker that leaves the

@@ -396,6 +396,20 @@ def test_seed_override_changes_hash(tmp_path):
     assert h1 != h2
 
 
+def test_rng_seed_outside_uint64_exits_2_before_writing(tmp_path, capsys):
+    """The seed is a uint64 Philox key word: 2**64 exits 2 naming rng_seed,
+    from the config and from --seed, and 2**64 - 1 still resolves."""
+    example = json.loads((Path(__file__).resolve().parents[1] / "examples" / "measure.json").read_text())
+    for payload, flags in (({**example, "rng_seed": 2**64}, []), (example, ["--seed", str(2**64)])):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli.main(["measure", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert not out.exists()
+    top = cli.resolve_config({**example, "rng_seed": 2**64 - 1}, "measure", {})
+    assert top["rng_seed"] == 2**64 - 1
+
+
 def _fresh_python(*args):
     """Run `python *args` in a fresh interpreter on this checkout's package."""
     src = str(Path(fatoulab.__file__).resolve().parents[1])
@@ -432,12 +446,15 @@ _SCIPY_PROBE = """
 import json, sys
 import fatoulab.cli as cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+loaded = (m for m, module in sys.modules.items() if module is not None)
+print(json.dumps([code, sorted(m for m in loaded if m.split(".")[0] == "scipy")]))
 """
 
 
-def _scipy_loaded_by(*argv):
-    proc = _fresh_python("-c", _SCIPY_PROBE, *argv)
+def _scipy_loaded_by(*argv, scipy_absent=False):
+    """The probe's output; with `scipy_absent`, any import of SciPy fails."""
+    block = 'import sys; sys.modules["scipy"] = None\n' if scipy_absent else ""
+    proc = _fresh_python("-c", block + _SCIPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -445,14 +462,19 @@ def _scipy_loaded_by(*argv):
 def test_scipy_loads_only_where_it_is_used(tmp_path):
     """SciPy is imported at its call sites: importing the CLI, an `inner` run
     and a `render` of `z_exp` or of `exp_lambda` (its attracting fixed point
-    found by damped Newton) load none of it."""
+    found by damped Newton) load none of it, and `periodic` and `access`
+    (one boundary distance each, found by a numpy scan) run without it."""
+    examples = Path(__file__).resolve().parents[1] / "examples"
     assert _scipy_loaded_by() == [None, []]
-    inner = Path(__file__).resolve().parents[1] / "examples" / "inner.json"
+    inner = examples / "inner.json"
     assert _scipy_loaded_by("inner", "--config", str(inner), "--out", str(tmp_path / "inner")) == [0, []]
     zexp = write_config(tmp_path, {**BASE, "map": {"family": "z_exp"}, "resolution": [20, 20]}, "z.json")
     assert _scipy_loaded_by("render", "--config", str(zexp), "--out", str(tmp_path / "z")) == [0, []]
     cfg = write_config(tmp_path, {**BASE, "resolution": [20, 20]})
     assert _scipy_loaded_by("render", "--config", str(cfg), "--out", str(tmp_path / "render")) == [0, []]
+    for sub in ("periodic", "access"):
+        argv = (sub, "--config", str(examples / f"{sub}.json"), "--out", str(tmp_path / sub))
+        assert _scipy_loaded_by(*argv, scipy_absent=True) == [0, []]
 
 
 # One config per subcommand that gives every field of SCHEMA a value of the

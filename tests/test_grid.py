@@ -292,9 +292,7 @@ def test_distance_refinement_under_doubling():
     kinds = (rng.uniform(size=(20, 20)) < 0.7).astype(int) * int(Kind.ATTRACTING)
     coarse = _synthetic_grid(np.array(kinds))
     fine = _synthetic_grid(np.repeat(np.repeat(kinds, 2, axis=0), 2, axis=1))
-    fine = dataclasses.replace(
-        fine, window=coarse.window, labeled=True, _tree_cache={}
-    )
+    fine = dataclasses.replace(fine, window=coarse.window, labeled=True)
     for _ in range(40):
         z = complex(rng.uniform(0.5, 19.5), rng.uniform(0.5, 19.5))
         lo_c = max(0.0, _distance(coarse, z) - coarse.cell_diagonal)
@@ -303,9 +301,10 @@ def test_distance_refinement_under_doubling():
 
 
 def test_distance_equals_brute_force_over_all_other_label_cells():
-    """The tree keeps only other-label cells next to the label, yet its nearest
-    distance equals the minimum over every other-label cell center. A point
-    outside the window counts as label 0."""
+    """Only other-label cells next to the label are searched, yet the nearest
+    distance equals the minimum over every other-label cell center. One point
+    is answered by the scan, an array by the tree, with the same bits and a
+    center at that distance. A point outside the window counts as label 0."""
     rng = np.random.default_rng(11)
     kinds = (rng.uniform(size=(30, 40)) < 0.6).astype(int) * int(Kind.ATTRACTING)
     g = _synthetic_grid(np.array(kinds))
@@ -315,9 +314,19 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
         others = centers[g.labels != label]
         return np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
 
+    def distance_to(c, z):
+        dx, dy = c.real - z.real, c.imag - z.imag
+        return np.sqrt(dx * dx + dy * dy)
+
     for _ in range(300):
         z = complex(rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0))
-        assert _distance(g, z) == brute_force(z, g.label_at(z))
+        label = g.label_at(z)
+        d, i = g.nearest_other_label(label, (z.real, z.imag))
+        assert d == brute_force(z, label)
+        assert distance_to(complex(g.other_label_center(label, i)), z) == d
+        d_tree, i_tree = g.nearest_other_label(label, [(z.real, z.imag)])
+        assert d_tree.tobytes() == np.float64(d).tobytes()
+        assert distance_to(complex(g.other_label_center(label, i_tree[0])), z) == d
     outside = rng.uniform(-15.0, 55.0, 600) + 1j * rng.uniform(-15.0, 45.0, 600)
     outside = outside[~g.contains(outside)]
     assert outside.size > 300
@@ -326,3 +335,12 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
     assert d.tolist() == [brute_force(z, 0) for z in outside]
     assert all(g.label_at(c) > 0 for c in nearest.tolist())
     assert np.allclose(np.abs(nearest - outside), d, rtol=1e-14, atol=0.0)
+
+
+def test_no_other_label_gives_inf_and_minus_one_on_both_paths():
+    g = _synthetic_grid(np.full((6, 8), int(Kind.ATTRACTING)))
+    label = g.label_at(3 + 3j)
+    d, i = g.nearest_other_label(label, (3.0, 3.0))
+    assert (float(d), int(i)) == (np.inf, -1)
+    d, i = g.nearest_other_label(label, [(3.0, 3.0), (5.5, 1.5)])
+    assert d.tolist() == [np.inf, np.inf] and i.tolist() == [-1, -1]

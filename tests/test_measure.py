@@ -204,7 +204,7 @@ def test_toy_disk_all_bounded(exp_map):
     import dataclasses
 
     g = dataclasses.replace(
-        fl.disk_grid(resolution=250), attractors=fl.default_attractors(exp_map), _tree_cache={}
+        fl.disk_grid(resolution=250), attractors=fl.default_attractors(exp_map)
     )
     eps = 2.5 * max(g.cell_size)
     r = fl.measure_report(exp_map, g, 0j, 150, eps, 200, rng_seed=1)
