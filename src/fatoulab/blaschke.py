@@ -25,8 +25,14 @@ TWO_PI = 2.0 * math.pi
 _BOUNDARY_NEAR = 1e-6
 _BOUNDARY_RUN = 20
 
-_DEFAULT_GRID_BITS = 14
+_MIN_GRID_BITS = 14
 _MAX_GRID_BITS = 19
+
+# Roots closer than this in angle are one circle periodic point.
+_DEDUP_TOL = 1e-10
+# The Denjoy-Wolff tolerance: the interior Cauchy margin and the slack on a
+# boundary fixed point's derivative.
+_DW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,9 +123,9 @@ class CircleLift:
     winding: int
 
 
-def build_lift(func, grid_bits: int = _DEFAULT_GRID_BITS, require_monotone: bool = True) -> CircleLift:
+def build_lift(func, require_monotone: bool = True) -> CircleLift:
     """Track the argument of func along the circle, doubling the grid until unambiguous."""
-    bits = grid_bits
+    bits = _MIN_GRID_BITS
     while True:
         n = 1 << bits
         thetas = np.linspace(0.0, TWO_PI, n + 1)
@@ -139,8 +145,8 @@ def build_lift(func, grid_bits: int = _DEFAULT_GRID_BITS, require_monotone: bool
         bits += 1
 
 
-def circle_lift(b: BlaschkeProduct, n: int = 1, grid_bits: int = _DEFAULT_GRID_BITS) -> CircleLift:
-    return build_lift(lambda z: b.iterate(z, n), grid_bits=grid_bits)
+def circle_lift(b: BlaschkeProduct, n: int = 1) -> CircleLift:
+    return build_lift(lambda z: b.iterate(z, n))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +208,7 @@ def _vector_branch_roots(lift: CircleLift, refine_tol: float = 5e-14) -> list[tu
     return roots
 
 
-def circle_periodic_points(
-    b: BlaschkeProduct, n: int, dedup_tol: float = 1e-10
-) -> list[CirclePeriodicPoint]:
+def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoint]:
     """Fixed points of the boundary map of B^n, one branch equation per 2pi j.
 
     For B of degree d >= 2 there are at most d^n - 1 points, with equality for
@@ -232,7 +236,7 @@ def circle_periodic_points(
         # Sorted by angle, a root can only repeat the last point kept or,
         # across 0 = 2pi, the first one.
         if any(
-            abs(t - p.theta) < dedup_tol or abs(abs(t - p.theta) - TWO_PI) < dedup_tol
+            abs(t - p.theta) < _DEDUP_TOL or abs(abs(t - p.theta) - TWO_PI) < _DEDUP_TOL
             for p in points[-1:] + points[:1]
         ):
             continue
@@ -259,16 +263,15 @@ class DenjoyWolff:
 
 def denjoy_wolff(
     b: BlaschkeProduct,
-    tol: float = 1e-9,
     budget: int = 2000,
     z0: complex = 0.0 + 0.0j,
 ) -> DenjoyWolff:
     """Locate the Denjoy-Wolff point by iteration from z0 (default 0).
 
-    Interior: the orbit becomes Cauchy inside |z| <= 1 - tol and a Newton
+    Interior: the orbit becomes Cauchy inside |z| <= 1 - _DW_TOL and a Newton
     polish lands on the fixed point. Boundary: the orbit hugs the circle for
     _BOUNDARY_RUN consecutive steps; the limit angle is refined to a circle
-    fixed point with derivative <= 1 + tol. Elliptic rotations do neither and
+    fixed point with derivative <= 1 + _DW_TOL. Elliptic rotations do neither and
     raise RotationLike.
     """
     z = complex(z0)
@@ -278,10 +281,10 @@ def denjoy_wolff(
         if abs(w) > 1.0 - _BOUNDARY_NEAR:
             boundary_run += 1
             if boundary_run >= _BOUNDARY_RUN:
-                return _refine_boundary(b, cmath.phase(w), tol)
+                return _refine_boundary(b, cmath.phase(w))
         else:
             boundary_run = 0
-        if abs(w - z) < 1e-9 and abs(w) <= 1.0 - tol:
+        if abs(w - z) < 1e-9 and abs(w) <= 1.0 - _DW_TOL:
             p = _newton_fixed_point(b, w)
             dm = abs(b.eval_with_derivative(p)[1])
             if dm >= 1.0 - 1e-9:
@@ -292,8 +295,8 @@ def denjoy_wolff(
     raise RotationLike("orbit neither contracts nor approaches the boundary")
 
 
-def _newton_fixed_point(b: BlaschkeProduct, z: complex, steps: int = 50) -> complex:
-    for _ in range(steps):
+def _newton_fixed_point(b: BlaschkeProduct, z: complex) -> complex:
+    for _ in range(50):
         val, der = b.eval_with_derivative(z)
         g, gp = val - z, der - 1.0
         if gp == 0:
@@ -310,12 +313,12 @@ def _circle_fixed_points(b: BlaschkeProduct) -> list[float]:
     return sorted(t % TWO_PI for t, _ in _vector_branch_roots(lift))
 
 
-def _refine_boundary(b: BlaschkeProduct, theta_hat: float, tol: float) -> DenjoyWolff:
+def _refine_boundary(b: BlaschkeProduct, theta_hat: float) -> DenjoyWolff:
     candidates = _circle_fixed_points(b)
     best = None
     for t in candidates:
         dm = b.boundary_derivative_modulus(t)
-        if dm > 1.0 + tol:
+        if dm > 1.0 + _DW_TOL:
             continue
         gap = abs((t - theta_hat + math.pi) % TWO_PI - math.pi)
         if best is None or gap < best[0]:
@@ -355,9 +358,7 @@ class InnerCandidateReport:
     notes: tuple[str, ...]
 
 
-def verify_inner_candidate(
-    cand: RationalCircleMap, samples: int = 10**4, rng_seed: int = 0
-) -> InnerCandidateReport:
+def verify_inner_candidate(cand: RationalCircleMap, samples: int = 10**4) -> InnerCandidateReport:
     """Audit a rational candidate: circle preservation, disk invariance, boundary fixed points."""
     thetas = TWO_PI * np.arange(samples) / samples
     z = np.exp(1j * thetas)
@@ -372,7 +373,7 @@ def verify_inner_candidate(
     v0 = cand.evaluate(0.0 + 0.0j)
     maps_disk_in = abs(v0) < 1.0
     if maps_disk_in:
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         r = np.sqrt(rng.uniform(0.0, 1.0, 256)) * 0.999
         phi = rng.uniform(0.0, TWO_PI, 256)
         inside = cand.evaluate(r * np.exp(1j * phi))

@@ -29,6 +29,9 @@ from .orbits import Kind, classify_orbits_array, parabolic_points
 from .raster import outer_ring
 
 _NEWTON_STEPS = 100
+_RESIDUAL_TOL = 1e-11
+# Largest distance between consecutive vertices of an access curve's first segment.
+_ACCESS_SPACING = 0.05
 _CONTRACTION_CAP = 500
 _CONTRACTION_TOL = 1e-12
 
@@ -57,7 +60,6 @@ def newton_periodic(
     seed: complex,
     n: int,
     grid: ClassificationGrid | None = None,
-    residual_tol: float = 1e-11,
 ) -> PeriodicBoundaryPoint:
     """Damped Newton on f^n(z) - z; classifies the landing cycle by its multiplier.
 
@@ -71,7 +73,7 @@ def newton_periodic(
         fz, deriv = m.iterate_with_derivative(z, n)
         return fz - z, deriv - 1.0
 
-    z = damped_newton(g, seed, residual_tol, _NEWTON_STEPS)
+    z = damped_newton(g, seed, _RESIDUAL_TOL, _NEWTON_STEPS)
     fz, multiplier = m.iterate_with_derivative(z, n)
     res = abs(fz - z)
     if abs(multiplier) < 1.0 - 1e-9:
@@ -202,12 +204,11 @@ def access_curve(
     z0: complex,
     steps: int,
     grid: ClassificationGrid,
-    spacing: float = 0.05,
     chain: BranchChain | None = None,
 ) -> AccessCurve:
     """gamma + F(gamma) + F^2(gamma) + ... landing at p, every vertex Fatou-checked.
 
-    gamma joins z0 to F(z0) sampled at <= `spacing`; F is the inverse branch
+    gamma joins z0 to F(z0) sampled at <= _ACCESS_SPACING; F is the inverse branch
     fixing p along the cycle. Raises VertexLeftFatou when a pullback vertex
     classifies outside the starting component (evidence against proper
     invertibility at this site).
@@ -219,7 +220,7 @@ def access_curve(
         raise VertexLeftFatou(f"base point {z0} is not Fatou-classified")
 
     f_z0 = apply_chain(chain, z0)
-    n_seg = max(2, int(math.ceil(abs(f_z0 - z0) / spacing)) + 1)
+    n_seg = max(2, int(math.ceil(abs(f_z0 - z0) / _ACCESS_SPACING)) + 1)
     gamma = [z0 + (f_z0 - z0) * t for t in np.linspace(0.0, 1.0, n_seg)]
 
     vertices: list[complex] = []

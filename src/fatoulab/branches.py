@@ -36,6 +36,7 @@ from .errors import (
 _SV_TOL = 1e-12
 _NEWTON_STEPS = 200
 _RESIDUAL_TOL = 1e-12
+_HALO = 2
 # Consecutive points z_i, z_{i+1} of an orbit satisfy |f(z_i) - z_{i+1}| <= ORBIT_TOL.
 ORBIT_TOL = 1e-8
 
@@ -89,26 +90,14 @@ def _damped_newton(m: EntireMap, w: complex, seed: complex) -> complex:
     return damped_newton(g, seed, _RESIDUAL_TOL, _NEWTON_STEPS)
 
 
-def inverse(
-    m: EntireMap,
-    w: complex,
-    branch: int | None = None,
-    seed: complex | None = None,
-) -> complex:
-    """One preimage z with |f(z) - w| < 1e-12, selected by branch index or seed.
+def inverse(m: EntireMap, w: complex, branch: int) -> complex:
+    """One preimage z with |f(z) - w| < 1e-12 on the given branch.
 
     exp_lambda uses the closed form log(w/lam) + 2 pi i k; z_exp uses the
     Lambert-W branch; the exp-family maps run damped Newton from strip seeds
     and verify strip membership of the result.
     """
     w = complex(w)
-    if branch is None:
-        if seed is None:
-            branch = 0
-        elif m.family == EXP_LAMBDA:
-            branch = round((complex(seed).imag - cmath.phase(w / m.lam)) / TWO_PI)
-        else:
-            branch = branch_of(m, complex(seed))
     exact_critical = _singular_guard(m, w, branch)
     if exact_critical is not None:
         return exact_critical
@@ -161,8 +150,9 @@ def branch_of(m: EntireMap, z: complex) -> int:
     return math.ceil((z.imag - math.pi) / TWO_PI)
 
 
-def _candidate_preimages(m: EntireMap, w: complex, near: complex, halo: int = 2) -> list[complex]:
-    """Distinct preimages of w found from canonical branch seeds around `near`.
+def _candidate_preimages(m: EntireMap, w: complex, near: complex) -> list[complex]:
+    """Distinct preimages of w found from canonical branch seeds on the
+    branches within _HALO of the one owning `near`.
 
     Used to measure how isolated the continuity preimage is (ambiguity and
     trust-radius accounting); the enumeration is best-effort, not exhaustive.
@@ -176,10 +166,10 @@ def _candidate_preimages(m: EntireMap, w: complex, near: complex, halo: int = 2)
         if all(abs(z - q) > 1e-9 for q in found):
             found.append(z)
 
-    for k in range(base - halo, base + halo + 1):
+    for k in range(base - _HALO, base + _HALO + 1):
         try:
             if m.family == EXP_LAMBDA:
-                push(inverse(m, w, branch=k))
+                push(inverse(m, w, k))
             elif m.family == Z_EXP:
                 push(_lambert_root(m, w, k))
             else:
@@ -266,13 +256,13 @@ def _continuity_inverse(m: EntireMap, w: complex, anchor: complex) -> complex:
     return _damped_newton(m, w, anchor)
 
 
-def apply_chain(chain: BranchChain, z: complex, verify_trust: bool = True) -> complex:
+def apply_chain(chain: BranchChain, z: complex) -> complex:
     """Apply the stored single-step inverses innermost-first, Newton-seeded by
     continuity from each step's anchor; images must stay inside the trust radius."""
     u = complex(z)
     for step in reversed(chain.steps):
         u = _continuity_inverse(chain.map, u, step.anchor)
-        if verify_trust and abs(u - step.anchor) > chain.trust_radius:
+        if abs(u - step.anchor) > chain.trust_radius:
             raise BranchJumpDetected(
                 f"image {u} strayed {abs(u - step.anchor):.3e} from anchor {step.anchor} "
                 f"(trust radius {chain.trust_radius:.3e})"

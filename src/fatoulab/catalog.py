@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NewtonDiverged, Overflow, WindowTooSmall
+from .errors import NewtonDiverged, Overflow
 
 EXP_LAMBDA = "exp_lambda"
 FATOU_PLUS = "fatou_plus"
@@ -291,91 +291,3 @@ def postsingular_sample(
                 break
     return PostsingularCloud(tuple(samples), depth, escape_radius, truncated)
 
-
-# ---------------------------------------------------------------------------
-# Postsingular-separation audit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PsAuditReport:
-    ps_evidence: bool
-    min_distance: float
-    offending_samples: tuple[CloudSample, ...]
-    in_window_fraction: float
-    sps_evidence: bool | None = None
-    enclosed_samples: tuple[CloudSample, ...] = ()
-
-
-def ps_audit(
-    m: EntireMap,
-    grid,
-    cloud: PostsingularCloud,
-    delta: float | None = None,
-    allowed_contact: tuple[complex, ...] = (),
-    sps: bool = False,
-) -> PsAuditReport:
-    """Raster evidence (not proof) that postsingular samples stay `delta` off the boundary raster.
-
-    A sample's distance is measured to the nearest center of a cell labelled
-    unlike its own cell; a sample on a label-0 (Julia) cell is at distance 0.
-
-    `allowed_contact` lists boundary points (e.g. a parabolic fixed point)
-    whose neighbourhood is exempt from the distance check; samples within
-    delta + one cell diagonal of such a point only need to approach it.
-    With `sps=True` the audit additionally checks that no sample lies inside
-    the filled closure of the Julia raster mask.
-    """
-    from .raster import fill_from_infinity  # local import keeps the module DAG acyclic
-
-    hx, hy = grid.cell_size
-    diag = math.hypot(hx, hy)
-    if delta is None:
-        delta = 2.0 * max(hx, hy)
-
-    pts = cloud.points()
-    if len(pts) == 0:
-        raise WindowTooSmall("empty postsingular cloud")
-    inside = grid.contains(pts)
-    frac = float(np.count_nonzero(inside)) / len(pts)
-    if frac < 0.5:
-        raise WindowTooSmall(
-            f"only {frac:.0%} of postsingular samples fall in the grid window"
-        )
-
-    checked = [
-        s for s, ok in zip(cloud.samples, inside)
-        if ok and not any(abs(s.point - p) < delta + diag for p in allowed_contact)
-    ]
-    points = np.array([s.point for s in checked], dtype=complex)
-    labels = np.array([grid.label_at(z) for z in points.tolist()], dtype=int)
-    dist = np.zeros(len(checked))
-    for label in np.unique(labels[labels > 0]).tolist():
-        own = points[labels == label]
-        xy = np.stack((own.real, own.imag), -1)
-        dist[labels == label] = grid.nearest_other_label(label, xy)[0]
-    offending = [s for s, d in zip(checked, dist) if d < delta]
-    min_distance = float(dist.min()) if dist.size else math.inf
-
-    sps_evidence = None
-    enclosed: list[CloudSample] = []
-    if sps:
-        julia = grid.julia_mask()
-        filled = fill_from_infinity(julia)
-        pocket = filled & ~julia
-        for s, ok in zip(cloud.samples, inside):
-            if not ok:
-                continue
-            ix, iy = grid.cell_of(s.point)
-            if pocket[iy, ix]:
-                enclosed.append(s)
-        sps_evidence = not offending and not enclosed
-
-    return PsAuditReport(
-        ps_evidence=not offending,
-        min_distance=min_distance,
-        offending_samples=tuple(offending),
-        in_window_fraction=frac,
-        sps_evidence=sps_evidence,
-        enclosed_samples=tuple(enclosed),
-    )

@@ -57,7 +57,10 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number. json.loads reads NaN, Infinity and 1e400 (as inf),
+    and integers past the float range; the comparison rejects them all
+    without converting, so it cannot overflow."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v) -> bool:
@@ -88,6 +91,12 @@ def _int_at_least(n: int):
     return _must(f"an integer >= {n}", lambda v: _is_int(v) and v >= n)
 
 
+def _entire_map(v) -> None:
+    if isinstance(v, dict) and v.get("lambda") is not None and not _is_real(v["lambda"]):
+        raise ValueError("lambda must be a finite number")
+    EntireMap.from_json(v)
+
+
 def _blaschke(v) -> None:
     if not (isinstance(v, dict) and _is_pair(v.get("rotation", [1.0, 0.0]))
             and _is_pairs(v.get("zeros", []))):
@@ -100,20 +109,23 @@ _POSITIVE = _must("a positive number", lambda v: _is_real(v) and v > 0)
 _PAIR = _must("a [re, im] pair", _is_pair)
 _PAIRS = _must("a list of [re, im] pairs", _is_pairs)
 _NONEMPTY_PAIRS = _must("a nonempty list of [re, im] pairs", lambda v: _is_pairs(v) and len(v) > 0)
+_RECTANGLE = _must(
+    "[re_min, re_max, im_min, im_max] with min < max",
+    lambda v: _is_list(v, _is_real, 4) and v[0] < v[1] and v[2] < v[3])
+# The orbit kernel counts steps in int32.
+_ORBIT_BUDGET = _must("an integer in [1, 2**31 - 1]", lambda v: _is_int(v) and 1 <= v < 2**31)
 
 # The config schema: dotted key -> (default, checker). A checker raises
 # ValueError or TypeError for a bad value. resolve_config walks the table in
 # order, so an object comes before its fields. The first part of a key that
 # names a subcommand marks its section, which is walked only for that run.
 SCHEMA = {
-    "map": (REQUIRED, EntireMap.from_json),
-    "window": ([-2.0, 4.0, -3.0, 3.0], _must(
-        "[re_min, re_max, im_min, im_max] with min < max",
-        lambda v: _is_list(v, _is_real, 4) and v[0] < v[1] and v[2] < v[3])),
+    "map": (REQUIRED, _entire_map),
+    "window": ([-2.0, 4.0, -3.0, 3.0], _RECTANGLE),
     "resolution": ([200, 200], _must(
         "two integers >= 2", lambda v: _is_list(v, lambda x: _is_int(x) and x >= 2, 2))),
     "budgets": ({}, _OBJECT),
-    "budgets.orbit": (300, _int_at_least(1)),
+    "budgets.orbit": (300, _ORBIT_BUDGET),
     "budgets.pullback": (200, _int_at_least(1)),
     "budgets.walk": (100000, _int_at_least(1)),
     "escape_radius": (DEFAULT_ESCAPE_RADIUS, _POSITIVE),
@@ -129,8 +141,7 @@ SCHEMA = {
     "out_dir": ("out", _must("a string", lambda v: isinstance(v, str))),
     "render": ({}, _OBJECT),
     "periodic": ({}, _OBJECT),
-    "periodic.seed_region": (REQUIRED, _must(
-        "[re_min, re_max, im_min, im_max]", lambda v: _is_list(v, _is_real, 4))),
+    "periodic.seed_region": (REQUIRED, _RECTANGLE),
     "periodic.max_period": (4, _int_at_least(1)),
     "periodic.return_radius_cells": (5.0, _POSITIVE),
     "access": ({}, _OBJECT),
@@ -156,7 +167,7 @@ SCHEMA = {
     "measure": ({}, _OBJECT),
     "measure.basepoint": (REQUIRED, _PAIR),
     "measure.n_samples": (2000, _int_at_least(100)),
-    "measure.orbit_budget": (100, _int_at_least(1)),
+    "measure.orbit_budget": (100, _ORBIT_BUDGET),
     "measure.walk_eps_cells": (2.5, _must("a number >= 2 (grid cells)",
                                           lambda v: _is_real(v) and v >= 2.0)),
     "measure.targets": ([], _PAIRS),
@@ -179,7 +190,7 @@ SCHEMA = {
     "scan.probes": (REQUIRED, _NONEMPTY_PAIRS),
     "scan.point": (OPTIONAL, _PAIR),
     "scan.period": (1, _int_at_least(1)),
-    "scan.budget": (60, _int_at_least(1)),
+    "scan.budget": (60, _ORBIT_BUDGET),
 }
 
 # Where a run happens, not what it computes: the echo and the hash skip these,

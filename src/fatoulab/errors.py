@@ -11,10 +11,6 @@ class Overflow(FatouLabError):
     """exp argument left the double range; callers may treat this as escape evidence."""
 
 
-class WindowTooSmall(FatouLabError):
-    """Too few postsingular samples land inside the grid window for a meaningful audit."""
-
-
 class OutOfWindow(FatouLabError):
     """Query point lies outside the grid window."""
 
@@ -53,6 +49,10 @@ class OnPostsingularSet(FatouLabError):
 
 class OnSegment(FatouLabError):
     """Density query point lies on the removed segment."""
+
+
+class CloudOffSegment(FatouLabError):
+    """A postsingular sample lies off the segment [0, c] that an audit takes to hold them all."""
 
 
 class DegeneratePointSet(FatouLabError):

@@ -90,12 +90,6 @@ class ClassificationGrid:
         ix, iy = self.cell_of(z)
         return int(self.labels[iy, ix])
 
-    # -- masks ---------------------------------------------------------------
-
-    def julia_mask(self) -> np.ndarray:
-        """Cells that are not unambiguous Fatou evidence (the Julia raster proxy)."""
-        return self.labels == 0
-
     # -- distance queries ----------------------------------------------------
 
     def nearest_other_label(self, label: int, xy) -> tuple[np.ndarray, np.ndarray]:

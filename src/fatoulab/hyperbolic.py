@@ -17,7 +17,7 @@ import numpy as np
 
 from .branches import BranchChain, apply_chain
 from .catalog import EntireMap
-from .errors import DegeneratePointSet, OnPostsingularSet, OnSegment
+from .errors import CloudOffSegment, DegeneratePointSet, OnPostsingularSet, OnSegment
 
 TWICE_PUNCTURED_K = 4.38
 
@@ -51,13 +51,13 @@ def density_upper(p, z: complex) -> float:
     return 2.0 / d
 
 
-def _two_puncture_bound(zeta: np.ndarray, k: float) -> np.ndarray:
+def _two_puncture_bound(zeta: np.ndarray) -> np.ndarray:
     """Lower bound for the density of C minus {0,1} at zeta (curvature -1)."""
     r = np.abs(zeta)
-    return 1.0 / (2.0 * r * (np.abs(np.log(r)) + k))
+    return 1.0 / (2.0 * r * (np.abs(np.log(r)) + TWICE_PUNCTURED_K))
 
 
-def density_lower(p, z: complex, k: float = TWICE_PUNCTURED_K) -> float:
+def density_lower(p, z: complex) -> float:
     """Monotone lower bound: best two-puncture comparison over all pairs of P-points.
 
     Each pair (a, b) gives rho_W >= rho_{C - {a,b}} >= bound((z-a)/(b-a))/|b-a|;
@@ -73,7 +73,7 @@ def density_lower(p, z: complex, k: float = TWICE_PUNCTURED_K) -> float:
     sep = b - a
     mask = np.abs(sep) > 0.0
     zeta = np.where(mask, (z - a) / np.where(mask, sep, 1.0), np.nan)
-    vals = np.where(mask, _two_puncture_bound(zeta, k) / np.abs(np.where(mask, sep, 1.0)), -np.inf)
+    vals = np.where(mask, _two_puncture_bound(zeta) / np.abs(np.where(mask, sep, 1.0)), -np.inf)
     return float(np.nanmax(vals))
 
 
@@ -119,15 +119,11 @@ class DensityBound:
             )
 
 
-def density_bound(
-    p,
-    z: complex,
-    segment: float | None = None,
-    k: float = TWICE_PUNCTURED_K,
-) -> DensityBound:
+def density_bound(p, z: complex, segment: float | None = None) -> DensityBound:
     """Two-sided bound for the density of C minus P at z.
 
-    `segment=c` asserts that P is contained in [0, c]; the exact density of
+    `segment=c` asserts that P is contained in [0, c] (`contraction_audit`
+    checks it, this function does not); the exact density of
     C minus [0, c] then tightens the upper bound (and is exact when P is the
     whole segment). With P=None and a segment, both sides are exact.
     """
@@ -136,7 +132,7 @@ def density_bound(
             raise ValueError("need a point set or a segment")
         rho = segment_complement_density(segment, z)
         return DensityBound(z, rho, rho, METHOD_EXACT, METHOD_EXACT)
-    lower = density_lower(p, z, k)
+    lower = density_lower(p, z)
     upper = density_upper(p, z)
     method_upper = METHOD_INSCRIBED_DISK
     if segment is not None:
@@ -184,7 +180,6 @@ def contraction_audit(
     region: list[complex],
     p,
     segment: float | None = None,
-    k: float = TWICE_PUNCTURED_K,
 ) -> ContractionAudit:
     """Interval audit of the pullback contraction ratio rho(F x)|F'(x)| / rho(x).
 
@@ -192,7 +187,15 @@ def contraction_audit(
     the hyperbolic metric, so a sound audit can only certify a violation when
     the whole ratio interval sits above 1; intervals straddling 1 are
     reported inconclusive, never as violations.
+
+    `segment=c` takes the point set P to lie on [0, c], as `density_bound`
+    does; raises CloudOffSegment when a point of P does not.
     """
+    if segment is not None and p is not None:
+        pts = np.asarray(p, dtype=complex).ravel()
+        off = ~((pts.imag == 0.0) & (pts.real >= 0.0) & (pts.real <= segment))
+        if off.any():
+            raise CloudOffSegment(f"{pts[off][0]} lies off the segment [0, {segment}]")
     rows: list[AuditRow] = []
     violations: list[AuditRow] = []
     n = len(chain)
@@ -205,8 +208,8 @@ def contraction_audit(
         y = apply_chain(chain, x)
         f_prime = 1.0 / abs(m.iterate_with_derivative(y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
 
-        bx = density_bound(p, x, segment=segment, k=k)
-        by = density_bound(p, y, segment=segment, k=k)
+        bx = density_bound(p, x, segment)
+        by = density_bound(p, y, segment)
         lo = by.lower * f_prime / bx.upper
         hi = by.upper * f_prime / bx.lower
         if hi <= 1.0:

@@ -1,44 +1,8 @@
-"""Raster primitives: frame flood fill, 4-neighbour rings and component labeling.
-
-The 4-neighbour ring and the 4-connected labeling are numpy alone, so a
-`render` loads no `scipy.ndimage`. Only `fill_from_infinity` uses
-`ndimage.label`, imported inside it, for its 8-connected flood.
-"""
+"""Raster primitives: 4-neighbour rings and component labeling, in numpy alone."""
 
 from __future__ import annotations
 
 import numpy as np
-
-# 4-connectivity for foreground labeling avoids joining components across
-# diagonal Julia filaments; the complement flood uses the dual 8-connectivity
-# so that thin diagonal filaments do not spuriously enclose area.
-_BOX = np.ones((3, 3), dtype=bool)
-
-
-def fill_from_infinity(mask: np.ndarray) -> np.ndarray:
-    """Raster filled closure: mask plus the complement pockets unreachable from the frame.
-
-    The border cells of the raster are declared "unbounded"; any complement
-    component touching them is reachable from infinity and stays unfilled.
-    Idempotent and monotone in the mask.
-    """
-    from scipy import ndimage
-
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError("mask must be a 2-d boolean raster")
-    comp = ~mask
-    labels, n = ndimage.label(comp, structure=_BOX)
-    if n == 0:
-        return mask.copy()
-    border = np.zeros_like(mask)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    reachable = np.unique(labels[border & comp])
-    reachable = reachable[reachable > 0]
-    keep = np.zeros(n + 1, dtype=bool)
-    keep[reachable] = True
-    return mask | ~keep[labels]
 
 
 def outer_ring(mask: np.ndarray) -> np.ndarray:
@@ -57,8 +21,8 @@ def label_by_class(classes: np.ndarray) -> np.ndarray:
 
     Labels are 1-based and assigned in ascending class order then by each
     component's first cell in raster order, so reruns are stable and each
-    class is numbered as `scipy.ndimage.label` numbers it. Cells of class 0
-    get label 0.
+    class is numbered as SciPy's 4-connected labeling numbers it. Cells of
+    class 0 get label 0.
 
     A run is a maximal row segment of one class, numbered in raster order.
     Two runs of one nonzero class that overlap in adjacent rows are joined;

@@ -3,7 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-import fatoulab as fl
+from fatoulab.catalog import exp_lambda, z_exp, z_plus_exp
+from fatoulab.grid import classify_grid, label_components
+from fatoulab.measure import calibrate_disk
+from fatoulab.orbits import default_attractors
 
 # Frozen oracle constants (independent oracles, see module tests):
 # QA/QR are the two real roots of (1/4) e^q = q, computed via Lambert W
@@ -40,54 +43,54 @@ def iterate(f, z: complex, n: int) -> complex | None:
 
 @pytest.fixture(scope="session")
 def exp_map():
-    return fl.exp_lambda(0.25)
+    return exp_lambda(0.25)
 
 
 @pytest.fixture(scope="session")
 def zexp_map():
-    return fl.z_exp()
+    return z_exp()
 
 
 @pytest.fixture(scope="session")
 def zplus_map():
-    return fl.z_plus_exp()
+    return z_plus_exp()
 
 
 @pytest.fixture(scope="session")
 def exp_grid(exp_map):
     """Attracting-basin window for lambda = 1/4."""
-    grid = fl.classify_grid(
+    grid = classify_grid(
         exp_map, (-2.0, 4.0, -3.0, 3.0), (200, 200), 300,
-        attractors=fl.default_attractors(exp_map),
+        attractors=default_attractors(exp_map),
     )
-    return fl.label_components(grid)
+    return label_components(grid)
 
 
 @pytest.fixture(scope="session")
 def exp_wide_grid(exp_map):
     """Wide window for harmonic-measure walks (keeps window exits below half)."""
-    grid = fl.classify_grid(
+    grid = classify_grid(
         exp_map, (-10.0, 4.0, -THREE_PI, THREE_PI), (350, 470), 300,
-        attractors=fl.default_attractors(exp_map),
+        attractors=default_attractors(exp_map),
     )
-    return fl.label_components(grid)
+    return label_components(grid)
 
 
 @pytest.fixture(scope="session")
 def zplus_grid(zplus_map):
     """Three Baker strips of z + exp(-z)."""
-    grid = fl.classify_grid(zplus_map, (-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300), 400)
-    return fl.label_components(grid)
+    grid = classify_grid(zplus_map, (-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300), 400)
+    return label_components(grid)
 
 
 @pytest.fixture(scope="session")
 def zexp_grid(zexp_map):
     """Parabolic basin of z exp(-z); long budget for the slow petal convergence."""
-    grid = fl.classify_grid(zexp_map, (-2.0, 2.0, -2.0, 2.0), (220, 220), 1500)
-    return fl.label_components(grid)
+    grid = classify_grid(zexp_map, (-2.0, 2.0, -2.0, 2.0), (220, 220), 1500)
+    return label_components(grid)
 
 
 @pytest.fixture(scope="session")
 def disk_calibration():
     """The walk-on-spheres disk oracle; shared by measure tests and acceptance."""
-    return fl.calibrate_disk(samples=10**4)
+    return calibrate_disk(samples=10**4)

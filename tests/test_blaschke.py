@@ -4,23 +4,32 @@ import json
 import numpy as np
 import pytest
 
-import fatoulab as fl
-from fatoulab.blaschke import BOUNDARY, INTERIOR, build_lift
+from fatoulab.blaschke import (
+    BOUNDARY,
+    INTERIOR,
+    BlaschkeProduct,
+    RationalCircleMap,
+    build_lift,
+    circle_lift,
+    circle_periodic_points,
+    denjoy_wolff,
+    verify_inner_candidate,
+)
 from fatoulab.errors import PoleOnCircle, RotationLike
 from fatoulab.serialize import canonical_json
 
 TWO_PI = 2 * np.pi
 
-B_SQUARE = fl.BlaschkeProduct(zeros=(0, 0))  # B(z) = z^2
-B_GENERIC = fl.BlaschkeProduct(zeros=(0.3 + 0.2j, -0.1 + 0.4j))
-MOEBIUS = fl.BlaschkeProduct(zeros=(1 / 3,))  # (3z - 1)/(3 - z)
+B_SQUARE = BlaschkeProduct(zeros=(0, 0))  # B(z) = z^2
+B_GENERIC = BlaschkeProduct(zeros=(0.3 + 0.2j, -0.1 + 0.4j))
+MOEBIUS = BlaschkeProduct(zeros=(1 / 3,))  # (3z - 1)/(3 - z)
 
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        fl.BlaschkeProduct(rotation=2.0)
+        BlaschkeProduct(rotation=2.0)
     with pytest.raises(ValueError):
-        fl.BlaschkeProduct(zeros=(1.5,))
+        BlaschkeProduct(zeros=(1.5,))
 
 
 def test_unimodular_on_circle():
@@ -50,7 +59,7 @@ def test_derivative_matches_difference_quotient():
 
 def test_lift_consistency():
     for b in (B_SQUARE, B_GENERIC):
-        lift = fl.circle_lift(b)
+        lift = circle_lift(b)
         assert lift.winding == b.degree
         # a lift of arg B on the circle, gaining 2 pi * degree over one turn
         assert np.allclose(np.exp(1j * lift.values), b.evaluate(np.exp(1j * lift.thetas)))
@@ -61,9 +70,9 @@ def test_lift_consistency():
 
 def test_json_round_trip():
     """canonical_json writes a product as its fields, the form from_json reads."""
-    b2 = fl.BlaschkeProduct.from_json(json.loads(canonical_json(B_GENERIC)))
+    b2 = BlaschkeProduct.from_json(json.loads(canonical_json(B_GENERIC)))
     assert b2 == B_GENERIC
-    assert fl.BlaschkeProduct.from_json({"zeros": [[0.3, 0.2], [-0.1, 0.4]]}) == B_GENERIC
+    assert BlaschkeProduct.from_json({"zeros": [[0.3, 0.2], [-0.1, 0.4]]}) == B_GENERIC
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ def test_json_round_trip():
 
 
 def test_denjoy_wolff_superattracting():
-    dw = fl.denjoy_wolff(B_SQUARE)
+    dw = denjoy_wolff(B_SQUARE)
     assert dw.location == INTERIOR
     assert abs(dw.point) < 1e-12
     assert dw.derivative_modulus < 1e-12
@@ -80,7 +89,7 @@ def test_denjoy_wolff_superattracting():
 
 def test_denjoy_wolff_moebius_boundary():
     # fixed points solve z^2 = 1; M'(z) = 8/(3-z)^2, so M'(-1) = 1/2 (algebra oracle)
-    dw = fl.denjoy_wolff(MOEBIUS)
+    dw = denjoy_wolff(MOEBIUS)
     assert dw.location == BOUNDARY
     assert abs(dw.point + 1.0) < 1e-9
     assert abs(dw.derivative_modulus - 0.5) < 1e-9
@@ -89,20 +98,20 @@ def test_denjoy_wolff_moebius_boundary():
 
 def test_denjoy_wolff_start_independent():
     for phi in (0.4, 1.3, 2.9):
-        dw = fl.denjoy_wolff(B_SQUARE, z0=0.9 * cmath.exp(1j * phi))
+        dw = denjoy_wolff(B_SQUARE, z0=0.9 * cmath.exp(1j * phi))
         assert abs(dw.point) < 1e-12
 
 
 def test_denjoy_wolff_rejects_rotation():
-    rot = fl.BlaschkeProduct(rotation=cmath.exp(1j * 0.773), zeros=(0,))
+    rot = BlaschkeProduct(rotation=cmath.exp(1j * 0.773), zeros=(0,))
     with pytest.raises(RotationLike):
-        fl.denjoy_wolff(rot, budget=300)
+        denjoy_wolff(rot, budget=300)
     with pytest.raises(RotationLike):
-        fl.denjoy_wolff(rot, budget=300, z0=0.4 + 0.2j)
+        denjoy_wolff(rot, budget=300, z0=0.4 + 0.2j)
 
 
 def test_denjoy_wolff_generic_interior():
-    dw = fl.denjoy_wolff(B_GENERIC)
+    dw = denjoy_wolff(B_GENERIC)
     assert dw.location == INTERIOR
     assert abs(B_GENERIC.evaluate(dw.point) - dw.point) < 1e-10
     assert dw.derivative_modulus <= 1.0 + 1e-8
@@ -114,19 +123,19 @@ def test_denjoy_wolff_generic_interior():
 
 
 def test_doubling_map_fixed_points():
-    pts = fl.circle_periodic_points(B_SQUARE, 1)
+    pts = circle_periodic_points(B_SQUARE, 1)
     assert [p.theta for p in pts] == [0.0]
 
 
 def test_doubling_map_period_two():
-    pts = fl.circle_periodic_points(B_SQUARE, 2)
+    pts = circle_periodic_points(B_SQUARE, 2)
     assert np.allclose([p.theta for p in pts], [0.0, TWO_PI / 3, 2 * TWO_PI / 3], atol=1e-11)
 
 
 def test_doubling_map_counts_match_roots_of_unity():
     # brute-force oracle: fixed points of theta -> 2^n theta are the (2^n - 1)-th roots of unity
     for n in (3, 4, 6):
-        pts = fl.circle_periodic_points(B_SQUARE, n)
+        pts = circle_periodic_points(B_SQUARE, n)
         d = 2**n - 1
         expected = sorted(TWO_PI * j / d for j in range(d))
         assert len(pts) == d
@@ -135,7 +144,7 @@ def test_doubling_map_counts_match_roots_of_unity():
 
 
 def test_generic_degree_two_period_three():
-    pts = fl.circle_periodic_points(B_GENERIC, 3)
+    pts = circle_periodic_points(B_GENERIC, 3)
     assert len(pts) == 7
     # cross-check against a dense-grid sign-change oracle on the displacement
     lift = build_lift(lambda z: B_GENERIC.iterate(z, 3))
@@ -151,9 +160,9 @@ def test_generic_degree_two_period_three():
 
 def test_degree_requirements():
     with pytest.raises(ValueError):
-        fl.circle_periodic_points(MOEBIUS, 2)
+        circle_periodic_points(MOEBIUS, 2)
     with pytest.raises(ValueError):
-        fl.circle_periodic_points(B_SQUARE, 0)
+        circle_periodic_points(B_SQUARE, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +177,8 @@ def cubic_fixed_points():
 
 
 def test_candidate_from_inner_function_example():
-    g = fl.RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3))
-    rep = fl.verify_inner_candidate(g, samples=10**4)
+    g = RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3))
+    rep = verify_inner_candidate(g, samples=10**4)
     assert rep.circle_preserving
     assert rep.max_circle_error < 1e-12
     assert not rep.maps_disk_in  # g(0) = 3: the anomaly is flagged
@@ -180,7 +189,7 @@ def test_candidate_from_inner_function_example():
 
 
 def test_candidate_z_squared():
-    rep = fl.verify_inner_candidate(fl.RationalCircleMap(num=(0, 0, 1), den=(1,)))
+    rep = verify_inner_candidate(RationalCircleMap(num=(0, 0, 1), den=(1,)))
     assert rep.circle_preserving
     assert rep.maps_disk_in
     assert len(rep.boundary_fixed_points) == 1
@@ -189,11 +198,11 @@ def test_candidate_z_squared():
 
 def test_candidate_composed_with_inversion():
     # (z^2 + 3)/(1 + 3 z^2) composed with z -> 1/z gives (1 + 3z^2)/(z^2 + 3)
-    rep = fl.verify_inner_candidate(fl.RationalCircleMap(num=(1, 0, 3), den=(3, 0, 1)))
+    rep = verify_inner_candidate(RationalCircleMap(num=(1, 0, 3), den=(3, 0, 1)))
     assert rep.circle_preserving
     assert rep.maps_disk_in
 
 
 def test_pole_on_circle():
     with pytest.raises(PoleOnCircle):
-        fl.verify_inner_candidate(fl.RationalCircleMap(num=(1,), den=(-1, 1)))
+        verify_inner_candidate(RationalCircleMap(num=(1,), den=(-1, 1)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-import fatoulab as fl
-from fatoulab.branches import branch_of, inverse, pullback_chain
+from fatoulab.boundary import newton_periodic
+from fatoulab.branches import apply_chain, branch_of, chain_fixing, inverse, pullback_chain
+from fatoulab.catalog import exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
 from fatoulab.errors import (
     AmbiguousBranch,
     AsymptoticValueCollision,
@@ -31,7 +32,7 @@ def test_inverse_strip_membership(zplus_map):
 
 def test_inverse_round_trip_all_families():
     rng = np.random.default_rng(17)
-    maps = [fl.exp_lambda(0.25), fl.z_plus_exp(), fl.fatou_plus(), fl.fatou_minus(), fl.z_exp()]
+    maps = [exp_lambda(0.25), z_plus_exp(), fatou_plus(), fatou_minus(), z_exp()]
     for m in maps:
         count, worst = 0, 0.0
         while count < 1000:
@@ -69,13 +70,13 @@ def test_chain_from_orbit(zplus_map):
     chain = pullback_chain(zplus_map, orbit)
     assert len(chain) == 2
     assert max(s.residual for s in chain.steps) < 1e-12
-    assert abs(fl.apply_chain(chain, chain.terminal) - orbit[0]) < 1e-9
+    assert abs(apply_chain(chain, chain.terminal) - orbit[0]) < 1e-9
 
 
 def test_single_point_orbit_identity(exp_map):
     chain = pullback_chain(exp_map, [1.0 + 0.5j])
     assert len(chain) == 0
-    assert fl.apply_chain(chain, 0.3 + 0.2j) == 0.3 + 0.2j
+    assert apply_chain(chain, 0.3 + 0.2j) == 0.3 + 0.2j
 
 
 def test_orbit_through_critical_value(zexp_map):
@@ -103,28 +104,28 @@ def test_chain_determinism_and_prefix_stability(zplus_map):
 
 def test_chain_contraction_at_repelling_point(exp_map):
     # |F'(q_r)| = 1/f'(q_r) = 1/q_r
-    chain = fl.chain_fixing(exp_map, QR, 1)
+    chain = chain_fixing(exp_map, QR, 1)
     for dz in (0.1, 0.05j, -0.07 + 0.03j):
         z = QR + dz
-        img = fl.apply_chain(chain, z)
+        img = apply_chain(chain, z)
         assert abs(img - QR) <= (1 / QR + 0.05) * abs(dz)
 
 
 def test_chain_fixing_follows_a_period_two_cycle(exp_map):
     """The chain steps through p, f(p), p and its composed branch fixes p."""
-    p = fl.newton_periodic(exp_map, 2.5 + 6.0j, 2).point
-    chain = fl.chain_fixing(exp_map, p, 2, 2)
+    p = newton_periodic(exp_map, 2.5 + 6.0j, 2).point
+    chain = chain_fixing(exp_map, p, 2, 2)
     assert [s.anchor for s in chain.steps] == [p, exp_map.evaluate(p)]
     assert abs(chain.terminal - p) < 1e-9
-    assert abs(fl.apply_chain(chain, p) - p) < 1e-9
-    assert len(fl.chain_fixing(exp_map, p, 4, 2)) == 4
+    assert abs(apply_chain(chain, p) - p) < 1e-9
+    assert len(chain_fixing(exp_map, p, 4, 2)) == 4
 
 
 def test_inverse_at_the_shift_has_no_log_seed():
     """At w = c + 2 pi i k the log seed is undefined and v - c = 0 is the
     critical point; the preimage W_0(-1) + 2 pi i k is still found."""
-    cases = [(fl.z_plus_exp(), 0.0, 0), (fl.fatou_plus(), 1.0, 0)]
-    cases += [(fl.fatou_minus(), -1.0 + TWO_PI * 1j * k, k) for k in range(-2, 3)]
+    cases = [(z_plus_exp(), 0.0, 0), (fatou_plus(), 1.0, 0)]
+    cases += [(fatou_minus(), -1.0 + TWO_PI * 1j * k, k) for k in range(-2, 3)]
     for m, w, k in cases:
         z = inverse(m, w, k)
         assert abs(m.evaluate(z) - w) < 1e-12, (m.family, k)
@@ -133,11 +134,11 @@ def test_inverse_at_the_shift_has_no_log_seed():
 
 
 def test_chain_contraction_zexp(zexp_map):
-    p = fl.newton_periodic(zexp_map, 6j, 1).point
+    p = newton_periodic(zexp_map, 6j, 1).point
     mult = abs(1 - 2j * np.pi)
-    chain = fl.chain_fixing(zexp_map, p, 1)
+    chain = chain_fixing(zexp_map, p, 1)
     for dz in (0.05, 0.04j):
-        img = fl.apply_chain(chain, p + dz)
+        img = apply_chain(chain, p + dz)
         assert abs(img - p) <= (1 / mult + 0.05) * abs(dz)
 
 
@@ -146,4 +147,4 @@ def test_branch_jump_detected(zplus_map):
     chain = pullback_chain(zplus_map, orbit)
     assert [(s.branch, s.anchor) for s in chain.steps] == [(0, 0.0), (0, 1.0)]
     with pytest.raises(BranchJumpDetected):
-        fl.apply_chain(chain, chain.terminal + 30.0)
+        apply_chain(chain, chain.terminal + 30.0)

@@ -1,30 +1,39 @@
 import numpy as np
 import pytest
 
-import fatoulab as fl
-from fatoulab.catalog import FAMILIES, CloudSample, EntireMap
-from fatoulab.errors import Overflow, WindowTooSmall
+from fatoulab.catalog import (
+    FAMILIES,
+    EntireMap,
+    exp_lambda,
+    fatou_minus,
+    fatou_plus,
+    postsingular_sample,
+    singular_values,
+    z_exp,
+    z_plus_exp,
+)
+from fatoulab.errors import Overflow
 
 from conftest import QA
 
 
 def all_maps():
     return [
-        fl.exp_lambda(0.25),
-        fl.fatou_plus(),
-        fl.fatou_minus(),
-        fl.z_plus_exp(),
-        fl.z_exp(),
+        exp_lambda(0.25),
+        fatou_plus(),
+        fatou_minus(),
+        z_plus_exp(),
+        z_exp(),
     ]
 
 
 def test_eval_closed_forms():
-    assert fl.z_plus_exp().evaluate(0.0) == 1.0  # e^0 = 1
+    assert z_plus_exp().evaluate(0.0) == 1.0  # e^0 = 1
     # high-precision direct evaluation of (1/e) e^{-1/e}
     x = 1.0 / np.e
-    assert abs(fl.z_exp().evaluate(x) - 0.25464638004358253) < 1e-15
+    assert abs(z_exp().evaluate(x) - 0.25464638004358253) < 1e-15
     # fixed point of q = (1/4) e^q located by a Newton/Lambert oracle
-    m = fl.exp_lambda(0.25)
+    m = exp_lambda(0.25)
     assert abs(m.evaluate(QA) - QA) < 1e-12
     assert abs(QA - 0.357403) < 1e-6
 
@@ -41,11 +50,11 @@ def test_eval_with_derivative_consistent():
 
 def test_overflow_is_an_error_value():
     with pytest.raises(Overflow):
-        fl.z_plus_exp().evaluate(-800.0)
+        z_plus_exp().evaluate(-800.0)
     with pytest.raises(Overflow):
-        fl.exp_lambda(0.25).evaluate(800.0)
+        exp_lambda(0.25).evaluate(800.0)
     # array path returns a mask instead
-    _, bad = fl.z_plus_exp().evaluate_array(np.array([-800.0 + 0j, 0j]))
+    _, bad = z_plus_exp().evaluate_array(np.array([-800.0 + 0j, 0j]))
     assert bad.tolist() == [True, False]
 
 
@@ -94,7 +103,7 @@ def test_map_from_json():
 
 
 def test_singular_values_z_plus_exp():
-    sd = fl.singular_values(fl.z_plus_exp(), k_bound=3)
+    sd = singular_values(z_plus_exp(), k_bound=3)
     assert len(sd.critical_points) == 7
     for k, cp, cv in zip(sd.critical_indices, sd.critical_points, sd.critical_values):
         assert cp == 2j * np.pi * k
@@ -103,18 +112,18 @@ def test_singular_values_z_plus_exp():
 
 
 def test_singular_values_z_exp_and_exp_lambda():
-    sd = fl.singular_values(fl.z_exp())
+    sd = singular_values(z_exp())
     assert sd.critical_points == (1.0 + 0.0j,)
     assert abs(sd.critical_values[0] - np.exp(-1.0)) < 1e-15
     assert sd.asymptotic_values == (0.0 + 0.0j,)
-    sd = fl.singular_values(fl.exp_lambda(0.25))
+    sd = singular_values(exp_lambda(0.25))
     assert sd.critical_points == ()
     assert sd.asymptotic_values == (0.0 + 0.0j,)
 
 
 def test_critical_point_residuals():
     for m in all_maps():
-        sd = fl.singular_values(m, k_bound=8)
+        sd = singular_values(m, k_bound=8)
         for cp, cv in zip(sd.critical_points, sd.critical_values):
             assert abs(m.eval_with_derivative(cp)[1]) < 1e-12
             assert cv == m.evaluate(cp)  # listed values are exactly f(point)
@@ -127,7 +136,7 @@ def test_critical_point_residuals():
 
 def test_postsingular_chain_property():
     for m in all_maps():
-        cloud = fl.postsingular_sample(m, 10, k_bound=2)
+        cloud = postsingular_sample(m, 10, k_bound=2)
         by_source = {}
         for s in cloud.samples:
             by_source.setdefault(s.source, []).append(s)
@@ -141,7 +150,7 @@ def test_postsingular_chain_property():
 
 def test_postsingular_zexp_tail():
     # direct-iteration oracle; monotone decrease since x e^{-x} < x on (0, 1/e]
-    cloud = fl.postsingular_sample(fl.z_exp(), 3)
+    cloud = postsingular_sample(z_exp(), 3)
     tail = [s.point.real for s in cloud.samples if s.source.startswith("cv")]
     expected = [0.36787944117144233, 0.25464638004358253, 0.19739947309425335, 0.1620378556316583]
     assert np.allclose(tail, expected, rtol=0, atol=1e-14)
@@ -149,7 +158,7 @@ def test_postsingular_zexp_tail():
 
 
 def test_postsingular_exp_lambda_orbit():
-    cloud = fl.postsingular_sample(fl.exp_lambda(0.25), 5)
+    cloud = postsingular_sample(exp_lambda(0.25), 5)
     orbit = [s.point.real for s in cloud.samples]
     expected = [0.0, 0.25, 0.32100635417193535, 0.34462858504576444,
                 0.3528663957188888, 0.35578524825053476]
@@ -159,70 +168,12 @@ def test_postsingular_exp_lambda_orbit():
 
 def test_postsingular_depth_zero_and_truncation():
     for m in all_maps():
-        cloud = fl.postsingular_sample(m, 0, k_bound=1)
-        sd = fl.singular_values(m, k_bound=1)
+        cloud = postsingular_sample(m, 0, k_bound=1)
+        sd = singular_values(m, k_bound=1)
         assert sorted((s.point for s in cloud.samples), key=abs) == sorted(
             (v for _, v in sd.sources()), key=abs
         )
-    cloud = fl.postsingular_sample(fl.z_plus_exp(), 50, escape_radius=3.0, k_bound=0)
+    cloud = postsingular_sample(z_plus_exp(), 50, escape_radius=3.0, k_bound=0)
     assert "cv[k=0]" in cloud.truncated
     assert all(abs(s.point) <= 3.0 for s in cloud.samples)
 
-
-# ---------------------------------------------------------------------------
-# PS / SPS audits
-# ---------------------------------------------------------------------------
-
-
-def test_ps_audit_exp_lambda(exp_map, exp_grid):
-    cloud = fl.postsingular_sample(exp_map, 25)
-    rep = fl.ps_audit(exp_map, exp_grid, cloud, delta=0.1, sps=True)
-    assert rep.ps_evidence
-    assert rep.sps_evidence
-    assert rep.min_distance > 1.5  # orbit of 0 sits deep inside the basin
-
-
-def test_ps_audit_monotone_in_delta(exp_map, exp_grid):
-    cloud = fl.postsingular_sample(exp_map, 25)
-    assert fl.ps_audit(exp_map, exp_grid, cloud, delta=0.1).ps_evidence
-    assert fl.ps_audit(exp_map, exp_grid, cloud, delta=0.05).ps_evidence
-
-
-def test_ps_audit_z_plus_exp(zplus_map):
-    grid = fl.label_components(
-        fl.classify_grid(zplus_map, (-2.0, 10.0, -np.pi, np.pi), (300, 160), 400)
-    )
-    cloud = fl.postsingular_sample(zplus_map, 12, k_bound=0)
-    rep = fl.ps_audit(zplus_map, grid, cloud, delta=0.5, sps=True)
-    assert rep.in_window_fraction == 1.0
-    assert rep.ps_evidence and rep.sps_evidence
-    assert rep.min_distance > 2.0  # the critical-value orbit runs along R, ~pi off the edges
-
-
-def test_ps_audit_sample_on_label_0_cell_is_at_distance_0(exp_map, exp_grid):
-    deep, julia = CloudSample("fixed point", 0, QA + 0j), CloudSample("escaping", 1, 3.0 + 0j)
-    assert exp_grid.label_at(deep.point) > 0 and exp_grid.label_at(julia.point) == 0
-    cloud = fl.PostsingularCloud(samples=(deep, julia), depth=1, escape_radius=1e6)
-    rep = fl.ps_audit(exp_map, exp_grid, cloud, delta=0.1)
-    assert rep.offending_samples == (julia,)
-    assert rep.min_distance == 0.0
-    assert not rep.ps_evidence
-
-
-def test_ps_audit_window_too_small(zplus_map):
-    grid = fl.label_components(
-        fl.classify_grid(zplus_map, (-2.0, 10.0, -np.pi, np.pi), (150, 80), 400)
-    )
-    cloud = fl.postsingular_sample(zplus_map, 12, k_bound=8)
-    with pytest.raises(WindowTooSmall):
-        fl.ps_audit(zplus_map, grid, cloud, delta=0.5)
-
-
-def test_ps_audit_parabolic_contact(zexp_map, zexp_grid):
-    # the petal orbit converges to the parabolic point 0 on the boundary:
-    # evidence fails at delta = 0.15 unless contact at 0 is allowed
-    cloud = fl.postsingular_sample(zexp_map, 40)
-    strict = fl.ps_audit(zexp_map, zexp_grid, cloud, delta=0.15)
-    relaxed = fl.ps_audit(zexp_map, zexp_grid, cloud, delta=0.15, allowed_contact=(0.0,))
-    assert not strict.ps_evidence
-    assert relaxed.ps_evidence

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +25,8 @@ def write_config(tmp_path, payload, name="cfg.json"):
     p.write_text(json.dumps(payload))
     return p
 
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 BASE = {
     "map": {"family": "exp_lambda", "lambda": 0.25},
@@ -90,6 +94,13 @@ def test_schema_violations_exit_2(tmp_path):
                                          "calibration": {"samples": 200, "resolution": 2}}}),
         ("audit", {**BASE, "audit": {"orbit": [[1.0, 0.0], [5.0, 0.0]], "region": {}}}),
         ("audit", {**BASE, "audit": {"orbit": [[800.0, 0.0], [1.0, 0.0]], "region": {}}}),
+        ("render", {**BASE, "window": [-math.inf, 4.0, -3.0, 3.0]}),
+        ("render", {**BASE, "map": {"family": "exp_lambda", "lambda": math.nan}}),
+        ("measure", {**BASE, "measure": {"basepoint": [0.3, 0.0], "walk_eps_cells": math.inf}}),
+        ("render", {**BASE, "escape_radius": 10**400}),
+        ("render", {**BASE, "window": [-2.0, 10**400, -3.0, 3.0]}),
+        ("render", {**BASE, "map": {"family": "exp_lambda", "lambda": 10**400}}),
+        ("periodic", {**BASE, "periodic": {"seed_region": [2.3, 2.0, 0.1, -0.1]}}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
@@ -97,13 +108,49 @@ def test_schema_violations_exit_2(tmp_path):
          "candidate_string_coefficient", "escaping_scan_without_point",
          "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius",
          "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2",
-         "audit_orbit_not_consecutive", "audit_orbit_overflows"],
+         "audit_orbit_not_consecutive", "audit_orbit_overflows", "window_minus_infinity",
+         "lambda_nan", "walk_eps_cells_infinity", "escape_radius_10_400", "window_bound_10_400",
+         "lambda_10_400", "seed_region_reversed"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, section, field", [
+    ("render", "budgets", "orbit"),
+    ("measure", "measure", "orbit_budget"),
+    ("scan", "scan", "budget"),
+])
+def test_orbit_budget_beyond_int32_exits_2(tmp_path, capsys, sub, section, field):
+    """The orbit kernel counts steps in int32: 2**31 exits 2 naming the field
+    and writes nothing, 2**31 - 1 still resolves."""
+    payload = json.loads((EXAMPLES / f"{sub}.json").read_text())
+    payload.setdefault(section, {})[field] = 2**31
+    out = tmp_path / "out"
+    assert cli.main([sub, "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 2
+    assert f"{section}.{field}" in capsys.readouterr().err
+    assert not out.exists()
+    payload[section][field] = 2**31 - 1
+    assert cli.resolve_config(payload, sub, {})[section][field] == 2**31 - 1
+
+
+def test_audit_cloud_off_segment_exits_3(tmp_path):
+    """`segment: c` takes every cloud point to lie on [0, c]. For z exp(-z)
+    the cloud runs from the critical value 1/e down to 0, so 0.01 is refused
+    with exit 3 and no audit.csv; the example's segment 1/e is met exactly."""
+    example = json.loads((EXAMPLES / "audit.json").read_text())
+    payload = copy.deepcopy(example)
+    payload["audit"]["segment"] = 0.01
+    out = tmp_path / "short"
+    assert cli.main(["audit", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["errors"][0].startswith("CloudOffSegment:")
+    assert not (out / "audit.csv").exists()
+    out = tmp_path / "example"
+    assert cli.main(["audit", "--config", str(write_config(tmp_path, example)), "--out", str(out)]) == 0
 
 
 def test_fatou_minus_auto_attractors_render(tmp_path):
@@ -460,21 +507,47 @@ def _scipy_loaded_by(*argv, scipy_absent=False):
 
 
 def test_scipy_loads_only_where_it_is_used(tmp_path):
-    """SciPy is imported at its call sites: importing the CLI, an `inner` run
-    and a `render` of `z_exp` or of `exp_lambda` (its attracting fixed point
-    found by damped Newton) load none of it, and `periodic` and `access`
-    (one boundary distance each, found by a numpy scan) run without it."""
-    examples = Path(__file__).resolve().parents[1] / "examples"
+    """SciPy is imported at its call sites. Importing the CLI loads none of
+    it. Of the seven examples, only `audit` (the Lambert W of `z_exp`) and
+    `measure` (walk queries and calibration statistics) load SciPy, and
+    neither loads `scipy.ndimage`; the other five, among them `periodic` and
+    `access` (one boundary distance each, found by a numpy scan), and a
+    `render` of `z_exp` run with every SciPy import failing."""
     assert _scipy_loaded_by() == [None, []]
-    inner = examples / "inner.json"
-    assert _scipy_loaded_by("inner", "--config", str(inner), "--out", str(tmp_path / "inner")) == [0, []]
     zexp = write_config(tmp_path, {**BASE, "map": {"family": "z_exp"}, "resolution": [20, 20]}, "z.json")
-    assert _scipy_loaded_by("render", "--config", str(zexp), "--out", str(tmp_path / "z")) == [0, []]
-    cfg = write_config(tmp_path, {**BASE, "resolution": [20, 20]})
-    assert _scipy_loaded_by("render", "--config", str(cfg), "--out", str(tmp_path / "render")) == [0, []]
-    for sub in ("periodic", "access"):
-        argv = (sub, "--config", str(examples / f"{sub}.json"), "--out", str(tmp_path / sub))
-        assert _scipy_loaded_by(*argv, scipy_absent=True) == [0, []]
+    argv = ("render", "--config", str(zexp), "--out", str(tmp_path / "z"))
+    assert _scipy_loaded_by(*argv, scipy_absent=True) == [0, []]
+    for sub in cli.SUBCOMMANDS:
+        argv = (sub, "--config", str(EXAMPLES / f"{sub}.json"), "--out", str(tmp_path / sub))
+        if sub in ("audit", "measure"):
+            code, loaded = _scipy_loaded_by(*argv)
+            assert code == 0 and "scipy" in loaded, sub
+            assert not [m for m in loaded if m.startswith("scipy.ndimage")], sub
+        else:
+            assert _scipy_loaded_by(*argv, scipy_absent=True) == [0, []], sub
+
+
+_BENCH_TRACER = EXAMPLES.parent / "bench" / "tracer.py"
+
+
+def test_bench_tracer_wraps_resolve():
+    """Every (module, attribute) that the benchmark's tracer wraps exists once
+    `fatoulab.cli` is imported, so renaming a traced function fails here too.
+    The tracer's WRAPS table is read from its source, not imported."""
+    tree = ast.parse(_BENCH_TRACER.read_text())
+    wraps = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "WRAPS")
+    pairs = sorted({(module, attr) for module, attr, *_ in wraps})
+    check = (
+        "import json, sys\n"
+        "import fatoulab.cli\n"
+        "pairs = json.loads(sys.argv[1])\n"
+        "print(json.dumps([p for p in pairs if not hasattr(sys.modules.get(p[0]), p[1])]))\n"
+    )
+    proc = _fresh_python("-c", check, json.dumps(pairs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+    assert len(pairs) > 20
 
 
 # One config per subcommand that gives every field of SCHEMA a value of the

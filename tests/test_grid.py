@@ -7,20 +7,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-import fatoulab as fl
+from fatoulab.catalog import exp_lambda
 from fatoulab.errors import OutOfWindow
-from fatoulab.grid import label_components
+from fatoulab.grid import ClassificationGrid, classify_grid, label_components
+from fatoulab.measure import disk_grid
 from fatoulab.orbits import CLASS_ATTRACTING, CLASS_DRIFT, CLASS_PARABOLIC, Kind
-from fatoulab.raster import fill_from_infinity, label_by_class, outer_ring
+from fatoulab.raster import label_by_class, outer_ring
 
 TWO_PI = 2 * np.pi
 
 
 def test_degenerate_two_by_two():
-    g = fl.classify_grid(fl.exp_lambda(0.25), (-1, 1, -1, 1), (2, 2), 50)
+    g = classify_grid(exp_lambda(0.25), (-1, 1, -1, 1), (2, 2), 50)
     assert g.kinds.shape == (2, 2)
     with pytest.raises(ValueError):
-        fl.classify_grid(fl.exp_lambda(0.25), (-1, 1, -1, 1), (1, 2), 50)
+        classify_grid(exp_lambda(0.25), (-1, 1, -1, 1), (1, 2), 50)
 
 
 def test_exp_lambda_grid_cells(exp_grid):
@@ -68,7 +69,7 @@ def _synthetic_grid(kinds, classes=None):
     ny, nx = kinds.shape
     if classes is None:
         classes = np.where(kinds == Kind.ATTRACTING, CLASS_ATTRACTING, 0)
-    g = fl.ClassificationGrid(
+    g = ClassificationGrid(
         window=(0.0, float(nx), 0.0, float(ny)),
         nx=nx, ny=ny,
         kinds=kinds.astype(np.int8),
@@ -121,54 +122,6 @@ def test_labels_follow_class_order():
     g = _synthetic_grid(kinds, classes)
     assert [int(g.labels[2 * i, 0]) for i in range(len(rows))] == [5, 2, 4, 3, 0, 1]
     assert np.array_equal(g.labels > 0, classes != 0)
-
-
-# ---------------------------------------------------------------------------
-# fill_from_infinity
-# ---------------------------------------------------------------------------
-
-
-def test_fill_annulus():
-    m = np.zeros((15, 15), bool)
-    m[4:11, 4:11] = True
-    m[6:9, 6:9] = False  # hole
-    f = fill_from_infinity(m)
-    assert f[7, 7]  # enclosed hole filled
-    assert f[4:11, 4:11].all()
-    assert not f[0, 0]
-
-
-def test_fill_segment_unchanged():
-    m = np.zeros((9, 9), bool)
-    m[4, 1:8] = True
-    assert np.array_equal(fill_from_infinity(m), m)
-
-
-def test_fill_figure_eight():
-    m = np.zeros((9, 17), bool)
-    for box in (slice(1, 8), slice(9, 16)):
-        m[1, box] = m[7, box] = True
-    m[1:8, 1] = m[1:8, 7] = m[1:8, 9] = m[1:8, 15] = True
-    f = fill_from_infinity(m)
-    assert f[4, 4] and f[4, 12]  # both lobes filled
-    assert not f[0, 0] and not f[4, 8]
-
-
-masks = hnp.arrays(bool, (12, 14), elements=st.booleans())
-
-
-@settings(max_examples=40, deadline=None)
-@given(masks)
-def test_fill_idempotent(m):
-    f = fill_from_infinity(m)
-    assert np.array_equal(fill_from_infinity(f), f)
-
-
-@settings(max_examples=40, deadline=None)
-@given(masks, masks)
-def test_fill_monotone(a, b):
-    small = a & b
-    assert not (fill_from_infinity(small) & ~fill_from_infinity(a)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +218,7 @@ def _distance(g, z):
 
 
 def test_distance_in_disk_grid():
-    g = fl.disk_grid(resolution=100)
+    g = disk_grid(resolution=100)
     assert _distance(g, 0j) >= 1.0 - 2 * g.cell_diagonal
     with pytest.raises(OutOfWindow):
         g.label_at(10 + 0j)
@@ -276,7 +229,7 @@ def test_distance_in_disk_grid():
 
 def test_distance_zero_at_boundary_adjacent_center():
     """A cell center 4-adjacent to an other-label cell is within one diagonal of it."""
-    g = fl.disk_grid(resolution=100)
+    g = disk_grid(resolution=100)
     centers = g.cell_centers()
     inside = g.labels > 0
     adjacent = inside & ~np.roll(inside, 1, axis=1)

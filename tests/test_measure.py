@@ -1,29 +1,33 @@
 import numpy as np
 import pytest
 
-import fatoulab as fl
 from fatoulab import measure
+from fatoulab.catalog import fatou_minus
 from fatoulab.errors import LeftWindow, NotFatouClassified, TooManyWindowExits
+from fatoulab.grid import classify_grid, label_components
 from fatoulab.measure import (
     _DRAW_CHUNK,
     _MAX_WALK_STEPS,
     _philox_chunks,
     _walk_hits,
     _walk_lockstep,
+    calibrate_disk,
+    disk_grid,
+    measure_report,
 )
-from fatoulab.orbits import Kind
+from fatoulab.orbits import Kind, default_attractors
 
 THREE_PI = 3 * np.pi
 
 
 def test_sample_hit_deterministic():
-    g = fl.disk_grid(resolution=200)
+    g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     assert _walk_hits(g, 0j, eps, 9, 50).tolist() == _walk_hits(g, 0j, eps, 9, 50).tolist()
 
 
 def test_walk_eps_validation():
-    g = fl.disk_grid(resolution=200)
+    g = disk_grid(resolution=200)
     with pytest.raises(ValueError):
         _walk_hits(g, 0j, 0.5 * max(g.cell_size), 0, 1)
     with pytest.raises(NotFatouClassified):
@@ -31,7 +35,7 @@ def test_walk_eps_validation():
 
 
 def test_hits_land_on_boundary_raster():
-    g = fl.disk_grid(resolution=300)
+    g = disk_grid(resolution=300)
     eps = 2.5 * max(g.cell_size)
     for h in _walk_hits(g, 0j, eps, 4, 100).tolist():
         assert g.label_at(h) != g.label_at(0j)
@@ -77,15 +81,15 @@ def test_calibration_statistics_equal_scipy_stats(monkeypatch):
 def test_calibration_exit_raises_left_window(monkeypatch):
     """A disk wider than the window lets walks exit; that is an error, not a NaN hit."""
     monkeypatch.setattr(
-        measure, "disk_grid", lambda resolution: fl.disk_grid(resolution=resolution, margin=-0.1)
+        measure, "disk_grid", lambda resolution: disk_grid(resolution=resolution, margin=-0.1)
     )
     with pytest.raises(LeftWindow):
-        fl.calibrate_disk(samples=200, resolution=100)
+        calibrate_disk(samples=200, resolution=100)
 
 
 def test_measure_report_fractions_exact(exp_map, exp_wide_grid):
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 60, rng_seed=2)
+    r = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 60, rng_seed=2)
     f = r.fractions
     assert f["escaping"] + f["bounded"] + f["undecided"] == 1.0
     assert sum(r.counts.values()) == 300 - r.left_window
@@ -94,9 +98,9 @@ def test_measure_report_fractions_exact(exp_map, exp_wide_grid):
 
 def test_measure_report_independent_of_block_size(exp_map, exp_wide_grid, monkeypatch):
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r1 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
+    r1 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
     monkeypatch.setattr(measure, "_BLOCK", 7)
-    r2 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
+    r2 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
     assert r1.fractions == r2.fractions
     assert [(h.sample_id, h.hit) for h in r1.hits] == [(h.sample_id, h.hit) for h in r2.hits]
 
@@ -132,7 +136,7 @@ def _single_walker_hits(grid, basepoint, eps, seed, n):
 
 
 def test_lockstep_hits_equal_single_walker_hits_on_disk():
-    g = fl.disk_grid(resolution=200)
+    g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     for basepoint in (0j, 0.5 + 0j):
         batched = _walk_hits(g, basepoint, eps, 9, 300)
@@ -155,7 +159,7 @@ def test_lockstep_hits_equal_single_walker_hits_with_exits(exp_map, exp_wide_gri
 def test_basepoint_near_the_boundary_stops_every_walker_at_step_0(monkeypatch):
     """Within walk_eps of the boundary raster, every walk ends before its first
     jump, at the basepoint's nearest center, from the one basepoint query."""
-    g = fl.disk_grid(resolution=200)
+    g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     basepoint = 0.985 + 0.01j
     label = g.label_at(basepoint)
@@ -176,7 +180,7 @@ def test_basepoint_near_the_boundary_stops_every_walker_at_step_0(monkeypatch):
 
 
 def test_hits_do_not_depend_on_the_block_size(monkeypatch):
-    g = fl.disk_grid(resolution=200)
+    g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     for basepoint in (0j, 0.5 + 0j):
         ref = _walk_hits(g, basepoint, eps, 6, 300)
@@ -189,8 +193,8 @@ def test_measure_budget_monotonicity(exp_map, exp_wide_grid):
     """Doubling the orbit budget only moves mass out of undecided; decided
     verdicts persist per hit."""
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r1 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 50, rng_seed=3)
-    r2 = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 100, rng_seed=3)
+    r1 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 50, rng_seed=3)
+    r2 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 300, eps, 100, rng_seed=3)
     assert [h.hit for h in r1.hits] == [h.hit for h in r2.hits]
     for a, b in zip(r1.hits, r2.hits):
         if a.verdict != "UNDECIDED":
@@ -204,24 +208,24 @@ def test_toy_disk_all_bounded(exp_map):
     import dataclasses
 
     g = dataclasses.replace(
-        fl.disk_grid(resolution=250), attractors=fl.default_attractors(exp_map)
+        disk_grid(resolution=250), attractors=default_attractors(exp_map)
     )
     eps = 2.5 * max(g.cell_size)
-    r = fl.measure_report(exp_map, g, 0j, 150, eps, 200, rng_seed=1)
+    r = measure_report(exp_map, g, 0j, 150, eps, 200, rng_seed=1)
     assert r.fractions == {"escaping": 0.0, "bounded": 1.0, "undecided": 0.0}
 
 
 def test_dense_orbit_stat_decreases_with_samples():
     """Hit orbits sweep the strip edge; more samples approach the targets better."""
-    m = fl.fatou_minus()
-    att = fl.default_attractors(m, k_bound=2)
-    g = fl.label_components(
-        fl.classify_grid(m, (-6.0, 14.0, -4.5, 4.5), (300, 135), 400, attractors=att)
+    m = fatou_minus()
+    att = default_attractors(m, k_bound=2)
+    g = label_components(
+        classify_grid(m, (-6.0, 14.0, -4.5, 4.5), (300, 135), 400, attractors=att)
     )
     eps = 2.5 * max(g.cell_size)
     targets = (2 + np.pi * 1j, -1 + np.pi * 1j)
     stats = [
-        fl.measure_report(m, g, 0j, n, eps, 120, targets=targets, rng_seed=5).dense_orbit_stat
+        measure_report(m, g, 0j, n, eps, 120, targets=targets, rng_seed=5).dense_orbit_stat
         for n in (500, 1000, 2000)
     ]
     assert stats[0] >= stats[1] >= stats[2]
@@ -230,17 +234,17 @@ def test_dense_orbit_stat_decreases_with_samples():
 
 def test_too_many_window_exits(exp_map):
     """A window cut deep inside the basin loses most walks through the frame."""
-    att = fl.default_attractors(exp_map)
-    g = fl.label_components(
-        fl.classify_grid(exp_map, (-2.0, 4.0, -3.0, 3.0), (150, 150), 300, attractors=att)
+    att = default_attractors(exp_map)
+    g = label_components(
+        classify_grid(exp_map, (-2.0, 4.0, -3.0, 3.0), (150, 150), 300, attractors=att)
     )
     eps = 2.5 * max(g.cell_size)
     with pytest.raises(TooManyWindowExits):
-        fl.measure_report(exp_map, g, 0.3574 + 0j, 150, eps, 50, rng_seed=0)
+        measure_report(exp_map, g, 0.3574 + 0j, 150, eps, 50, rng_seed=0)
 
 
 def test_measure_kind_names(exp_map, exp_wide_grid):
     eps = 2.5 * max(exp_wide_grid.cell_size)
-    r = fl.measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 150, eps, 60, rng_seed=8)
+    r = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 150, eps, 60, rng_seed=8)
     names = {h.verdict for h in r.hits}
     assert names <= {k.name for k in Kind}

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fatoulab as fl
 from fatoulab import orbits
+from fatoulab.catalog import exp_lambda, z_exp, z_plus_exp
 from fatoulab.orbits import (
     CLASS_ATTRACTING,
     CLASS_DRIFT,
     CLASS_PARABOLIC,
     Kind,
     classify_orbits_array,
+    default_attractors,
 )
 
 from conftest import QA, cmath_exp_quarter, cmath_z_exp, cmath_z_plus_exp, iterate
@@ -24,7 +25,7 @@ def _one(m, z, budget, **kw):
 
 def test_exp_lambda_escaping():
     # direct-iteration oracle: (1/4)e^3 ~ 5.02, then ~37.8, then past any radius
-    kind, n, cls = _one(fl.exp_lambda(0.25), 3.0, 100)
+    kind, n, cls = _one(exp_lambda(0.25), 3.0, 100)
     assert (kind, cls) == (Kind.ESCAPING, 0)
     assert n <= 5
     w = iterate(cmath_exp_quarter, 3.0, n)
@@ -32,8 +33,8 @@ def test_exp_lambda_escaping():
 
 
 def test_exp_lambda_attracting():
-    m = fl.exp_lambda(0.25)
-    att = fl.default_attractors(m)
+    m = exp_lambda(0.25)
+    att = default_attractors(m)
     kind, n, cls = _one(m, 0.0, 200, attractors=att)
     assert (kind, cls) == (Kind.ATTRACTING, CLASS_ATTRACTING + 0)
     assert att[0][1] == 1
@@ -49,14 +50,14 @@ def test_exp_lambda_attractor_is_minus_lambert_w():
     lams = np.concatenate((np.geomspace(1e-6, 0.36, 300), np.linspace(0.34, 0.36, 100)))
     with mp.workdps(30):
         for lam in lams.tolist():
-            ((p, period),) = fl.default_attractors(fl.exp_lambda(lam))
+            ((p, period),) = default_attractors(exp_lambda(lam))
             assert period == 1
             assert abs(mp.mpc(p) + mp.lambertw(-mp.mpf(lam), 0)) <= 1e-15
 
 
 def test_z_plus_exp_line_escape():
     # f(i pi) = i pi - 1, real parts then decrease without bound
-    kind, n, cls = _one(fl.z_plus_exp(), 1j * np.pi, 400)
+    kind, n, cls = _one(z_plus_exp(), 1j * np.pi, 400)
     assert (kind, cls) == (Kind.ESCAPING, 0)
     w = iterate(cmath_z_plus_exp, 1j * np.pi, n)
     assert w.real < -100.0
@@ -64,25 +65,25 @@ def test_z_plus_exp_line_escape():
 
 def test_z_plus_exp_slow_drift():
     # x_{n+1} = x_n + e^{-x_n} ~ log(n + e): never crosses the radius, certified by drift
-    kind, n, cls = _one(fl.z_plus_exp(), 0.0, 400)
+    kind, n, cls = _one(z_plus_exp(), 0.0, 400)
     assert (kind, cls) == (Kind.ESCAPING, CLASS_DRIFT + 0)
     assert 0 < iterate(cmath_z_plus_exp, 0.0, n).real < 6.0
 
 
 def test_z_exp_parabolic_and_escape():
-    kind, _, cls = _one(fl.z_exp(), 0.2, 2000)
+    kind, _, cls = _one(z_exp(), 0.2, 2000)
     assert (kind, cls) == (Kind.PARABOLIC, CLASS_PARABOLIC)
-    kind, n, cls = _one(fl.z_exp(), -0.5, 50)
+    kind, n, cls = _one(z_exp(), -0.5, 50)
     assert (kind, cls) == (Kind.ESCAPING, 0)
     assert n <= 10
 
 
 def test_undecided_fallback():
-    assert _one(fl.z_exp(), 0.2, 5) == (Kind.UNDECIDED, 5, 0)
+    assert _one(z_exp(), 0.2, 5) == (Kind.UNDECIDED, 5, 0)
 
 
 def test_escape_radius_must_exceed_attractors():
-    m = fl.exp_lambda(0.25)
+    m = exp_lambda(0.25)
     with pytest.raises(ValueError):
         _one(m, 0.0, 10, escape_radius=0.1, attractors=((QA, 1),))
 
@@ -94,8 +95,8 @@ def test_escape_radius_must_exceed_attractors():
 )
 def test_budget_monotonicity(re, im, budget):
     """A verdict other than Undecided at budget b is identical at every larger budget."""
-    m = fl.exp_lambda(0.25)
-    att = fl.default_attractors(m)
+    m = exp_lambda(0.25)
+    att = default_attractors(m)
     v1 = _one(m, complex(re, im), budget, attractors=att)
     if v1[0] == Kind.UNDECIDED:
         return
@@ -103,7 +104,7 @@ def test_budget_monotonicity(re, im, budget):
 
 
 def test_determinism():
-    m = fl.z_plus_exp()
+    m = z_plus_exp()
     z = np.array([0.3 + 2.9j, 0.0, 1j * np.pi])
     a = classify_orbits_array(m, z, 400)
     b = classify_orbits_array(m, z, 400)
@@ -116,14 +117,14 @@ def test_escaping_verdicts_carry_their_trigger():
     unless the class records a certified drift run ending near strip k."""
     rng = np.random.default_rng(8)
     maps = (
-        (fl.exp_lambda(0.25), cmath_exp_quarter),
-        (fl.z_plus_exp(), cmath_z_plus_exp),
-        (fl.z_exp(), cmath_z_exp),
+        (exp_lambda(0.25), cmath_exp_quarter),
+        (z_plus_exp(), cmath_z_plus_exp),
+        (z_exp(), cmath_z_exp),
     )
     drifts = 0
     for m, f in maps:
         z = rng.uniform(-3, 6, 40) + 1j * rng.uniform(-6, 6, 40)
-        res = classify_orbits_array(m, z, 300, attractors=fl.default_attractors(m))
+        res = classify_orbits_array(m, z, 300, attractors=default_attractors(m))
         for z0, kind, n, cls in zip(z.tolist(), res.kinds, res.iterations, res.classes):
             if kind != Kind.ESCAPING:
                 continue
@@ -159,13 +160,13 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
     attractor captures (exp_lambda) end at many steps inside each block."""
     rng = np.random.default_rng(5)
     cases = (
-        (fl.z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING),
-        (fl.z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC),
-        (fl.exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING),
+        (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING),
+        (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC),
+        (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING),
     )
     for m, (re0, re1, im0, im1), budget, kind in cases:
         z = rng.uniform(re0, re1, n) + 1j * rng.uniform(im0, im1, n)
-        kw = dict(attractors=fl.default_attractors(m))
+        kw = dict(attractors=default_attractors(m))
         whole = classify_orbits_array(m, z, budget, **kw)
         assert ((whole.kinds == kind) & (whole.classes != 0)).any()
         assert np.unique(whole.iterations).size > 5

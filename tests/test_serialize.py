@@ -2,17 +2,20 @@ import csv
 
 import numpy as np
 
-import fatoulab as fl
 from fatoulab import serialize
-from fatoulab.grid import ClassificationGrid
-from fatoulab.orbits import Kind
+from fatoulab.boundary import access_curve, newton_periodic
+from fatoulab.branches import chain_fixing
+from fatoulab.catalog import postsingular_sample
+from fatoulab.grid import ClassificationGrid, classify_grid
+from fatoulab.hyperbolic import contraction_audit
+from fatoulab.orbits import Kind, default_attractors
 
 from conftest import QR
 
 
 def test_curve_csv(tmp_path, exp_map, exp_grid):
-    p = fl.newton_periodic(exp_map, 2.2, 1, grid=exp_grid)
-    curve = fl.access_curve(exp_map, p, 1.8 + 0j, 5, exp_grid)
+    p = newton_periodic(exp_map, 2.2, 1, grid=exp_grid)
+    curve = access_curve(exp_map, p, 1.8 + 0j, 5, exp_grid)
     serialize.curve_to_csv(curve, tmp_path / "curve.csv")
     rows = (tmp_path / "curve.csv").read_text().strip().splitlines()
     assert rows[0] == "m,re,im,gap"
@@ -20,10 +23,10 @@ def test_curve_csv(tmp_path, exp_map, exp_grid):
 
 
 def test_audit_csv(tmp_path, exp_map):
-    chain = fl.chain_fixing(exp_map, QR, 2)
-    P = fl.postsingular_sample(exp_map, 10).points()
+    chain = chain_fixing(exp_map, QR, 2)
+    P = postsingular_sample(exp_map, 10).points()
     region = [QR + 0.1 * np.exp(2j * np.pi * k / 8) for k in range(8)]
-    audit = fl.contraction_audit(exp_map, chain, region, P)
+    audit = contraction_audit(exp_map, chain, region, P)
     serialize.audit_to_csv(audit, tmp_path / "audit.csv")
     rows = (tmp_path / "audit.csv").read_text().strip().splitlines()
     assert rows[0] == "re,im,ratio_lower,ratio_upper,verdict"
@@ -47,9 +50,9 @@ def test_grid_ppm_palette(tmp_path, exp_grid):
 
 
 def test_grid_threads_deterministic(exp_map):
-    kw = dict(attractors=fl.default_attractors(exp_map))
-    g1 = fl.classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=1, **kw)
-    g4 = fl.classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=4, **kw)
+    kw = dict(attractors=default_attractors(exp_map))
+    g1 = classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=1, **kw)
+    g4 = classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=4, **kw)
     assert np.array_equal(g1.kinds, g4.kinds)
     assert np.array_equal(g1.iterations, g4.iterations)
     assert np.array_equal(g1.classes, g4.classes)
