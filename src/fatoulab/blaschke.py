@@ -30,6 +30,11 @@ _MAX_GRID_BITS = 19
 
 # Roots closer than this in angle are one circle periodic point.
 _DEDUP_TOL = 1e-10
+# Bisection widths of the circle roots: B^n and the Denjoy-Wolff search stop
+# at _BISECT_TOL, a rational candidate at _CANDIDATE_BISECT_TOL. Each width
+# fixes the last digits of the angles and points that it reports.
+_BISECT_TOL = 5e-14
+_CANDIDATE_BISECT_TOL = 1e-14
 # The Denjoy-Wolff tolerance: the interior Cauchy margin and the slack on a
 # boundary fixed point's derivative.
 _DW_TOL = 1e-9
@@ -92,10 +97,6 @@ class BlaschkeProduct:
             z = self.evaluate(z)
         return z
 
-    def boundary_derivative_modulus(self, theta: float) -> float:
-        """|B'| on the unit circle; equals the sum of Poisson kernels at the zeros."""
-        return abs(self.eval_with_derivative(cmath.exp(1j * theta))[1])
-
     @staticmethod
     def from_json(d: dict) -> "BlaschkeProduct":
         rot = complex(*d.get("rotation", [1.0, 0.0]))
@@ -104,53 +105,7 @@ class BlaschkeProduct:
 
 
 # ---------------------------------------------------------------------------
-# Circle lifts
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CircleLift:
-    """Continuous argument lift G of theta -> arg f(e^{i theta}) on [0, 2pi].
-
-    G(theta + 2pi) = G(theta) + 2pi * winding by construction. The grid is
-    dense enough that each increment stays below pi, so values between nodes
-    continue analytically from the left node (see _vector_branch_roots).
-    """
-
-    func: object                 # callable complex -> complex
-    thetas: np.ndarray           # N+1 nodes spanning [0, 2pi]
-    values: np.ndarray           # lift values at the nodes
-    winding: int
-
-
-def build_lift(func, require_monotone: bool = True) -> CircleLift:
-    """Track the argument of func along the circle, doubling the grid until unambiguous."""
-    bits = _MIN_GRID_BITS
-    while True:
-        n = 1 << bits
-        thetas = np.linspace(0.0, TWO_PI, n + 1)
-        vals = np.asarray(func(np.exp(1j * thetas)), dtype=complex)
-        args = np.unwrap(np.angle(vals))
-        steps = np.diff(args)
-        ambiguous = np.max(np.abs(steps)) >= 0.9 * math.pi
-        non_monotone = require_monotone and np.any(steps <= 0.0)
-        if not ambiguous and not non_monotone:
-            winding = (args[-1] - args[0]) / TWO_PI
-            rounded = round(winding)
-            if abs(winding - rounded) > 1e-6:
-                raise ValueError(f"lift winding {winding} is not an integer")
-            return CircleLift(func, thetas, args, rounded)
-        if bits >= _MAX_GRID_BITS:
-            raise LiftGridExhausted("circle lift grid exhausted; map varies too fast")
-        bits += 1
-
-
-def circle_lift(b: BlaschkeProduct, n: int = 1) -> CircleLift:
-    return build_lift(lambda z: b.iterate(z, n))
-
-
-# ---------------------------------------------------------------------------
-# Boundary periodic points
+# Circle fixed points and boundary periodic points
 # ---------------------------------------------------------------------------
 
 
@@ -161,51 +116,64 @@ class CirclePeriodicPoint:
     residual: float
 
 
-def _vector_branch_roots(lift: CircleLift, refine_tol: float = 5e-14) -> list[tuple[float, int]]:
-    """All roots (theta, j) of lift(theta) = theta + 2pi j on [0, 2pi], over every branch j.
+def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float, int]]:
+    """Every fixed point of the circle map of func, as (theta in [0, 2pi), branch j) pairs.
 
-    The branches j are those the displacement lift(theta) - theta reaches on
-    the grid. Brackets from every branch equation are refined together, one
-    vectorised map evaluation per bisection level; lift values at midpoints
-    continue analytically from the tracked left-endpoint anchor.
+    A continuous lift G of theta -> arg func(e^{i theta}) is tracked on a grid
+    that doubles until every step is below 0.9 pi (and positive, with
+    `monotone`), and G gains 2pi times an integer winding over one turn. The
+    roots of G(theta) = theta + 2pi j that the grid brackets, over every
+    branch j the displacement G - theta reaches, are bisected together to
+    width `tol`, one vectorised evaluation of func per level; G at a midpoint
+    continues from its left endpoint. Sorted by (theta, j), a root within
+    _DEDUP_TOL in angle of the last root kept or, across 0 = 2pi, of the first
+    is the same point and is dropped.
     """
-    h = lift.values - lift.thetas
-    j_lo = math.ceil(h.min() / TWO_PI - 1e-12)
-    j_hi = math.floor(h.max() / TWO_PI + 1e-12)
+    bits = _MIN_GRID_BITS
+    while True:
+        thetas = np.linspace(0.0, TWO_PI, (1 << bits) + 1)
+        lift = np.unwrap(np.angle(np.asarray(func(np.exp(1j * thetas)), dtype=complex)))
+        steps = np.diff(lift)
+        if not (np.max(np.abs(steps)) >= 0.9 * math.pi or monotone and np.any(steps <= 0.0)):
+            break
+        if bits >= _MAX_GRID_BITS:
+            raise LiftGridExhausted("circle lift grid exhausted; map varies too fast")
+        bits += 1
+    winding = (lift[-1] - lift[0]) / TWO_PI
+    if abs(winding - round(winding)) > 1e-6:
+        raise ValueError(f"lift winding {winding} is not an integer")
+
+    h = lift - thetas
     roots: list[tuple[float, int]] = []
-    lo_list, hi_list, glo_list, Glo_list, jj_list = [], [], [], [], []
-    for j in range(j_lo, j_hi + 1):
+    ks, js = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for j in range(math.ceil(h.min() / TWO_PI - 1e-12), math.floor(h.max() / TWO_PI + 1e-12) + 1):
         hj = h - TWO_PI * j
-        on_node = np.nonzero(hj == 0.0)[0]
-        roots.extend((float(lift.thetas[k]), int(j)) for k in on_node)
-        crossing = np.nonzero(hj[:-1] * hj[1:] < 0.0)[0]
-        for k in crossing:
-            lo_list.append(lift.thetas[k])
-            hi_list.append(lift.thetas[k + 1])
-            glo_list.append(hj[k])
-            Glo_list.append(lift.values[k])
-            jj_list.append(j)
-    if lo_list:
-        lo = np.array(lo_list)
-        hi = np.array(hi_list)
-        g_lo = np.array(glo_list)
-        G_lo = np.array(Glo_list)
-        jj = np.array(jj_list, dtype=float)
-        while np.max(hi - lo) > refine_tol:
-            mid = 0.5 * (lo + hi)
-            raw = np.angle(lift.func(np.exp(1j * mid)))
-            G_mid = G_lo + (raw - G_lo + math.pi) % TWO_PI - math.pi
-            g_mid = G_mid - mid - TWO_PI * jj
-            left = (g_lo * g_mid < 0.0) | (g_mid == 0.0)
-            hi = np.where(left, mid, hi)
-            move = ~left
-            lo = np.where(move, mid, lo)
-            g_lo = np.where(move, g_mid, g_lo)
-            G_lo = np.where(move, G_mid, G_lo)
-        roots.extend(
-            (float(t), int(j)) for t, j in zip(0.5 * (lo + hi), jj_list)
-        )
-    return roots
+        roots.extend((float(thetas[k]), j) for k in np.nonzero(hj == 0.0)[0])
+        ks.append(np.nonzero(hj[:-1] * hj[1:] < 0.0)[0])
+        js.append(np.full(ks[-1].size, j))
+    k, jj = np.concatenate(ks), np.concatenate(js)
+    lo, hi, G_lo = thetas[k], thetas[k + 1], lift[k]
+    g_lo = h[k] - TWO_PI * jj
+    while lo.size and np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        raw = np.angle(func(np.exp(1j * mid)))
+        G_mid = G_lo + (raw - G_lo + math.pi) % TWO_PI - math.pi
+        g_mid = G_mid - mid - TWO_PI * jj
+        left = (g_lo * g_mid < 0.0) | (g_mid == 0.0)
+        hi = np.where(left, mid, hi)
+        move = ~left
+        lo = np.where(move, mid, lo)
+        g_lo = np.where(move, g_mid, g_lo)
+        G_lo = np.where(move, G_mid, G_lo)
+    roots.extend(zip((0.5 * (lo + hi)).tolist(), jj.tolist()))
+
+    kept: list[tuple[float, int]] = []
+    for theta, j in sorted(roots):
+        t = theta % TWO_PI
+        if not any(abs(t - s) < _DEDUP_TOL or abs(abs(t - s) - TWO_PI) < _DEDUP_TOL
+                   for s, _ in kept[-1:] + kept[:1]):
+            kept.append((t, j))
+    return kept
 
 
 def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoint]:
@@ -219,30 +187,14 @@ def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoi
         raise ValueError("n must be >= 1")
     if b.degree < 2:
         raise ValueError("degree must be >= 2")
-    found = _vector_branch_roots(circle_lift(b, n))
-
-    per_j: dict[int, int] = {}
-    for _, j in found:
-        per_j[j] = per_j.get(j, 0) + 1
-    if any(c > 1 for c in per_j.values()):
-        warnings.warn(
-            "some branch equations had multiple roots", LiftNotExpandingWarning
-        )
-
-    found.sort()
+    found = _circle_roots(lambda z: b.iterate(z, n), _BISECT_TOL, monotone=True)
+    branches = [j for _, j in found]
+    if len(set(branches)) < len(branches):
+        warnings.warn("some branch equations had multiple roots", LiftNotExpandingWarning)
     points: list[CirclePeriodicPoint] = []
-    for theta, j in found:
-        t = theta % TWO_PI
-        # Sorted by angle, a root can only repeat the last point kept or,
-        # across 0 = 2pi, the first one.
-        if any(
-            abs(t - p.theta) < _DEDUP_TOL or abs(abs(t - p.theta) - TWO_PI) < _DEDUP_TOL
-            for p in points[-1:] + points[:1]
-        ):
-            continue
+    for t, j in found:
         z = cmath.exp(1j * t)
-        residual = abs(b.iterate(z, n) - z)
-        points.append(CirclePeriodicPoint(t, j, residual))
+        points.append(CirclePeriodicPoint(t, j, abs(b.iterate(z, n) - z)))
     return points
 
 
@@ -308,16 +260,11 @@ def _newton_fixed_point(b: BlaschkeProduct, z: complex) -> complex:
     return z
 
 
-def _circle_fixed_points(b: BlaschkeProduct) -> list[float]:
-    lift = build_lift(b.evaluate, require_monotone=False)
-    return sorted(t % TWO_PI for t, _ in _vector_branch_roots(lift))
-
-
 def _refine_boundary(b: BlaschkeProduct, theta_hat: float) -> DenjoyWolff:
-    candidates = _circle_fixed_points(b)
     best = None
-    for t in candidates:
-        dm = b.boundary_derivative_modulus(t)
+    for t, _ in _circle_roots(b.evaluate, _BISECT_TOL):
+        # |B'| on the circle, the sum of the Poisson kernels at the zeros
+        dm = abs(b.eval_with_derivative(cmath.exp(1j * t))[1])
         if dm > 1.0 + _DW_TOL:
             continue
         gap = abs((t - theta_hat + math.pi) % TWO_PI - math.pi)
@@ -383,11 +330,8 @@ def verify_inner_candidate(cand: RationalCircleMap, samples: int = 10**4) -> Inn
 
     fixed: list[complex] = []
     if circle_preserving:
-        lift = build_lift(cand.evaluate, require_monotone=False)
-        for t in sorted(t % TWO_PI for t, _ in _vector_branch_roots(lift, 1e-14)):
+        for t, _ in _circle_roots(cand.evaluate, _CANDIDATE_BISECT_TOL):
             p = cmath.exp(1j * t)
-            if any(abs(p - q) < 1e-9 for q in fixed):
-                continue
             if abs(cand.evaluate(p) - p) < 1e-10:
                 fixed.append(p)
     else:

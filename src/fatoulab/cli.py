@@ -183,7 +183,8 @@ SCHEMA = {
         lambda v: isinstance(v, dict) and all(
             _is_list(v.get(k), _is_real) and len(v[k]) > 0 for k in ("num", "den")))),
     "inner.periods": ([1, 2, 3], _must(
-        "a list of integers >= 1", lambda v: _is_list(v, lambda n: _is_int(n) and n >= 1))),
+        "a list of distinct integers >= 1",
+        lambda v: _is_list(v, lambda n: _is_int(n) and n >= 1) and len(set(v)) == len(v))),
     "inner.samples": (10000, _int_at_least(1)),
     "scan": ({}, _OBJECT),
     "scan.kind": (REQUIRED, _must("'escaping' or 'parabolic'", lambda v: v in ("escaping", "parabolic"))),
@@ -202,30 +203,29 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
     """Check every field of the run and fill every default; ConfigError on the first bad one."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _require(subcommand in SUBCOMMANDS, f"unknown subcommand {subcommand}")
-    # Only the table's top-level fields and this run's section reach the run,
-    # its echo and its hash; other sections and unknown keys are dropped.
-    cfg = copy.deepcopy({
-        k: v for k, v in raw.items()
-        if k in SCHEMA and "." not in k and (k not in SUBCOMMANDS or k == subcommand)
-    })
-    cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    # The run, its echo and its hash see only the fields the table names: other
+    # subcommands' sections and unknown keys, at any depth, are dropped. A
+    # field that is not an object section (map, inner.blaschke, ...) is kept as given.
+    given = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg: dict = {}
     for key, (default, check) in SCHEMA.items():
         head = key.partition(".")[0]
         if head in SUBCOMMANDS and head != subcommand:
             continue
         *parents, name = key.split(".")
-        holder = cfg
+        source, holder = given, cfg
         for p in parents:
-            holder = holder[p]
-        if name not in holder:
+            source, holder = source.get(p, {}), holder[p]
+        if name not in source:
             _require(default is not REQUIRED, f"{key} is required")
             if default is not OPTIONAL:
                 holder[name] = copy.deepcopy(default)
             continue
         try:
-            check(holder[name])
+            check(source[name])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+        holder[name] = {} if check is _OBJECT else copy.deepcopy(source[name])
 
     if cfg["attractors"] != "auto":
         _require(all(abs(_as_complex(a)) < cfg["escape_radius"] for a in cfg["attractors"]),

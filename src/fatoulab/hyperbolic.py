@@ -21,11 +21,6 @@ from .errors import CloudOffSegment, DegeneratePointSet, OnPostsingularSet, OnSe
 
 TWICE_PUNCTURED_K = 4.38
 
-METHOD_TWICE_PUNCTURED = "twice_punctured"
-METHOD_INSCRIBED_DISK = "inscribed_disk"
-METHOD_SEGMENT = "segment"
-METHOD_EXACT = "exact"
-
 
 def punctured_disk_density(zeta: complex) -> float:
     """Density of the punctured unit disk at zeta (curvature -1)."""
@@ -104,43 +99,21 @@ def _inverse_joukowski(w: complex) -> complex:
     return zeta
 
 
-@dataclass(frozen=True)
-class DensityBound:
-    at: complex
-    lower: float
-    upper: float
-    method_lower: str
-    method_upper: str
-
-    def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper * (1.0 + 1e-12)):
-            raise ValueError(
-                f"invalid density bracket [{self.lower}, {self.upper}] at {self.at}"
-            )
-
-
-def density_bound(p, z: complex, segment: float | None = None) -> DensityBound:
-    """Two-sided bound for the density of C minus P at z.
+def density_bound(p, z: complex, segment: float | None) -> tuple[float, float]:
+    """Two-sided bound (lower, upper) for the density of C minus P at z.
 
     `segment=c` asserts that P is contained in [0, c] (`contraction_audit`
-    checks it, this function does not); the exact density of
-    C minus [0, c] then tightens the upper bound (and is exact when P is the
-    whole segment). With P=None and a segment, both sides are exact.
+    checks it, this function does not); the exact density of C minus [0, c]
+    then tightens the upper bound.
     """
-    if p is None:
-        if segment is None:
-            raise ValueError("need a point set or a segment")
-        rho = segment_complement_density(segment, z)
-        return DensityBound(z, rho, rho, METHOD_EXACT, METHOD_EXACT)
     lower = density_lower(p, z)
     upper = density_upper(p, z)
-    method_upper = METHOD_INSCRIBED_DISK
     if segment is not None:
-        seg = segment_complement_density(segment, z)
-        if seg < upper:
-            upper = seg
-            method_upper = METHOD_SEGMENT
-    return DensityBound(z, min(lower, upper), upper, METHOD_TWICE_PUNCTURED, method_upper)
+        upper = min(upper, segment_complement_density(segment, z))
+    lower = min(lower, upper)
+    if not (0.0 < lower <= upper * (1.0 + 1e-12)):
+        raise ValueError(f"invalid density bracket [{lower}, {upper}] at {z}")
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +128,6 @@ VERDICT_VIOLATION = "violation"
 @dataclass(frozen=True)
 class AuditRow:
     point: complex
-    image: complex
     ratio_lower: float
     ratio_upper: float
     verdict: str
@@ -191,7 +163,7 @@ def contraction_audit(
     `segment=c` takes the point set P to lie on [0, c], as `density_bound`
     does; raises CloudOffSegment when a point of P does not.
     """
-    if segment is not None and p is not None:
+    if segment is not None:
         pts = np.asarray(p, dtype=complex).ravel()
         off = ~((pts.imag == 0.0) & (pts.real >= 0.0) & (pts.real <= segment))
         if off.any():
@@ -201,24 +173,24 @@ def contraction_audit(
     n = len(chain)
     if n == 0:
         # The identity chain is an exact isometry; the bounds cancel exactly.
-        rows = [AuditRow(complex(x), complex(x), 1.0, 1.0, VERDICT_OK) for x in region]
+        rows = [AuditRow(complex(x), 1.0, 1.0, VERDICT_OK) for x in region]
         return ContractionAudit(tuple(rows), ())
     for x in region:
         x = complex(x)
         y = apply_chain(chain, x)
         f_prime = 1.0 / abs(m.iterate_with_derivative(y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
 
-        bx = density_bound(p, x, segment)
-        by = density_bound(p, y, segment)
-        lo = by.lower * f_prime / bx.upper
-        hi = by.upper * f_prime / bx.lower
+        x_lower, x_upper = density_bound(p, x, segment)
+        y_lower, y_upper = density_bound(p, y, segment)
+        lo = y_lower * f_prime / x_upper
+        hi = y_upper * f_prime / x_lower
         if hi <= 1.0:
             verdict = VERDICT_OK
         elif lo > 1.0:
             verdict = VERDICT_VIOLATION
         else:
             verdict = VERDICT_INCONCLUSIVE
-        row = AuditRow(x, y, lo, hi, verdict)
+        row = AuditRow(x, lo, hi, verdict)
         rows.append(row)
         if verdict == VERDICT_VIOLATION:
             violations.append(row)

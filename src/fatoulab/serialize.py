@@ -1,18 +1,18 @@
 """Output writers: binary PPM images, CSV tables, canonical JSON.
 
-All CSVs carry a header row and '.' decimal separators and end every line,
-the last one included, with CRLF, as csv.writer does. Every float cell goes
-through _num, which prints the shortest repr of the Python float, so reruns
-under fixed seeds are byte-identical and numpy scalars print as plain
-numbers. grid.csv has one row per cell, `x_index,y_index,kind,label,iterations`:
-integer indices, label and iteration count, and the kind's lower-case name,
-in raster order (iy outer, ix inner). canonical_json writes a complex number
+All CSVs go through _write_csv: a header row, '.' decimal separators, and
+CRLF at the end of every line, the last one included, as csv.writer writes
+them. Every float cell goes through _num, which prints the shortest repr of
+the Python float, so reruns under fixed seeds are byte-identical and numpy
+scalars print as plain numbers. grid.csv has one row per cell,
+`x_index,y_index,kind,label,iterations`: integer indices, label and
+iteration count, and the kind's lower-case name, in raster order (iy outer,
+ix inner). canonical_json writes a complex number
 as its [re, im] pair and a dataclass instance as the object of its fields.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -55,60 +55,51 @@ def grid_to_ppm(grid: ClassificationGrid, path: str | Path) -> None:
     Path(path).write_bytes(header + rgb.tobytes())
 
 
-def grid_to_csv(grid: ClassificationGrid, path: str | Path) -> None:
-    """One joined string per raster row; no cell needs csv quoting."""
-    names = [k.name.lower() for k in Kind]
+def _write_csv(path: str | Path, header: str, lines) -> None:
+    """The header, then each line, every one ended with CRLF as csv.writer ends it.
+
+    No cell of these tables needs csv quoting: each is a number or a lower-case name.
+    """
     with open(path, "w", newline="") as f:
-        f.write("x_index,y_index,kind,label,iterations\r\n")
-        for iy in range(grid.ny):
-            row = zip(grid.kinds[iy].tolist(), grid.labels[iy].tolist(), grid.iterations[iy].tolist())
-            f.write("".join([f"{ix},{iy},{names[k]},{lab},{it}\r\n"
-                             for ix, (k, lab, it) in enumerate(row)]))
+        f.write(header + "\r\n")
+        for line in lines:
+            f.write(line + "\r\n")
+
+
+def grid_to_csv(grid: ClassificationGrid, path: str | Path) -> None:
+    """One joined string per raster row."""
+    names = [k.name.lower() for k in Kind]
+    _write_csv(path, "x_index,y_index,kind,label,iterations", (
+        "\r\n".join([f"{ix},{iy},{names[k]},{lab},{it}" for ix, (k, lab, it) in enumerate(
+            zip(grid.kinds[iy].tolist(), grid.labels[iy].tolist(), grid.iterations[iy].tolist()))])
+        for iy in range(grid.ny)))
 
 
 def curve_to_csv(curve, path: str | Path) -> None:
     """Access-curve polyline rows (m, re, im, gap to the landing point)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["m", "re", "im", "gap"])
-        for gen, v in zip(curve.segment_index, curve.vertices):
-            w.writerow([gen, _num(v.real), _num(v.imag), _num(abs(v - curve.landing_point))])
+    _write_csv(path, "m,re,im,gap", (
+        f"{gen},{_num(v.real)},{_num(v.imag)},{_num(abs(v - curve.landing_point))}"
+        for gen, v in zip(curve.segment_index, curve.vertices)))
 
 
 def hits_to_csv(report, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "hit_re", "hit_im", "verdict", "orbit_iterations"])
-        for h in report.hits:
-            w.writerow(
-                [h.sample_id, _num(h.hit.real), _num(h.hit.imag), h.verdict.lower(), h.orbit_iterations]
-            )
+    _write_csv(path, "sample_id,hit_re,hit_im,verdict,orbit_iterations", (
+        f"{h.sample_id},{_num(h.hit.real)},{_num(h.hit.imag)},"
+        f"{h.verdict.lower()},{h.orbit_iterations}"
+        for h in report.hits))
 
 
 def audit_to_csv(audit, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["re", "im", "ratio_lower", "ratio_upper", "verdict"])
-        for row in audit.rows:
-            w.writerow(
-                [
-                    _num(row.point.real),
-                    _num(row.point.imag),
-                    _num(row.ratio_lower),
-                    _num(row.ratio_upper),
-                    row.verdict,
-                ]
-            )
+    _write_csv(path, "re,im,ratio_lower,ratio_upper,verdict", (
+        f"{_num(r.point.real)},{_num(r.point.imag)},"
+        f"{_num(r.ratio_lower)},{_num(r.ratio_upper)},{r.verdict}"
+        for r in audit.rows))
 
 
 def periodic_points_to_csv(rows, path: str | Path) -> None:
     """Circle periodic points, one block per (period n, points of period n) in `rows`."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n", "j", "theta", "residual"])
-        for n, points in rows:
-            for p in points:
-                w.writerow([n, p.branch, _num(p.theta), _num(p.residual)])
+    _write_csv(path, "n,j,theta,residual", (
+        f"{n},{p.branch},{_num(p.theta)},{_num(p.residual)}" for n, points in rows for p in points))
 
 
 def write_json(obj, path: str | Path) -> None:

@@ -101,6 +101,8 @@ def test_schema_violations_exit_2(tmp_path):
         ("render", {**BASE, "window": [-2.0, 10**400, -3.0, 3.0]}),
         ("render", {**BASE, "map": {"family": "exp_lambda", "lambda": 10**400}}),
         ("periodic", {**BASE, "periodic": {"seed_region": [2.3, 2.0, 0.1, -0.1]}}),
+        ("inner", {**BASE, "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]},
+                                     "periods": [2, 2]}}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
@@ -110,7 +112,7 @@ def test_schema_violations_exit_2(tmp_path):
          "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2",
          "audit_orbit_not_consecutive", "audit_orbit_overflows", "window_minus_infinity",
          "lambda_nan", "walk_eps_cells_infinity", "escape_radius_10_400", "window_bound_10_400",
-         "lambda_10_400", "seed_region_reversed"],
+         "lambda_10_400", "seed_region_reversed", "inner_periods_repeated"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
@@ -196,10 +198,14 @@ def test_threads_change_neither_echo_nor_hash(tmp_path):
     assert h1 == h2
 
 
-@pytest.mark.parametrize("extra", [{"scan": {"kind": "nonsense"}}, {"notes": "not a field"}],
-                         ids=["other_section", "unknown_key"])
+@pytest.mark.parametrize(
+    "extra",
+    [{"scan": {"kind": "nonsense"}}, {"notes": "not a field"}, {"budgets": {"junk": 1}},
+     {"inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}, "bogus": [1, 2]}}],
+    ids=["other_section", "unknown_key", "nested_unknown_key", "section_unknown_key"])
 def test_other_sections_change_neither_echo_nor_hash(tmp_path, extra):
-    """Only the top-level fields and the run's own section are echoed and hashed."""
+    """Only the fields the table names, at the top level and in the run's own
+    section, are echoed and hashed; unknown keys at any depth are dropped."""
     inner = {"map": {"family": "z_exp"},
              "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}}}
     plain = write_config(tmp_path, inner, "plain.json")

@@ -12,7 +12,6 @@ from fatoulab.hyperbolic import (
     VERDICT_OK,
     VERDICT_VIOLATION,
     contraction_audit,
-    density_bound,
     density_lower,
     density_upper,
     punctured_disk_density,
@@ -157,14 +156,6 @@ def test_segment_exactness_sandwich():
         hi = density_upper(P, z)
         assert lo <= seg <= hi, (z, lo, seg, hi)
         checked += 1
-
-
-def test_density_bound_exact_segment():
-    b = density_bound(None, 2.0 + 1j, segment=1.0)
-    assert b.lower == b.upper
-    assert b.method_lower == b.method_upper == "exact"
-    with pytest.raises(ValueError):
-        density_bound(None, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import csv
+import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from fatoulab import serialize
 from fatoulab.boundary import access_curve, newton_periodic
@@ -87,3 +90,59 @@ def test_grid_csv_bytes_equal_csv_writer(tmp_path):
     data = (tmp_path / "grid.csv").read_bytes()
     assert data == (tmp_path / "reference.csv").read_bytes()
     assert data.count(b"\r\n") == 1 + nx * ny
+
+
+# Cells that stress number printing: signs, signed zero, exponents both ways,
+# nan and both infinities.
+AWKWARD = [-1.5, -0.0, 1e22, -3.25e-7, 2.5e-300, math.nan, math.inf, -math.inf, 0.1]
+
+
+def _csv_reference(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _small_tables():
+    """Name -> (writer, object, header, reference rows) for each CSV writer but grid_to_csv."""
+    pts = [complex(a, b) for a, b in zip(AWKWARD, AWKWARD[::-1])]
+    landing = complex(-0.25, 1e-5)
+    curve = SimpleNamespace(segment_index=tuple(range(len(pts))), vertices=pts,
+                            landing_point=landing)
+    hits = [SimpleNamespace(sample_id=3 * i, hit=z, verdict=v, orbit_iterations=i * 7)
+            for i, (z, v) in enumerate(zip(pts, ["ESCAPING", "UNDECIDED", "ATTRACTING"] * 3))]
+    rows = [SimpleNamespace(point=z, ratio_lower=lo, ratio_upper=hi, verdict=v)
+            for z, lo, hi, v in zip(pts, AWKWARD, AWKWARD[1:] + AWKWARD[:1],
+                                    ["ok", "inconclusive", "violation"] * 3)]
+    periodic = [(1, [SimpleNamespace(branch=0, theta=0.0, residual=0.0)]),
+                (3, [SimpleNamespace(branch=j - 4, theta=t, residual=r)
+                     for j, (t, r) in enumerate(zip(AWKWARD, AWKWARD[::-1]))])]
+    return {
+        "curve": (
+            serialize.curve_to_csv, curve, ["m", "re", "im", "gap"],
+            [[k, z.real, z.imag, abs(z - landing)] for k, z in enumerate(pts)]),
+        "hits": (
+            serialize.hits_to_csv, SimpleNamespace(hits=hits),
+            ["sample_id", "hit_re", "hit_im", "verdict", "orbit_iterations"],
+            [[h.sample_id, h.hit.real, h.hit.imag, h.verdict.lower(), h.orbit_iterations]
+             for h in hits]),
+        "audit": (
+            serialize.audit_to_csv, SimpleNamespace(rows=rows),
+            ["re", "im", "ratio_lower", "ratio_upper", "verdict"],
+            [[r.point.real, r.point.imag, r.ratio_lower, r.ratio_upper, r.verdict] for r in rows]),
+        "periodic_points": (
+            serialize.periodic_points_to_csv, periodic, ["n", "j", "theta", "residual"],
+            [[n, p.branch, p.theta, p.residual] for n, points in periodic for p in points]),
+    }
+
+
+@pytest.mark.parametrize("table", ["curve", "hits", "audit", "periodic_points"])
+def test_small_csv_bytes_equal_csv_writer(tmp_path, table):
+    write, obj, header, rows = _small_tables()[table]
+    write(obj, tmp_path / "out.csv")
+    _csv_reference(tmp_path / "reference.csv", header, rows)
+    data = (tmp_path / "out.csv").read_bytes()
+    assert data == (tmp_path / "reference.csv").read_bytes()
+    assert data.count(b"\r\n") == 1 + len(rows)
+    assert b"nan" in data and b"inf" in data and b"e-" in data
