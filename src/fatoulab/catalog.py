@@ -103,9 +103,13 @@ class EntireMap:
         through the mask, which the orbit engine maps to escape evidence.
         The mask also marks non-finite values.
         """
-        z = np.asarray(z, dtype=complex)
-        arg = self._exp_argument(z)
-        bad = arg.real > _EXP_OVERFLOW
+        z = np.ascontiguousarray(z, dtype=complex)
+        if self.family == EXP_LAMBDA:
+            arg, bad = z, z.real > _EXP_OVERFLOW
+        else:
+            # -z negated as float64 pairs: the bits of complex negation, at a
+            # fraction of its cost; -z overflows where z.real < -709.
+            arg, bad = np.negative(z.view(np.float64)).view(complex), z.real < -_EXP_OVERFLOW
         if bad.any():
             arg = np.where(bad, 0.0, arg)
         w = self._value(z, np.exp(arg))

@@ -150,25 +150,25 @@ def _classify_block(
 
     Writes each point's verdict into the block's views `kinds`, `iterations`
     and `classes`. The orbits still running stay compacted: `z`, `pos`
-    (their positions in the block) and `drift_count` hold only them.
+    (their positions in the block) and, for the drift families,
+    `drift_count` hold only them.
     """
     pos = np.arange(z.size)
-    drift_count = np.zeros(z.size, dtype=np.int16)
-    use_drift = m.family in _DRIFT_FAMILIES
-    parabolic = parabolic_points(m)
+    drift_count = np.zeros(z.size, dtype=np.int16) if m.family in _DRIFT_FAMILIES else None
+    # The one parabolic point of the catalog is 0, so w - p is w itself.
+    parabolic = bool(parabolic_points(m))
     capture = tol / 4.0
 
     for step in range(1, budget + 1):
         if pos.size == 0:
             break
         w, bad = m.evaluate_array(z)
+        abs_w = np.abs(w)
 
         # Overflow of the exponential is escape evidence for every catalog map;
         # neither it nor a modulus past the radius is Fatou evidence (class 0).
-        verdict_kind = np.zeros(pos.size, dtype=np.int8)
-        verdict_kind[bad | (np.abs(w) > escape_radius)] = Kind.ESCAPING
-
-        undecided = verdict_kind == 0
+        escaped = bad | (abs_w > escape_radius)
+        undecided = ~escaped
         if attractors and undecided.any():
             for j, (p, q) in enumerate(attractors):
                 near = undecided & (np.abs(w - p) < capture)
@@ -182,37 +182,36 @@ def _classify_block(
                         wq = wq2
                     good = okq & (np.abs(wq - w[idx]) < tol)
                     sel = idx[good]
-                    verdict_kind[sel] = Kind.ATTRACTING
+                    kinds[pos[sel]] = Kind.ATTRACTING
                     classes[pos[sel]] = CLASS_ATTRACTING + j
                     undecided[sel] = False
 
         if parabolic and undecided.any():
-            p = parabolic[0]
-            dw = w - p
-            near = undecided & (np.abs(dw) < PARABOLIC_ABS) & (dw.real > np.abs(dw.imag))
+            near = undecided & (abs_w < PARABOLIC_ABS) & (w.real > np.abs(w.imag))
             if near.any():
                 idx = np.nonzero(near)[0]
                 w1, bad1 = m.evaluate_array(w[idx])
-                good = ~bad1 & (np.abs(w1 - p) <= np.abs(dw[idx]))
+                good = ~bad1 & (np.abs(w1) <= abs_w[idx])
                 sel = idx[good]
-                verdict_kind[sel] = Kind.PARABOLIC
+                kinds[pos[sel]] = Kind.PARABOLIC
                 classes[pos[sel]] = CLASS_PARABOLIC
                 undecided[sel] = False
 
-        if use_drift:
+        if drift_count is not None:
             rising = (w.real > z.real) & (w.real > DRIFT_MIN_RE) & ~bad
             drift_count = np.where(rising, drift_count + 1, 0)
             drifted = undecided & (drift_count >= DRIFT_RUN)
-            verdict_kind[drifted] = Kind.ESCAPING
-            strip = np.round(w[drifted].imag / TWO_PI).astype(np.int32)
-            classes[pos[drifted]] = CLASS_DRIFT + strip
+            if drifted.any():
+                strip = np.round(w[drifted].imag / TWO_PI).astype(np.int32)
+                classes[pos[drifted]] = CLASS_DRIFT + strip
+                escaped |= drifted
+                undecided &= ~drifted
 
-        done = verdict_kind != 0
-        if done.any():
-            sel = pos[done]
-            kinds[sel] = verdict_kind[done]
-            iterations[sel] = step
-            keep = ~done
-            pos, z, drift_count = pos[keep], w[keep], drift_count[keep]
-        else:
+        if undecided.all():
             z = w
+        else:
+            kinds[pos[escaped]] = Kind.ESCAPING
+            iterations[pos[~undecided]] = step
+            pos, z = pos[undecided], w[undecided]
+            if drift_count is not None:
+                drift_count = drift_count[undecided]

@@ -1,14 +1,22 @@
 """Output writers: binary PPM images, CSV tables, canonical JSON.
 
-All CSVs go through _write_csv: a header row, '.' decimal separators, and
-CRLF at the end of every line, the last one included, as csv.writer writes
-them. Every float cell goes through _num, which prints the shortest repr of
-the Python float, so reruns under fixed seeds are byte-identical and numpy
-scalars print as plain numbers. grid.csv has one row per cell,
-`x_index,y_index,kind,label,iterations`: integer indices, label and
-iteration count, and the kind's lower-case name, in raster order (iy outer,
-ix inner). canonical_json writes a complex number
-as its [re, im] pair and a dataclass instance as the object of its fields.
+Every CSV has a header row, '.' decimal separators, and CRLF at the end of
+every line, the last one included, as csv.writer writes them. The four small
+tables go through _write_csv, and every float cell through _num, which
+prints the shortest repr of the Python float, so reruns under fixed seeds are
+byte-identical and numpy scalars print as plain numbers.
+
+grid.csv has one row per cell, `x_index,y_index,kind,label,iterations`:
+integer indices, label and iteration count, and the kind's lower-case name,
+in raster order (iy outer, ix inner). It is the one large table, so numpy
+encodes it, one block of about _CSV_BLOCK cells in whole raster rows at a
+time: each integer field becomes a fixed-width digit matrix, NUL-padded on
+the left, the kind a gather from a table of `,name,` byte rows, and the
+block goes out as one write of its non-NUL bytes. The bytes are those
+csv.writer writes.
+
+canonical_json writes a complex number as its [re, im] pair and a dataclass
+instance as the object of its fields.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ PALETTE = {
     "attracting": (238, 153, 68),
     "parabolic": (102, 204, 102),
 }
+
+# Cells per grid.csv block, rounded down to whole raster rows: the encoder's
+# byte matrices stay a few MB.
+_CSV_BLOCK = 1 << 16
 
 
 def _num(x) -> str:
@@ -66,13 +78,64 @@ def _write_csv(path: str | Path, header: str, lines) -> None:
             f.write(line + "\r\n")
 
 
+def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
+    """The decimal digits of non-negative `values`, right-aligned in the last axis of `out`.
+
+    The leading columns a value does not need hold NUL, which the writer drops.
+    """
+    q, d = np.divmod(values.astype(np.uint32), 10)
+    out[..., -1] = d + ord("0")
+    for col in reversed(range(out.shape[-1] - 1)):
+        lead = q == 0
+        q, d = np.divmod(q, 10)
+        out[..., col] = np.where(lead, 0, d + ord("0"))
+
+
+def _digit_width(values: np.ndarray) -> int:
+    """Decimal digits of the largest of `values`, which must be non-negative."""
+    if values.min() < 0:
+        raise ValueError("grid.csv integer fields must be non-negative")
+    return len(str(int(values.max())))
+
+
 def grid_to_csv(grid: ClassificationGrid, path: str | Path) -> None:
-    """One joined string per raster row."""
-    names = [k.name.lower() for k in Kind]
-    _write_csv(path, "x_index,y_index,kind,label,iterations", (
-        "\r\n".join([f"{ix},{iy},{names[k]},{lab},{it}" for ix, (k, lab, it) in enumerate(
-            zip(grid.kinds[iy].tolist(), grid.labels[iy].tolist(), grid.iterations[iy].tolist()))])
-        for iy in range(grid.ny)))
+    """numpy encodes each block of whole raster rows as one NUL-padded byte matrix.
+
+    A cell's row of the matrix is its line: fixed-width digit columns, the
+    kind's `,name,` from a small table, the `,` separators and CRLF. Dropping
+    the NUL bytes leaves the lines as csv.writer writes them.
+    """
+    ix_width, iy_width = len(str(grid.nx - 1)), len(str(grid.ny - 1))
+    label_width, it_width = _digit_width(grid.labels), _digit_width(grid.iterations)
+    # Row k is `,name,` of Kind k, NUL-padded to the longest name.
+    kind_table = np.array([f",{k.name.lower()},".encode("ascii") for k in Kind])
+    kind_table = kind_table.view(np.uint8).reshape(len(Kind), -1)
+    iy_digits = np.zeros((grid.ny, iy_width), dtype=np.uint8)
+    _put_digits(iy_digits, np.arange(grid.ny))
+
+    # Column offsets of the fields within a line.
+    iy_at = ix_width + 1
+    kind_at = iy_at + iy_width
+    label_at = kind_at + kind_table.shape[1]
+    it_at = label_at + label_width + 1
+    width = it_at + it_width + 2
+
+    rows = max(1, _CSV_BLOCK // grid.nx)
+    buf = np.empty((min(rows, grid.ny), grid.nx, width), dtype=np.uint8)
+    _put_digits(buf[:, :, :ix_width], np.arange(grid.nx))
+    buf[:, :, ix_width] = buf[:, :, it_at - 1] = ord(",")
+    buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(b"x_index,y_index,kind,label,iterations\r\n")
+        for lo in range(0, grid.ny, rows):
+            hi = min(lo + rows, grid.ny)
+            block = buf[:hi - lo]
+            block[:, :, iy_at:kind_at] = iy_digits[lo:hi, None]
+            block[:, :, kind_at:label_at] = np.take(kind_table, grid.kinds[lo:hi], axis=0)
+            _put_digits(block[:, :, label_at:label_at + label_width], grid.labels[lo:hi])
+            _put_digits(block[:, :, it_at:it_at + it_width], grid.iterations[lo:hi])
+            flat = block.reshape(-1)
+            f.write(flat[flat != 0])
 
 
 def curve_to_csv(curve, path: str | Path) -> None:

@@ -72,24 +72,68 @@ def _grid_csv_reference(grid, path):
                             int(grid.labels[iy, ix]), int(grid.iterations[iy, ix])])
 
 
-def test_grid_csv_bytes_equal_csv_writer(tmp_path):
-    rng = np.random.default_rng(3)
-    ny, nx = 7, 11
-    kinds = rng.integers(0, 4, (ny, nx)).astype(np.int8)
-    assert set(kinds.ravel().tolist()) == {int(k) for k in Kind}
-    grid = ClassificationGrid(
-        window=(-1.0, 1.0, -1.0, 1.0), nx=nx, ny=ny, kinds=kinds,
-        labels=rng.integers(0, 40, (ny, nx)).astype(np.int32),
-        iterations=rng.integers(0, 2000, (ny, nx)).astype(np.int32),
+def _grid(kinds, labels, iterations):
+    ny, nx = kinds.shape
+    return ClassificationGrid(
+        window=(-1.0, 1.0, -1.0, 1.0), nx=nx, ny=ny, kinds=kinds.astype(np.int8),
+        labels=labels.astype(np.int32), iterations=iterations.astype(np.int32),
         classes=np.zeros((ny, nx), dtype=np.int32), attractors=(), budget=2000,
         escape_radius=50.0, tol=1e-6,
     )
-    assert grid.labels.max() > 0
+
+
+def _assert_grid_csv_is_reference(tmp_path, grid):
     serialize.grid_to_csv(grid, tmp_path / "grid.csv")
     _grid_csv_reference(grid, tmp_path / "reference.csv")
     data = (tmp_path / "grid.csv").read_bytes()
     assert data == (tmp_path / "reference.csv").read_bytes()
-    assert data.count(b"\r\n") == 1 + nx * ny
+    assert data.count(b"\r\n") == 1 + grid.nx * grid.ny
+
+
+def test_grid_csv_bytes_equal_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    ny, nx = 7, 11
+    kinds = rng.integers(0, 4, (ny, nx))
+    assert set(kinds.ravel().tolist()) == {int(k) for k in Kind}
+    grid = _grid(kinds, rng.integers(0, 40, (ny, nx)), rng.integers(0, 2000, (ny, nx)))
+    assert grid.labels.max() > 0
+    _assert_grid_csv_is_reference(tmp_path, grid)
+
+
+# Every change of decimal width from 0 to 10**6: the encoder sizes each digit
+# matrix from the field's largest value.
+WIDTH_EDGES = [0, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 99999, 10**5, 999999, 10**6]
+
+
+@pytest.mark.parametrize("top", WIDTH_EDGES + [2**31 - 1])
+def test_grid_csv_digit_width_edges(tmp_path, top):
+    """Labels and iterations hold every width edge up to `top`, their largest value."""
+    values = np.array([v for v in WIDTH_EDGES if v < top] + [top])
+    rng = np.random.default_rng(len(values))
+    ny, nx = 4, 9
+    labels, iterations = rng.choice(values, (ny, nx)), rng.choice(values, (ny, nx))
+    labels.flat[:values.size] = values
+    iterations.flat[-values.size:] = values
+    _assert_grid_csv_is_reference(tmp_path, _grid(rng.integers(0, 4, (ny, nx)), labels, iterations))
+
+
+@pytest.mark.parametrize("ny, nx", [(2, 2), (23, 2), (3, 101), (101, 11), (9, 10), (10, 100)])
+@pytest.mark.parametrize("block", [1, 40, 1 << 16])
+def test_grid_csv_blocks_and_index_widths(tmp_path, monkeypatch, ny, nx, block):
+    """Blocks of one row (a block smaller than a row), of several rows with a
+    short last block, and of the whole grid give the same bytes, while the
+    indices cross 10 and 100."""
+    monkeypatch.setattr(serialize, "_CSV_BLOCK", block)
+    rng = np.random.default_rng(ny * nx)
+    grid = _grid(rng.integers(0, 4, (ny, nx)), rng.integers(0, 300, (ny, nx)),
+                 rng.integers(1, 5000, (ny, nx)))
+    _assert_grid_csv_is_reference(tmp_path, grid)
+
+
+def test_grid_csv_rejects_negative_fields(tmp_path):
+    ones = np.ones((2, 2))
+    with pytest.raises(ValueError):
+        serialize.grid_to_csv(_grid(ones, -ones, ones), tmp_path / "grid.csv")
 
 
 # Cells that stress number printing: signs, signed zero, exponents both ways,
