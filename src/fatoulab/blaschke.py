@@ -27,6 +27,7 @@ _BOUNDARY_RUN = 20
 
 _MIN_GRID_BITS = 14
 _MAX_GRID_BITS = 19
+_GRID_EXHAUSTED = "circle lift grid exhausted; map varies too fast"
 
 # Roots closer than this in angle are one circle periodic point.
 _DEDUP_TOL = 1e-10
@@ -116,18 +117,47 @@ class CirclePeriodicPoint:
     residual: float
 
 
+def _ranges(start, stop):
+    """(i, m) for every i and every m in [start[i], stop[i])."""
+    i = np.flatnonzero(stop > start)
+    count = stop[i] - start[i]
+    first = np.repeat(start[i] - np.cumsum(count) + count, count)
+    return np.repeat(i, count), first + np.arange(first.size)
+
+
+def _branch_brackets(h):
+    """Roots of h = 2pi j over the branches j that h reaches, as (nodes, j, intervals, j).
+
+    A node k with h[k] - 2pi j == 0.0 is a root, and an interval k where
+    (h[k] - 2pi j) * (h[k + 1] - 2pi j) < 0.0 brackets one. One sorted search
+    of each node's h among the levels 2pi j names the only branches that can
+    pass these tests at each node and interval, so no branch scans all of h.
+    """
+    j_min = math.ceil(h.min() / TWO_PI - 1e-12)
+    levels = TWO_PI * np.arange(j_min, math.floor(h.max() / TWO_PI + 1e-12) + 1)
+    below = np.searchsorted(levels, h, "left")  # branches with 2pi j < h
+    upto = np.searchsorted(levels, h, "right")  # branches with 2pi j <= h
+    nodes, m = _ranges(below, upto)
+    node_j = j_min + m
+    exact = h[nodes] - TWO_PI * node_j == 0.0
+    k, m = _ranges(np.minimum(upto[:-1], upto[1:]), np.maximum(below[:-1], below[1:]))
+    jj = j_min + m
+    bracket = (h[k] - TWO_PI * jj) * (h[k + 1] - TWO_PI * jj) < 0.0
+    return nodes[exact], node_j[exact], k[bracket], jj[bracket]
+
+
 def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float, int]]:
     """Every fixed point of the circle map of func, as (theta in [0, 2pi), branch j) pairs.
 
     A continuous lift G of theta -> arg func(e^{i theta}) is tracked on a grid
     that doubles until every step is below 0.9 pi (and positive, with
     `monotone`), and G gains 2pi times an integer winding over one turn. The
-    roots of G(theta) = theta + 2pi j that the grid brackets, over every
-    branch j the displacement G - theta reaches, are bisected together to
-    width `tol`, one vectorised evaluation of func per level; G at a midpoint
-    continues from its left endpoint. Sorted by (theta, j), a root within
-    _DEDUP_TOL in angle of the last root kept or, across 0 = 2pi, of the first
-    is the same point and is dropped.
+    roots of G(theta) = theta + 2pi j that fall on a node or that an interval
+    brackets (`_branch_brackets`) are bisected together to width `tol`, one
+    vectorised evaluation of func per level; G at a midpoint continues from
+    its left endpoint. Sorted by (theta, j), a root within _DEDUP_TOL in angle
+    of the last root kept or, across 0 = 2pi, of the first is the same point
+    and is dropped, so the order the pairs were found in never shows.
     """
     bits = _MIN_GRID_BITS
     while True:
@@ -137,23 +167,16 @@ def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float,
         if not (np.max(np.abs(steps)) >= 0.9 * math.pi or monotone and np.any(steps <= 0.0)):
             break
         if bits >= _MAX_GRID_BITS:
-            raise LiftGridExhausted("circle lift grid exhausted; map varies too fast")
+            raise LiftGridExhausted(_GRID_EXHAUSTED)
         bits += 1
     winding = (lift[-1] - lift[0]) / TWO_PI
     if abs(winding - round(winding)) > 1e-6:
         raise ValueError(f"lift winding {winding} is not an integer")
 
     h = lift - thetas
-    roots: list[tuple[float, int]] = []
-    ks, js = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for j in range(math.ceil(h.min() / TWO_PI - 1e-12), math.floor(h.max() / TWO_PI + 1e-12) + 1):
-        hj = h - TWO_PI * j
-        roots.extend((float(thetas[k]), j) for k in np.nonzero(hj == 0.0)[0])
-        ks.append(np.nonzero(hj[:-1] * hj[1:] < 0.0)[0])
-        js.append(np.full(ks[-1].size, j))
-    k, jj = np.concatenate(ks), np.concatenate(js)
-    lo, hi, G_lo = thetas[k], thetas[k + 1], lift[k]
-    g_lo = h[k] - TWO_PI * jj
+    nodes, node_j, k, jj = _branch_brackets(h)
+    roots = list(zip(thetas[nodes].tolist(), node_j.tolist()))
+    lo, hi, G_lo, g_lo = thetas[k], thetas[k + 1], lift[k], h[k] - TWO_PI * jj
     while lo.size and np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
         raw = np.angle(func(np.exp(1j * mid)))
@@ -176,26 +199,60 @@ def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float,
     return kept
 
 
+def _iterate_residuals(b: BlaschkeProduct, z: np.ndarray, n: int) -> np.ndarray:
+    """abs(b.iterate(p, n) - p) for each point p of z, rounded as for one point at a time.
+
+    One point at a time, the first factor's product with the rotation and
+    every conj(a) * z go through numpy's complex multiply loop (one operand is
+    0-d), but the products with the later factors are numpy scalar math, which
+    rounds re = wr*nr - wi*ni and im = wr*ni + wi*nr without the loop's fused
+    multiply-add; so those are formed from float64 parts here. Subtraction
+    and division round alike either way, and np.hypot is CPython's complex abs.
+    """
+    x = z
+    for _ in range(n):
+        w = np.full_like(x, b.rotation)
+        for i, a in enumerate(b.zeros):
+            num = x - a
+            if i == 0:
+                w = w * num
+            else:
+                prod = np.empty_like(w)
+                prod.real = w.real * num.real - w.imag * num.imag
+                prod.imag = w.real * num.imag + w.imag * num.real
+                w = prod
+            w = w / (1.0 - np.conj(a) * x)
+        x = w
+    d = x - z
+    return np.hypot(d.real, d.imag)
+
+
 def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoint]:
     """Fixed points of the boundary map of B^n, one branch equation per 2pi j.
 
     For B of degree d >= 2 there are at most d^n - 1 points, with equality for
     z^d. If a branch equation has several roots the lift was not expanding
     there; a LiftNotExpandingWarning is issued and all roots are returned.
+    B^n has degree d^n, so its lift rises by 2pi d^n over one turn: from
+    d^n >= 2^(_MAX_GRID_BITS - 1) on, the mean step of the finest grid is at
+    least pi and LiftGridExhausted is raised before any evaluation. Each
+    point's residual |B^n(z) - z| is computed for all points at once
+    (`_iterate_residuals`), with the bits of a one-point evaluation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if b.degree < 2:
         raise ValueError("degree must be >= 2")
+    # d^min(n, bits) reaches the bound exactly when d^n does, since d >= 2
+    if b.degree ** min(n, _MAX_GRID_BITS) >= 1 << (_MAX_GRID_BITS - 1):
+        raise LiftGridExhausted(_GRID_EXHAUSTED)
     found = _circle_roots(lambda z: b.iterate(z, n), _BISECT_TOL, monotone=True)
     branches = [j for _, j in found]
     if len(set(branches)) < len(branches):
         warnings.warn("some branch equations had multiple roots", LiftNotExpandingWarning)
-    points: list[CirclePeriodicPoint] = []
-    for t, j in found:
-        z = cmath.exp(1j * t)
-        points.append(CirclePeriodicPoint(t, j, abs(b.iterate(z, n) - z)))
-    return points
+    z = np.array([cmath.exp(1j * t) for t, _ in found], dtype=complex)
+    residuals = _iterate_residuals(b, z, n).tolist()
+    return [CirclePeriodicPoint(t, j, r) for (t, j), r in zip(found, residuals)]
 
 
 # ---------------------------------------------------------------------------

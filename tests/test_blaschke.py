@@ -1,9 +1,12 @@
 import cmath
 import json
+import math
+import time
 
 import numpy as np
 import pytest
 
+from fatoulab import blaschke
 from fatoulab.blaschke import (
     BOUNDARY,
     INTERIOR,
@@ -13,7 +16,7 @@ from fatoulab.blaschke import (
     denjoy_wolff,
     verify_inner_candidate,
 )
-from fatoulab.errors import PoleOnCircle, RotationLike
+from fatoulab.errors import LiftGridExhausted, PoleOnCircle, RotationLike
 from fatoulab.serialize import canonical_json
 
 TWO_PI = 2 * np.pi
@@ -169,6 +172,87 @@ def test_degree_requirements():
         circle_periodic_points(MOEBIUS, 2)
     with pytest.raises(ValueError):
         circle_periodic_points(B_SQUARE, 0)
+
+
+def random_products(seed, count, degrees):
+    """Seeded products with nonzero zeros inside |z| < 0.9 and a non-real rotation."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(degrees[0], degrees[1] + 1))
+        zeros = np.sqrt(rng.uniform(0.01, 0.81, d)) * np.exp(1j * rng.uniform(0.0, TWO_PI, d))
+        rotation = cmath.exp(1j * rng.uniform(0.1, 3.0))
+        yield BlaschkeProduct(rotation, tuple(complex(a) for a in zeros))
+
+
+@pytest.mark.filterwarnings("ignore::fatoulab.errors.LiftNotExpandingWarning")
+def test_residuals_equal_the_one_point_path_bitwise():
+    """Each residual has the bits of abs(B^n(z) - z) evaluated for its point alone."""
+    cases = [(B_SQUARE, n) for n in range(1, 9)]
+    cases += [(BlaschkeProduct(zeros=(0, 0, 0)), n) for n in range(1, 5)]
+    cases += [(b, n) for b in random_products(5, 20, (2, 3)) for n in range(1, 4)]
+    checked = 0
+    for b, n in cases:
+        for p in circle_periodic_points(b, n):
+            z = cmath.exp(1j * p.theta)
+            assert p.residual == abs(b.iterate(z, n) - z), (b, n, p)
+            checked += 1
+    assert checked > 700
+
+
+def per_branch_brackets(h):
+    """The reference enumeration: every branch j scans the whole of h for roots and brackets."""
+    nodes, node_j, ks, js = ([np.empty(0, dtype=int)] for _ in range(4))
+    for j in range(math.ceil(h.min() / TWO_PI - 1e-12), math.floor(h.max() / TWO_PI + 1e-12) + 1):
+        hj = h - TWO_PI * j
+        nodes.append(np.nonzero(hj == 0.0)[0])
+        node_j.append(np.full(nodes[-1].size, j))
+        ks.append(np.nonzero(hj[:-1] * hj[1:] < 0.0)[0])
+        js.append(np.full(ks[-1].size, j))
+    return tuple(np.concatenate(parts) for parts in (nodes, node_j, ks, js))
+
+
+def test_branch_brackets_equal_the_per_branch_scan(monkeypatch):
+    """One sorted search finds the roots and brackets that a scan per branch finds."""
+    cases = [(b.evaluate, False) for b in random_products(12, 30, (1, 4))]
+    cases += [(lambda z, b=b, n=n: b.iterate(z, n), True)
+              for b in random_products(13, 8, (2, 3)) for n in (1, 2, 3)]
+    cases += [(lambda z, n=n: B_SQUARE.iterate(z, n), True) for n in (1, 5, 9)]
+    cases += [(RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3)).evaluate, False)]
+    cases += [(BlaschkeProduct(zeros=(0,) * d).evaluate, True) for d in (2, 3, 5)]
+    one_search = blaschke._branch_brackets
+    exact_nodes = 0
+    reference_calls = 0
+
+    def checked(h):
+        nonlocal exact_nodes, reference_calls
+        new, ref = one_search(h), per_branch_brackets(h)
+        for got, want in ((new[:2], ref[:2]), (new[2:], ref[2:])):
+            assert sorted(zip(*(a.tolist() for a in got))) == sorted(zip(*(a.tolist() for a in want)))
+        exact_nodes += ref[0].size
+        reference_calls += 1
+        return ref
+
+    for func, monotone in cases:
+        fast = blaschke._circle_roots(func, blaschke._BISECT_TOL, monotone)
+        with monkeypatch.context() as m:
+            m.setattr(blaschke, "_branch_brackets", checked)
+            slow = blaschke._circle_roots(func, blaschke._BISECT_TOL, monotone)
+        assert [(t.hex(), j) for t, j in fast] == [(t.hex(), j) for t, j in slow]
+    assert reference_calls == len(cases)
+    assert exact_nodes > 0  # z^d has h = 0 at theta = 0
+
+
+def test_periods_past_every_lift_grid_raise_at_once():
+    """B^n has degree d^n; from d^n >= 2^18 no grid of at most 2^19 steps resolves its lift."""
+    for b, n in ((B_SQUARE, 18), (B_SQUARE, 10**9), (BlaschkeProduct(zeros=(0, 0, 0)), 12)):
+        start = time.perf_counter()
+        with pytest.raises(LiftGridExhausted, match="circle lift grid exhausted; map varies too fast"):
+            circle_periodic_points(b, n)
+        assert time.perf_counter() - start < 0.5
+    # below that bound the grid loop itself still gives up: a zero 1e-7 from
+    # the circle turns the lift by almost 2 pi within one step of every grid
+    with pytest.raises(LiftGridExhausted, match="circle lift grid exhausted; map varies too fast"):
+        blaschke._circle_roots(BlaschkeProduct(zeros=(0.9999999,)).evaluate, blaschke._BISECT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,12 @@ EXP_QUARTER = {"family": "exp_lambda", "lambda": 0.25}
         ("inner", {"map": {"family": "z_exp"},
                    "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}, "periods": [19]}},
          "LiftGridExhausted"),
+        ("inner", {"map": {"family": "z_exp"},
+                   "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]}, "periods": [1000000]}},
+         "LiftGridExhausted"),
     ],
     ids=["basepoint_not_fatou", "cloud_of_one_point", "cloud_of_one_repeated_point",
-         "lift_grid_exhausted"],
+         "lift_grid_exhausted", "period_past_every_lift_grid"],
 )
 def test_numerical_failures_are_package_errors(tmp_path, sub, payload, error):
     cfg = write_config(tmp_path, payload)
