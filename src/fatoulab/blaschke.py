@@ -146,12 +146,16 @@ def _branch_brackets(h):
     return nodes[exact], node_j[exact], k[bracket], jj[bracket]
 
 
-def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float, int]]:
+def _circle_roots(func, tol: float, degree: int | None = None) -> list[tuple[float, int]]:
     """Every fixed point of the circle map of func, as (theta in [0, 2pi), branch j) pairs.
 
     A continuous lift G of theta -> arg func(e^{i theta}) is tracked on a grid
-    that doubles until every step is below 0.9 pi (and positive, with
-    `monotone`), and G gains 2pi times an integer winding over one turn. The
+    that doubles until every step is below 0.9 pi, and G gains 2pi times an
+    integer winding over one turn. A `degree` declares func a Blaschke product
+    of that degree, whose lift rises on every step and by 2pi `degree` over
+    the turn: the grid then starts where the mean step 2pi degree / 2^bits is
+    below 0.9 pi, since a uniform step of more than 2pi would unwrap to a
+    small one, and doubles until every step is positive too. The
     roots of G(theta) = theta + 2pi j that fall on a node or that an interval
     brackets (`_branch_brackets`) are bisected together to width `tol`, one
     vectorised evaluation of func per level; G at a midpoint continues from
@@ -160,14 +164,17 @@ def _circle_roots(func, tol: float, monotone: bool = False) -> list[tuple[float,
     and is dropped, so the order the pairs were found in never shows.
     """
     bits = _MIN_GRID_BITS
+    while degree is not None and TWO_PI * degree / (1 << bits) >= 0.9 * math.pi:
+        bits += 1
     while True:
+        if bits > _MAX_GRID_BITS:
+            raise LiftGridExhausted(_GRID_EXHAUSTED)
         thetas = np.linspace(0.0, TWO_PI, (1 << bits) + 1)
         lift = np.unwrap(np.angle(np.asarray(func(np.exp(1j * thetas)), dtype=complex)))
         steps = np.diff(lift)
-        if not (np.max(np.abs(steps)) >= 0.9 * math.pi or monotone and np.any(steps <= 0.0)):
+        if not (np.max(np.abs(steps)) >= 0.9 * math.pi
+                or degree is not None and np.any(steps <= 0.0)):
             break
-        if bits >= _MAX_GRID_BITS:
-            raise LiftGridExhausted(_GRID_EXHAUSTED)
         bits += 1
     winding = (lift[-1] - lift[0]) / TWO_PI
     if abs(winding - round(winding)) > 1e-6:
@@ -234,8 +241,8 @@ def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoi
     z^d. If a branch equation has several roots the lift was not expanding
     there; a LiftNotExpandingWarning is issued and all roots are returned.
     B^n has degree d^n, so its lift rises by 2pi d^n over one turn: from
-    d^n >= 2^(_MAX_GRID_BITS - 1) on, the mean step of the finest grid is at
-    least pi and LiftGridExhausted is raised before any evaluation. Each
+    d^n >= 0.45 * 2^_MAX_GRID_BITS on, the mean step of the finest grid is at
+    least 0.9 pi and LiftGridExhausted is raised before any evaluation. Each
     point's residual |B^n(z) - z| is computed for all points at once
     (`_iterate_residuals`), with the bits of a one-point evaluation.
     """
@@ -243,10 +250,9 @@ def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoi
         raise ValueError("n must be >= 1")
     if b.degree < 2:
         raise ValueError("degree must be >= 2")
-    # d^min(n, bits) reaches the bound exactly when d^n does, since d >= 2
-    if b.degree ** min(n, _MAX_GRID_BITS) >= 1 << (_MAX_GRID_BITS - 1):
-        raise LiftGridExhausted(_GRID_EXHAUSTED)
-    found = _circle_roots(lambda z: b.iterate(z, n), _BISECT_TOL, monotone=True)
+    # past n = 19, d^n and d^19 >= 2^19 both exceed what the finest grid resolves
+    degree = b.degree ** min(n, _MAX_GRID_BITS)
+    found = _circle_roots(lambda z: b.iterate(z, n), _BISECT_TOL, degree)
     branches = [j for _, j in found]
     if len(set(branches)) < len(branches):
         warnings.warn("some branch equations had multiple roots", LiftNotExpandingWarning)

@@ -13,6 +13,7 @@ parser:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -86,6 +87,19 @@ class EntireMap:
         if self.family == Z_EXP:
             return w, (1.0 - z) * e
         return w, 1.0 - e
+
+    def derivative_bound(self, p: complex, r: float) -> float:
+        """An upper bound of |f'| over the disk |z - p| <= r, in closed form.
+
+        With z = p + u, |u| <= r: |e^{+-u}| <= e^r and |e^{-u} - 1| <= e^r - 1,
+        which bound |lam e^z|, |1 - e^{-z}| and |(1 - z) e^{-z}| in turn.
+        """
+        if self.family == EXP_LAMBDA:
+            return abs(self.lam) * math.exp(p.real + r)
+        e = abs(cmath.exp(-p))
+        if self.family == Z_EXP:
+            return e * math.exp(r) * (abs(1.0 - p) + r)
+        return abs(1.0 - cmath.exp(-p)) + e * math.expm1(r)
 
     def iterate_with_derivative(self, z: complex, n: int) -> tuple[complex, complex]:
         """(f^n(z), (f^n)'(z)) by the chain rule."""

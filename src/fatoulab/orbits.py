@@ -11,6 +11,13 @@ The kernel runs its step loop to the end on consecutive blocks of `_BLOCK`
 points, so that a block's working arrays stay in a core's L2 cache instead of
 streaming through memory at every step. Each orbit depends on its start point
 alone, so the results do not depend on the block size.
+
+An attracting fixed point p captures an orbit at its first step inside a
+certified disk D(p, r), one that f maps into D(p, 0.99 r) with |f'| <= 0.99
+on it (`certified_radius`): every orbit that enters such a disk converges to
+p. A listed cycle of period q > 1, or a fixed point with no certified disk,
+captures an orbit instead when it comes within tol/4 of p and q more steps
+move it by less than tol.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .catalog import (
     EntireMap,
     damped_newton,
 )
+from .errors import Overflow
 
 DEFAULT_ESCAPE_RADIUS = 50.0
 DEFAULT_TOL = 1e-6
@@ -45,6 +53,11 @@ _DRIFT_FAMILIES = (Z_PLUS_EXP, FATOU_PLUS)
 # Parabolic certification (z_exp): the petal attracts along R+, so we require
 # a small modulus, an argument inside the petal sector and a shrinking step.
 PARABOLIC_ABS = 1e-3
+
+# Certified attracting disks: radii 1, 1/2, ... down to 2^-_RADIUS_HALVINGS,
+# each mapped into _CONTRACTION times itself with |f'| <= _CONTRACTION on it.
+_RADIUS_HALVINGS = 20
+_CONTRACTION = 0.99
 
 # Label classes of Fatou evidence; 0 marks a point that is not evidence
 # (undecided, or escaping past the radius or by overflow).
@@ -97,6 +110,29 @@ def default_attractors(
     return tuple(c for c in cycles if abs(c[0]) < escape_radius)
 
 
+def certified_radius(m: EntireMap, p: complex) -> float | None:
+    """The largest r of 1, 1/2, ..., 2^-20 whose disk D(p, r) certifies p as attracting.
+
+    With L = m.derivative_bound(p, r), the disk is certified when
+    L r + |f(p) - p| <= 0.99 r: then f maps D(p, r) into D(p, 0.99 r), and
+    L <= 0.99 follows, so f contracts the disk and every orbit entering it
+    converges to the fixed point it holds. None when no radius qualifies, or
+    f(p) overflows.
+    """
+    try:
+        gap = abs(m.evaluate(p) - p)
+    except Overflow:
+        return None
+    # L r + gap <= 0.99 r needs gap < 0.99, which also keeps the bound finite
+    if not gap < _CONTRACTION:
+        return None
+    for halvings in range(_RADIUS_HALVINGS + 1):
+        r = math.ldexp(1.0, -halvings)
+        if m.derivative_bound(p, r) * r + gap <= _CONTRACTION * r:
+            return r
+    return None
+
+
 def parabolic_points(m: EntireMap) -> tuple[complex, ...]:
     return (0.0 + 0.0j,) if m.family == Z_EXP else ()
 
@@ -126,10 +162,11 @@ def classify_orbits_array(
     kinds = np.zeros(n, dtype=np.int8)
     iterations = np.full(n, budget, dtype=np.int32)
     classes = np.zeros(n, dtype=np.int32)
+    radii = tuple(certified_radius(m, p) if q == 1 else None for p, q in attractors)
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         _classify_block(
-            m, z[block], budget, escape_radius, attractors, tol,
+            m, z[block], budget, escape_radius, attractors, radii, tol,
             kinds[block], iterations[block], classes[block],
         )
     return OrbitArrays(kinds, iterations, classes)
@@ -141,6 +178,7 @@ def _classify_block(
     budget: int,
     escape_radius: float,
     attractors: tuple[tuple[complex, int], ...],
+    radii: tuple[float | None, ...],
     tol: float,
     kinds: np.ndarray,
     iterations: np.ndarray,
@@ -148,9 +186,10 @@ def _classify_block(
 ) -> None:
     """Run the step loop of `classify_orbits_array` on one block to the end.
 
-    Writes each point's verdict into the block's views `kinds`, `iterations`
-    and `classes`. The orbits still running stay compacted: `z`, `pos`
-    (their positions in the block) and, for the drift families,
+    `radii` holds each attractor's certified radius, or None where the tol
+    rule applies. Writes each point's verdict into the block's views `kinds`,
+    `iterations` and `classes`. The orbits still running stay compacted:
+    `z`, `pos` (their positions in the block) and, for the drift families,
     `drift_count` hold only them.
     """
     pos = np.arange(z.size)
@@ -169,30 +208,26 @@ def _classify_block(
         # neither it nor a modulus past the radius is Fatou evidence (class 0).
         escaped = bad | (abs_w > escape_radius)
         undecided = ~escaped
-        if attractors and undecided.any():
-            for j, (p, q) in enumerate(attractors):
-                near = undecided & (np.abs(w - p) < capture)
-                if near.any():
-                    idx = np.nonzero(near)[0]
-                    wq = w[idx].copy()
-                    okq = np.ones(idx.size, dtype=bool)
-                    for _ in range(q):
-                        wq2, badq = m.evaluate_array(wq)
-                        okq &= ~badq
-                        wq = wq2
-                    good = okq & (np.abs(wq - w[idx]) < tol)
-                    sel = idx[good]
-                    kinds[pos[sel]] = Kind.ATTRACTING
-                    classes[pos[sel]] = CLASS_ATTRACTING + j
-                    undecided[sel] = False
+        for j, ((p, q), r) in enumerate(zip(attractors, radii)):
+            sel = np.flatnonzero(np.abs(w - p) < (capture if r is None else r))
+            sel = sel[undecided[sel]]
+            if r is None and sel.size:
+                wq, okq = w[sel], np.ones(sel.size, dtype=bool)
+                for _ in range(q):
+                    wq, badq = m.evaluate_array(wq)
+                    okq &= ~badq
+                sel = sel[okq & (np.abs(wq - w[sel]) < tol)]
+            kinds[pos[sel]] = Kind.ATTRACTING
+            classes[pos[sel]] = CLASS_ATTRACTING + j
+            undecided[sel] = False
 
-        if parabolic and undecided.any():
-            near = undecided & (abs_w < PARABOLIC_ABS) & (w.real > np.abs(w.imag))
-            if near.any():
-                idx = np.nonzero(near)[0]
-                w1, bad1 = m.evaluate_array(w[idx])
-                good = ~bad1 & (np.abs(w1) <= abs_w[idx])
-                sel = idx[good]
+        if parabolic:
+            # the petal test runs on the few points near 0 only
+            sel = np.flatnonzero(abs_w < PARABOLIC_ABS)
+            sel = sel[undecided[sel] & (w.real[sel] > np.abs(w.imag[sel]))]
+            if sel.size:
+                w1, bad1 = m.evaluate_array(w[sel])
+                sel = sel[~bad1 & (np.abs(w1) <= abs_w[sel])]
                 kinds[pos[sel]] = Kind.PARABOLIC
                 classes[pos[sel]] = CLASS_PARABOLIC
                 undecided[sel] = False

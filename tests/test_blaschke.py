@@ -213,12 +213,12 @@ def per_branch_brackets(h):
 
 def test_branch_brackets_equal_the_per_branch_scan(monkeypatch):
     """One sorted search finds the roots and brackets that a scan per branch finds."""
-    cases = [(b.evaluate, False) for b in random_products(12, 30, (1, 4))]
-    cases += [(lambda z, b=b, n=n: b.iterate(z, n), True)
+    cases = [(b.evaluate, None) for b in random_products(12, 30, (1, 4))]
+    cases += [(lambda z, b=b, n=n: b.iterate(z, n), b.degree ** n)
               for b in random_products(13, 8, (2, 3)) for n in (1, 2, 3)]
-    cases += [(lambda z, n=n: B_SQUARE.iterate(z, n), True) for n in (1, 5, 9)]
-    cases += [(RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3)).evaluate, False)]
-    cases += [(BlaschkeProduct(zeros=(0,) * d).evaluate, True) for d in (2, 3, 5)]
+    cases += [(lambda z, n=n: B_SQUARE.iterate(z, n), 2 ** n) for n in (1, 5, 9)]
+    cases += [(RationalCircleMap(num=(3, 0, 1), den=(1, 0, 3)).evaluate, None)]
+    cases += [(BlaschkeProduct(zeros=(0,) * d).evaluate, d) for d in (2, 3, 5)]
     one_search = blaschke._branch_brackets
     exact_nodes = 0
     reference_calls = 0
@@ -232,11 +232,11 @@ def test_branch_brackets_equal_the_per_branch_scan(monkeypatch):
         reference_calls += 1
         return ref
 
-    for func, monotone in cases:
-        fast = blaschke._circle_roots(func, blaschke._BISECT_TOL, monotone)
+    for func, degree in cases:
+        fast = blaschke._circle_roots(func, blaschke._BISECT_TOL, degree)
         with monkeypatch.context() as m:
             m.setattr(blaschke, "_branch_brackets", checked)
-            slow = blaschke._circle_roots(func, blaschke._BISECT_TOL, monotone)
+            slow = blaschke._circle_roots(func, blaschke._BISECT_TOL, degree)
         assert [(t.hex(), j) for t, j in fast] == [(t.hex(), j) for t, j in slow]
     assert reference_calls == len(cases)
     assert exact_nodes > 0  # z^d has h = 0 at theta = 0
@@ -253,6 +253,22 @@ def test_periods_past_every_lift_grid_raise_at_once():
     # the circle turns the lift by almost 2 pi within one step of every grid
     with pytest.raises(LiftGridExhausted, match="circle lift grid exhausted; map varies too fast"):
         blaschke._circle_roots(BlaschkeProduct(zeros=(0.9999999,)).evaluate, blaschke._BISECT_TOL)
+
+
+def test_lift_steps_past_two_pi_do_not_alias():
+    """z^3 at period 9 has 3^9 - 1 boundary periodic points, the 19682-th roots
+    of unity. On the 2^14 grid each true lift step is 2pi * 1.2, which unwraps
+    to a small positive step and a winding of 3299; the grid that resolves
+    degree 3^9 must be the first one tried instead."""
+    pts = circle_periodic_points(BlaschkeProduct(zeros=(0, 0, 0)), 9)
+    d = 3**9 - 1
+    assert len(pts) == d
+    assert np.allclose([p.theta for p in pts], TWO_PI * np.arange(d) / d, atol=1e-10)
+    # a declared degree that no grid of at most 2^19 steps resolves raises at once
+    start = time.perf_counter()
+    with pytest.raises(LiftGridExhausted, match="circle lift grid exhausted; map varies too fast"):
+        blaschke._circle_roots(lambda z: z**300000, blaschke._BISECT_TOL, 300000)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

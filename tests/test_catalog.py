@@ -73,6 +73,28 @@ def test_derivative_matches_central_difference():
         assert worst < 1e-6, (m.family, worst)
 
 
+def test_derivative_bound_covers_the_disk():
+    """derivative_bound(p, r) is at least |f'| on 4096 points of the circle
+    |z - p| = r, hence on the whole disk by the maximum principle; for
+    exp_lambda it is attained at z = p + r."""
+    derivatives = {
+        "exp_lambda": lambda z: 0.25 * np.exp(z),
+        "z_exp": lambda z: (1.0 - z) * np.exp(-z),
+    }
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    rng = np.random.default_rng(11)
+    for m in all_maps():
+        df = derivatives.get(m.family, lambda z: 1.0 - np.exp(-z))
+        for re, im in rng.uniform(-4.0, 4.0, (40, 2)):
+            p = complex(re, im)
+            for r in (1.0, 0.5, 0.125, 2.0**-10):
+                sup = np.max(np.abs(df(p + r * circle)))
+                bound = m.derivative_bound(p, r)
+                assert sup <= bound * (1 + 1e-12), (m.family, p, r, sup, bound)
+                if m.family == "exp_lambda":
+                    assert sup == pytest.approx(bound, rel=1e-12)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         EntireMap("nope")

@@ -1,20 +1,24 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatoulab import orbits
-from fatoulab.catalog import exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
+from fatoulab.catalog import EntireMap, exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
 from fatoulab.orbits import (
     CLASS_ATTRACTING,
     CLASS_DRIFT,
     CLASS_PARABOLIC,
     Kind,
+    certified_radius,
     classify_orbits_array,
     default_attractors,
 )
 
-from conftest import QA, cmath_exp_quarter, cmath_z_exp, cmath_z_plus_exp, iterate
+from conftest import QA, QR, cmath_exp_quarter, cmath_z_exp, cmath_z_plus_exp, iterate
 
 
 def _one(m, z, budget, **kw):
@@ -35,13 +39,18 @@ def test_exp_lambda_escaping():
 def test_exp_lambda_attracting():
     m = exp_lambda(0.25)
     att = default_attractors(m)
-    kind, n, cls = _one(m, 0.0, 200, attractors=att)
-    assert (kind, cls) == (Kind.ATTRACTING, CLASS_ATTRACTING + 0)
     assert att[0][1] == 1
     assert abs(att[0][0] - QA) < 1e-9
-    # the verdict invariant: the point reached is nearly fixed
-    w = iterate(cmath_exp_quarter, 0.0, n)
-    assert abs(cmath_exp_quarter(w) - w) < 1e-6
+    r = certified_radius(m, att[0][0])
+    assert r == 1.0
+    for z0 in (0.0, 1.9, -3.0 + 1.0j, 0.5 + 2.5j):
+        kind, n, cls = _one(m, z0, 200, attractors=att)
+        assert (kind, cls) == (Kind.ATTRACTING, CLASS_ATTRACTING + 0)
+        # the verdict invariant: step n is the first to enter the certified
+        # disk, and the orbit goes on from there to -W0(-1/4)
+        orbit = [iterate(cmath_exp_quarter, z0, k) for k in range(1, n + 1)]
+        assert [abs(w - att[0][0]) < r for w in orbit] == [False] * (n - 1) + [True]
+        assert abs(iterate(cmath_exp_quarter, orbit[-1], 64) - QA) < 1e-9
 
 
 def test_exp_lambda_attractor_is_minus_lambert_w():
@@ -160,7 +169,8 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
     attractor captures (exp_lambda, and fatou_minus with its 15 attractor
     tests per step) end at many steps inside each block. fatou_plus runs the
     drift counter too, but its orbits all leave by radius today, so only its
-    equality is asserted."""
+    equality is asserted. exp_lambda captures in its certified disk end at
+    steps 1 to 5, the fewest distinct verdict steps of the five cases."""
     rng = np.random.default_rng(5)
     cases = (
         (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING),
@@ -175,9 +185,158 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
         whole = classify_orbits_array(m, z, budget, **kw)
         if kind is not None:
             assert ((whole.kinds == kind) & (whole.classes != 0)).any()
-        assert np.unique(whole.iterations).size > 5
+        assert np.unique(whole.iterations).size >= 5
         monkeypatch.setattr(orbits, "_BLOCK", block)
         blocked = classify_orbits_array(m, z, budget, **kw)
         monkeypatch.undo()
         for name in ("kinds", "iterations", "classes"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (m.family, name)
+
+
+# ---------------------------------------------------------------------------
+# Certified attracting disks
+# ---------------------------------------------------------------------------
+
+
+def cmath_fatou_minus(z):
+    return z - 1.0 + cmath.exp(-z)
+
+
+def cmath_exp(lam):
+    return lambda z: lam * cmath.exp(z)
+
+
+def old_rule(f, z0, budget, attractors, tol=1e-6, escape_radius=50.0):
+    """(kind, iterations, class) by the capture rule that precedes certified
+    disks, in plain cmath: attractor j captures the orbit at the first step
+    within tol/4 of p_j after which q_j more steps move it by less than tol;
+    an overflow or a modulus past the radius escapes first."""
+    z = z0
+    for step in range(1, budget + 1):
+        try:
+            w = f(z)
+        except OverflowError:
+            return Kind.ESCAPING, step, 0
+        if abs(w) > escape_radius:
+            return Kind.ESCAPING, step, 0
+        for j, (p, q) in enumerate(attractors):
+            if abs(w - p) < tol / 4:
+                wq = iterate(f, w, q)
+                if wq is not None and abs(wq - w) < tol:
+                    return Kind.ATTRACTING, step, CLASS_ATTRACTING + j
+        z = w
+    return Kind.UNDECIDED, budget, 0
+
+
+def _lattice(re0, re1, im0, im1, n):
+    re, im = np.meshgrid(np.linspace(re0, re1, n), np.linspace(im0, im1, n))
+    return (re + 1j * im).ravel()
+
+
+def test_certified_disks_map_into_themselves():
+    """On 4096 points of the circle |z - p| = r, |f(z) - p| < r; by the maximum
+    principle f then maps the whole disk D(p, r) into itself. exp_lambda runs
+    over a grid of lambda in (0, 1/e), fatou_minus over p = 2 pi i k, |k| <= 8."""
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    # (map, f in numpy, p, the radius the README quotes or None)
+    cases = [
+        (exp_lambda(lam), lambda z, lam=lam: lam * np.exp(z),
+         default_attractors(exp_lambda(lam))[0][0], {0.25: 1.0, 0.36: 0.125}.get(lam))
+        for lam in np.linspace(0.0, 1.0 / math.e, 76)[1:-1].tolist() + [0.25, 0.36]
+    ]
+    cases += [(fatou_minus(), lambda z: z - 1.0 + np.exp(-z), complex(0.0, 2 * np.pi * k), 0.5)
+              for k in range(-8, 9)]
+    for m, f, p, quoted in cases:
+        r = certified_radius(m, p)
+        assert r is not None, (m, p)
+        assert quoted is None or r == quoted
+        assert np.max(np.abs(f(p + r * circle) - p)) < r, (m, p, r)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.25, 0.36, None])
+def test_certified_captures_agree_with_the_old_rule(lam):
+    """Wherever the certified-disk kernel and the old tol/4 rule both decide,
+    they give the same kind and class, and the certified verdict comes no later;
+    a point the kernel leaves undecided is undecided by the old rule too."""
+    if lam is None:
+        m, f, z = fatou_minus(), cmath_fatou_minus, _lattice(-4.0, 4.0, -20.0, 20.0, 45)
+    else:
+        m, f, z = exp_lambda(lam), cmath_exp(lam), _lattice(-2.0, 4.0, -3.0, 3.0, 40)
+    att = default_attractors(m)
+    budget = 300
+    res = classify_orbits_array(m, z, budget, attractors=att)
+    old = [old_rule(f, z0, budget, att) for z0 in z.tolist()]
+    decided = 0
+    for (kind, n, cls), new in zip(old, zip(res.kinds.tolist(), res.iterations.tolist(),
+                                            res.classes.tolist())):
+        if new[0] == Kind.UNDECIDED:
+            assert kind == Kind.UNDECIDED
+        elif kind != Kind.UNDECIDED:
+            decided += 1
+            assert (new[0], new[2]) == (kind, cls)
+            assert new[1] <= n
+    assert decided > 0.9 * z.size
+    assert (res.kinds == Kind.ATTRACTING).sum() > 0.1 * z.size
+
+
+def test_uncertified_entries_take_the_tol_rule():
+    """A listed cycle of period 2, a repelling fixed point, a point 0.64 from
+    the nearest fixed point, and an attracting fixed point whose multiplier
+    0.9925 leaves no certified disk are all decided by the tol rule, verdict
+    for verdict."""
+    m = exp_lambda(0.25)
+    att = ((QR, 1), (QA, 2), (1.0, 1))
+    assert [certified_radius(m, p) for p, q in att if q == 1] == [None, None]
+    z = _lattice(-2.0, 4.0, -3.0, 3.0, 20)
+    res = classify_orbits_array(m, z, 300, attractors=att)
+    got = list(zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist()))
+    assert got == [old_rule(cmath_exp_quarter, z0, 300, att) for z0 in z.tolist()]
+    assert got.count((Kind.ATTRACTING, 1, CLASS_ATTRACTING + 1)) == 0
+    assert sum(k == Kind.ATTRACTING for k, _, _ in got) > 100
+
+    lam = 0.9925 * math.exp(-0.9925)
+    m = exp_lambda(lam)
+    att = default_attractors(m)
+    assert certified_radius(m, att[0][0]) is None
+    z = att[0][0] + 0.3 * np.exp(2j * np.pi * np.arange(12) / 12)
+    res = classify_orbits_array(m, z, 3000, attractors=att)
+    got = list(zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist()))
+    assert got == [old_rule(cmath_exp(lam), z0, 3000, att) for z0 in z.tolist()]
+    # the real start p + 0.3 lies past the repelling fixed point near 1.0076
+    assert [k for k, _, _ in got] == [Kind.ESCAPING] + [Kind.ATTRACTING] * 11
+
+
+@pytest.mark.parametrize("m, window", [
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0)),
+    (fatou_minus(), (-4.0, 4.0, -20.0, 20.0)),
+], ids=["exp_lambda", "fatou_minus"])
+def test_verdicts_survive_a_one_ulp_shift_of_every_value(monkeypatch, m, window):
+    """Moving every value of f by one ulp, up and then down, changes no kind
+    and no class on a 300 x 300 grid."""
+    z = _lattice(*window, 300)
+    att = default_attractors(m)
+    exact = classify_orbits_array(m, z, 300, attractors=att)
+    evaluate_array = EntireMap.evaluate_array
+    for toward in (np.inf, -np.inf):
+        def shifted(self, z, toward=toward):
+            w, bad = evaluate_array(self, z)
+            return np.nextafter(w.view(np.float64), toward).view(complex), bad
+
+        monkeypatch.setattr(EntireMap, "evaluate_array", shifted)
+        moved = classify_orbits_array(m, z, 300, attractors=att)
+        monkeypatch.undo()
+        assert np.array_equal(moved.kinds, exact.kinds)
+        assert np.array_equal(moved.classes, exact.classes)
+
+
+def test_a_capture_is_not_relabeled_by_the_petal_test():
+    """z_exp with a listed point p = 5e-4 inside the petal's test region: an
+    orbit landing on p at step 1 is captured by the tol rule (f moves p by
+    p^2 < tol) and keeps that verdict although |f(z0)| < 1e-3 on R+."""
+    m, p = z_exp(), 5e-4
+    z0 = p
+    for _ in range(60):  # f(z0) = p, by fixed-point iteration of z0 = p e^{z0}
+        z0 = p * cmath.exp(z0)
+    assert abs(cmath_z_exp(z0) - p) < 1e-7
+    assert _one(m, z0, 10, attractors=((p, 1),)) == (Kind.ATTRACTING, 1, CLASS_ATTRACTING)
+    assert _one(m, z0, 10) == (Kind.PARABOLIC, 1, CLASS_PARABOLIC)
