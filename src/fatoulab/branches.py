@@ -43,6 +43,13 @@ ORBIT_TOL = 1e-8
 _EXP_SHIFT = {FATOU_PLUS: 1.0, FATOU_MINUS: -1.0, Z_PLUS_EXP: 0.0}
 # Principal Lambert W at -1: z e^z = -1, so z + exp(-z) = 0 (principal strip).
 _W0_MINUS_ONE = complex(-0.3181315052047642, 1.3372357014306893)
+# 1/e as the double nearest to it plus the remainder.
+_INV_E = math.exp(-1.0)
+_INV_E_LO = -1.2428753672788363e-17
+# W_0 = sum of c_n p^n near the branch point, p = sqrt(2(e x + 1)).
+_BRANCH_POINT_SERIES = (-1.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505)
+# Halley's iteration converges cubically; from the seeds a handful of steps do.
+_HALLEY_STEPS = 32
 
 
 def _singular_guard(m: EntireMap, w: complex, branch: int) -> complex | None:
@@ -94,7 +101,8 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
     """One preimage z with |f(z) - w| < 1e-12 on the given branch.
 
     exp_lambda uses the closed form log(w/lam) + 2 pi i k; z_exp uses the
-    Lambert-W branch; the exp-family maps run damped Newton from strip seeds
+    Lambert-W branch and raises NewtonDiverged when its root is outside the
+    strip of branch k; the exp-family maps run damped Newton from strip seeds
     and verify strip membership of the result.
     """
     w = complex(w)
@@ -106,7 +114,10 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
         return cmath.log(w / m.lam) + TWO_PI * 1j * branch
 
     if m.family == Z_EXP:
-        return _lambert_root(m, w, branch)
+        z = _lambert_root(m, w, branch)
+        if branch_of(m, z) != branch:
+            raise NewtonDiverged(f"Lambert-W branch {branch} at {w} ended on branch {branch_of(m, z)}")
+        return z
 
     # Reduce to the principal strip via 2 pi i pseudoperiodicity.
     v = w - TWO_PI * 1j * branch
@@ -117,13 +128,64 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
 
 
 def _lambert_root(m: EntireMap, w: complex, k: int) -> complex:
-    """The z_exp preimage -W_k(-w) on Lambert-W branch k, polished by Newton."""
-    from scipy.special import lambertw
+    """The z_exp preimage -W_k(-w), polished by Newton from `_lambert_w`.
 
-    z = complex(-lambertw(-w, k=k))
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NewtonDiverged(f"Lambert-W branch {k} undefined at {w}")
-    return _damped_newton(m, w, z)
+    W_k can lie outside branch k's strip (`branch_of`) by up to pi, so
+    `inverse` checks the strip; `_candidate_preimages` takes every root.
+    """
+    return _damped_newton(m, w, -_lambert_w(-w, k))
+
+
+def _lambert_w(x: complex, k: int) -> complex:
+    """W_k(x): a series seed taken to full precision by Halley's iteration
+    (Corless et al. 1996).
+
+    Newton stops at a residual of 1e-12, which next to the critical value
+    1/e leaves a preimage of z_exp only to 1e-12 / |f'|; Halley's steps from
+    the seed reach the rounding floor, so two polished roots of one point
+    agree to far below the 1e-9 that tells preimages apart.
+    """
+    if k == -1 and x.imag == 0 and -_INV_E < x.real < 0:
+        x = complex(x.real, 0.0)  # W_-1 is real here from either side of its cut, as in SciPy
+    w = _lambert_seed(x, k)
+    try:
+        for _ in range(_HALLEY_STEPS):
+            ew = cmath.exp(w)
+            h = w * ew - x
+            step = h / (ew * (w + 1) - (w + 2) * h / (2 * w + 2))
+            w -= step
+            if abs(step) <= 1e-15 * abs(w):
+                break
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NewtonDiverged(f"Lambert-W branch {k} at {x}: {exc}") from exc
+    return w
+
+
+def _lambert_seed(x: complex, k: int) -> complex:
+    """An approximation of W_k(x) (Corless et al. 1996) for Halley's iteration.
+
+    W_0 near the branch point -1/e: the series in p = sqrt(2(e x + 1)), with
+    e x + 1 = e (x + 1/e) from a two-part 1/e, so that x = -1/e in floating
+    point gives p of order 1e-8, not 0. W_0 near 0: the [3/2] Pade form of
+    its Taylor series. Otherwise the asymptotic L1 - L2 + L2/L1 with
+    L1 = log x + 2 pi i k, L2 = log L1. The sign of a zero Im x picks the
+    side of the cut along the negative real axis, as in cmath.log.
+    """
+    if k == 0:
+        d = complex((x.real + _INV_E) + _INV_E_LO, x.imag)
+        if abs(d) < 0.3:
+            p = cmath.sqrt(complex(2.0 * math.e * d.real, 2.0 * math.e * d.imag))
+            seed = 0j
+            for c in reversed(_BRANCH_POINT_SERIES):
+                seed = seed * p + c
+            return seed
+        if -0.7 < x.real < 2.0 and abs(x.imag) < 1.0:
+            return x * (60.0 + x * (114.0 + 17.0 * x)) / (60.0 + x * (174.0 + 101.0 * x))
+    if x == 0:
+        raise NewtonDiverged(f"Lambert-W branch {k} is infinite at 0")
+    l1 = cmath.log(x) + TWO_PI * 1j * k
+    l2 = cmath.log(l1)
+    return l1 - l2 + l2 / l1
 
 
 def _seed_roots(m: EntireMap, v: complex) -> Iterator[complex]:

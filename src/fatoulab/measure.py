@@ -3,13 +3,13 @@
 Walks step by the conservative lower distance estimate, so they can never
 jump across Julia filaments; the reported numbers are budgeted estimates on
 the raster approximation of the boundary, at smoothing scale walk_eps.
-Walkers advance in lockstep, one KD-tree query per step for a whole block;
-the first step reuses the basepoint's query, a numpy scan of the boundary
-cell centers (`ClassificationGrid.nearest_other_label`). Each walker draws
-from its own counter-based Philox stream keyed by (seed, sample_index); one
-numpy call computes the next chunk of every stream that needs one. So every
-hit is independent of the block size and of the order in which walkers are
-processed.
+Walkers advance in lockstep, one bucket-index query per step for a whole
+block; the first step reuses the basepoint's query, a numpy scan of the
+boundary cell centers (`ClassificationGrid.nearest_other_label`). Each walker
+draws from its own counter-based Philox stream keyed by (seed, sample_index);
+one numpy call computes the next chunk of every stream that needs one. So
+every hit is independent of the block size and of the order in which walkers
+are processed.
 """
 
 from __future__ import annotations
@@ -83,14 +83,14 @@ def _walk_lockstep(
 ) -> np.ndarray:
     """Walk-on-spheres from `basepoint` for walkers 0..n-1, in lockstep.
 
-    Each step queries the KD-tree once for all live walkers; step 0 reuses
-    the basepoint's own query, which is a scan. A walker whose lower distance estimate drops
-    below walk_eps records the nearest boundary-raster cell center;
-    otherwise it jumps to a uniform point on the circle of radius lower
-    (capped at a quarter of the window diagonal). A walker that leaves the
-    window or exceeds max_steps records NaN. Walker j takes one uniform per
-    jump from its own stream, refilled in chunks: draw(js, r) holds chunk r
-    of the streams of walkers js, one row each, so no hit depends on another.
+    Each step queries the bucket index once for all live walkers; step 0
+    reuses the basepoint's own query, which is a scan. A walker whose lower
+    distance estimate drops below walk_eps records the nearest boundary-raster
+    cell center; otherwise it jumps to a uniform point on the circle of radius
+    lower (capped at a quarter of the window diagonal). A walker that leaves
+    the window or exceeds max_steps records NaN. Walker j takes one uniform
+    per jump from its own stream, refilled in chunks: draw(js, r) holds chunk
+    r of the streams of walkers js, one row each, so no hit depends on another.
     """
     hx, hy = grid.cell_size
     if walk_eps < 2.0 * max(hx, hy) - 1e-12:
@@ -175,7 +175,7 @@ class MeasureReport:
     fractions: dict[str, float]
     counts: dict[str, int]
     left_window: int
-    dense_orbit_stat: float
+    dense_orbit_stat: float | None
     rng_seed: int
     budgets: dict[str, float]
     hits: tuple[HitRecord, ...]
@@ -201,7 +201,7 @@ def measure_report(
     The escaping/bounded/undecided fractions are integer-ratio bookkeeping
     over the non-exited samples and sum to one exactly; dense_orbit_stat is
     the worst-case over `targets` of how closely any sampled-hit orbit
-    approaches that target.
+    approaches that target, None (null in measure.json) without targets.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
@@ -243,7 +243,7 @@ def measure_report(
         fractions=fractions,
         counts=counts,
         left_window=left,
-        dense_orbit_stat=float(stat),
+        dense_orbit_stat=stat,
         rng_seed=rng_seed,
         budgets={"walk_eps": walk_eps, "orbit_budget": orbit_budget},
         hits=records,
@@ -256,10 +256,10 @@ def _dense_orbit_stat(
     budget: int,
     escape_radius: float,
     targets: tuple[complex, ...],
-) -> float:
+) -> float | None:
     """max over targets of the min distance from any sampled-hit orbit point."""
     if len(targets) == 0 or hits.size == 0:
-        return math.nan
+        return None
     t = np.asarray(targets, dtype=complex)
     best = np.full(t.shape, np.inf)
     z = hits.copy()
@@ -336,6 +336,20 @@ def _poisson_cdf(r: float):
     return cdf
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-squared with an odd number `dof` of degrees of freedom.
+
+    The closed form erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) times the sum over
+    k = 1..(dof-1)/2 of x^(k-1) / (1*3*...*(2k-1)) (Abramowitz and Stegun
+    26.4.4).
+    """
+    term, series = 1.0, 0.0
+    for k in range(1, (dof + 1) // 2):
+        series += term
+        term *= x / (2 * k + 1)
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * series
+
+
 def calibrate_disk(samples: int = 10**4, resolution: int = 400) -> CalibrationResult:
     """The two toy-mask oracles that gate every transcendental measure run.
 
@@ -353,13 +367,12 @@ def calibrate_disk(samples: int = 10**4, resolution: int = 400) -> CalibrationRe
     if exits:
         raise LeftWindow(f"{exits} disk calibration walks left the window")
 
-    from scipy.special import chdtrc
-
     # Pearson's chi-squared against equal bins and the two-sided KS distance,
-    # computed as scipy.stats.chisquare and kstest do, so bit for bit equal.
+    # computed as scipy.stats.chisquare and kstest do: the statistics bit for
+    # bit, the chi-squared p-value to within 1e-14 (relative).
     counts, _ = np.histogram(np.angle(center_hits), bins=_CAL_CHI2_BINS, range=(-math.pi, math.pi))
     expected = counts.mean()
-    chi2_p = float(chdtrc(_CAL_CHI2_BINS - 1, np.sum((counts - expected) ** 2 / expected)))
+    chi2_p = _chi2_sf(float(np.sum((counts - expected) ** 2 / expected)), _CAL_CHI2_BINS - 1)
     cdf = _poisson_cdf(0.5)(np.sort(np.angle(offset_hits)))
     n = cdf.size
     ks = float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))

@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -94,3 +95,20 @@ def zexp_grid(zexp_map):
 def disk_calibration():
     """The walk-on-spheres disk oracle; shared by measure tests and acceptance."""
     return calibrate_disk(samples=10**4)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(autouse=True)
+def measure_json_is_standard(request):
+    """Every measure.json a test writes under its tmp_path parses as standard
+    JSON, without NaN or Infinity."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    for path in tmp_path.rglob("measure.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)

@@ -1,14 +1,26 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from fatoulab.boundary import newton_periodic
-from fatoulab.branches import apply_chain, branch_of, chain_fixing, inverse, pullback_chain
+from fatoulab.branches import (
+    _damped_newton,
+    _lambert_root,
+    apply_chain,
+    branch_of,
+    chain_fixing,
+    inverse,
+    pullback_chain,
+)
 from fatoulab.catalog import exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
 from fatoulab.errors import (
     AmbiguousBranch,
     AsymptoticValueCollision,
     BranchJumpDetected,
     CriticalValueCollision,
+    NewtonDiverged,
 )
 
 from conftest import QR
@@ -79,9 +91,77 @@ def test_single_point_orbit_identity(exp_map):
     assert apply_chain(chain, 0.3 + 0.2j) == 0.3 + 0.2j
 
 
+def _lambert_cases():
+    """w = -x for Lambert arguments x with 1e-3 <= |w| <= 1e2: a polar grid off
+    the real axis, the cut x < 0 (w > 0 with Im w = +-1e-13 |w| and +-0),
+    points within 1e-3 of the branch point x = -1/e, and seeded random points."""
+    rng = np.random.default_rng(29)
+    for r in np.geomspace(1e-3, 1e2, 16):
+        for a in np.linspace(-np.pi, np.pi, 24, endpoint=False) + np.pi / 24:
+            yield complex(r * cmath.exp(1j * a))
+        for im in (1e-13 * r, 0.0, -0.0, -1e-13 * r):
+            yield complex(r, im)
+    for d in np.geomspace(1e-12, 1e-3, 10):
+        for side in (1, -1, 1j, -1j):
+            yield complex(math.exp(-1.0) + side * d)
+    for _ in range(500):
+        yield complex(*rng.normal(size=2)) * float(10 ** rng.uniform(-3, 2))
+
+
+def test_lambert_roots_equal_roots_from_scipy_seeds(zexp_map):
+    """For k in -3..3, the root -W_k(-w) polished from the series seed and
+    Halley's steps equals, within 1e-9 relative, the root Newton polishes from
+    SciPy's lambertw; next to the critical point 1, where Newton's residual
+    1e-12 fixes a root only to 1e-12 / |f'|, within that. `inverse` returns it
+    only inside branch k's strip and raises NewtonDiverged otherwise, so it
+    never returns a root on another branch."""
+    from scipy.special import lambertw
+
+    returned = refused = 0
+    for w in _lambert_cases():
+        for k in range(-3, 4):
+            try:
+                ref = _damped_newton(zexp_map, w, complex(-lambertw(-w, k=k)))
+            except NewtonDiverged:
+                continue
+            z = _lambert_root(zexp_map, w, k)
+            slope = abs(zexp_map.eval_with_derivative(ref)[1])
+            assert abs(z - ref) <= max(1e-9 * abs(ref), 1e-12 / slope), (w, k)
+            try:
+                assert inverse(zexp_map, w, k) == z and branch_of(zexp_map, z) == k, (w, k)
+                returned += 1
+            except NewtonDiverged:
+                assert branch_of(zexp_map, z) != k, (w, k)
+                refused += 1
+            except CriticalValueCollision:
+                assert abs(w - math.exp(-1.0)) < 1e-12
+    assert returned > 2 * refused > 0
+
+
+def test_lambert_root_at_the_double_nearest_the_critical_value(zexp_map):
+    """The double nearest 1/e exceeds 1/e by 1.2e-17, so -w lies on the cut
+    just past the branch point, where W_0 = -1 -+ 8.2e-9 i: the principal
+    root is that conjugate pair, on the side the sign of Im w picks."""
+    for im, side in ((0.0, 1), (-0.0, -1)):
+        w = complex(math.exp(-1.0), im)
+        z = _lambert_root(zexp_map, w, 0)
+        assert z.real == 1.0 and side * z.imag == pytest.approx(8.22e-9, rel=1e-3)
+        assert abs(zexp_map.evaluate(z) - w) < 1e-15
+
+
 def test_orbit_through_critical_value(zexp_map):
     with pytest.raises(AmbiguousBranch):
         pullback_chain(zexp_map, [1.0, float(np.exp(-1.0))])
+
+
+def test_orbit_near_critical_value_keeps_both_merging_preimages(zexp_map):
+    """Near the critical point 1 the two preimages of f(z) nearly merge; the
+    candidates hold both, so the trust radius is about |z - 1|, not the
+    distance to a preimage on another branch."""
+    for dz in (1e-5, -1e-5, 1e-5j, 1e-4):
+        z = 1 + dz
+        chain = pullback_chain(zexp_map, [z, zexp_map.evaluate(z)])
+        assert 0.5 * abs(dz) < chain.trust_radius < 2 * abs(dz), dz
 
 
 def test_orbit_consecutive_precondition(zplus_map):

@@ -253,41 +253,66 @@ def test_distance_refinement_under_doubling():
         assert lo_f >= lo_c - fine.cell_diagonal - 1e-12
 
 
+def _assert_nearest_equals_brute_force(g, points):
+    """For every point: the scan's distance is the minimum over every
+    other-label cell center, and its index the lowest among the equally near
+    candidates; the array path, one array per label, gives the same bits and
+    indices. Returns how many points had equally near candidates."""
+    centers = g.cell_centers()
+    labels = np.array([g.label_at(z) for z in points.tolist()])
+    ties = 0
+    for label in np.unique(labels).tolist():
+        zs = points[labels == label]
+        d_arr, i_arr = g.nearest_other_label(label, np.stack((zs.real, zs.imag), -1))
+        others = centers[g.labels != label]
+        candidates = g.other_label_center(label, np.arange(len(g._other_label_centers(label))))
+        for z, da, ia in zip(zs.tolist(), d_arr, i_arr):
+            d, i = g.nearest_other_label(label, (z.real, z.imag))
+            assert d == np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
+            dx, dy = candidates.real - z.real, candidates.imag - z.imag
+            equal = np.flatnonzero(np.sqrt(dx * dx + dy * dy) == d)
+            assert i == equal[0]
+            ties += len(equal) > 1
+            assert (np.float64(da).tobytes(), ia) == (np.float64(d).tobytes(), i)
+    return ties
+
+
 def test_distance_equals_brute_force_over_all_other_label_cells():
     """Only other-label cells next to the label are searched, yet the nearest
     distance equals the minimum over every other-label cell center. One point
-    is answered by the scan, an array by the tree, with the same bits and a
-    center at that distance. A point outside the window counts as label 0."""
+    is answered by the scan, an array by the bucket index, with the same bits
+    and, among equally near centers, the lowest index. Checked at random
+    points and at every cell corner, which takes in points equally near to
+    two or more centers, the edges of the 8 x 8-cell buckets and the window's
+    corners; also on a window whose cells are not unit squares. A point
+    outside the window counts as label 0, and an empty array gets empty
+    answers."""
     rng = np.random.default_rng(11)
     kinds = (rng.uniform(size=(30, 40)) < 0.6).astype(int) * int(Kind.ATTRACTING)
     g = _synthetic_grid(np.array(kinds))
+    corners = (np.arange(41.0)[None, :] + 1j * np.arange(31.0)[:, None]).ravel()
+    random = rng.uniform(0.0, 40.0, 300) + 1j * rng.uniform(0.0, 30.0, 300)
+    assert _assert_nearest_equals_brute_force(g, np.concatenate((corners, random))) > 100
+    skew = dataclasses.replace(g, window=(-3.7, 2.1, -1.3, 3.3))
+    hx, hy = skew.cell_size
+    corners = (-3.7 + np.arange(41)[None, :] * hx + 1j * (-1.3 + np.arange(31)[:, None] * hy)).ravel()
+    random = rng.uniform(-3.7, 2.1, 300) + 1j * rng.uniform(-1.3, 3.3, 300)
+    _assert_nearest_equals_brute_force(skew, np.concatenate((corners[skew.contains(corners)], random)))
+
     centers = g.cell_centers()
-
-    def brute_force(z, label):
-        others = centers[g.labels != label]
-        return np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min()
-
-    def distance_to(c, z):
-        dx, dy = c.real - z.real, c.imag - z.imag
-        return np.sqrt(dx * dx + dy * dy)
-
-    for _ in range(300):
-        z = complex(rng.uniform(0.0, 40.0), rng.uniform(0.0, 30.0))
-        label = g.label_at(z)
-        d, i = g.nearest_other_label(label, (z.real, z.imag))
-        assert d == brute_force(z, label)
-        assert distance_to(complex(g.other_label_center(label, i)), z) == d
-        d_tree, i_tree = g.nearest_other_label(label, [(z.real, z.imag)])
-        assert d_tree.tobytes() == np.float64(d).tobytes()
-        assert distance_to(complex(g.other_label_center(label, i_tree[0])), z) == d
     outside = rng.uniform(-15.0, 55.0, 600) + 1j * rng.uniform(-15.0, 45.0, 600)
     outside = outside[~g.contains(outside)]
     assert outside.size > 300
     d, i = g.nearest_other_label(0, np.stack((outside.real, outside.imag), -1))
     nearest = g.other_label_center(0, i)
-    assert d.tolist() == [brute_force(z, 0) for z in outside]
+    others = centers[g.labels != 0]
+    assert d.tolist() == [
+        np.sqrt((others.real - z.real) ** 2 + (others.imag - z.imag) ** 2).min() for z in outside
+    ]
     assert all(g.label_at(c) > 0 for c in nearest.tolist())
     assert np.allclose(np.abs(nearest - outside), d, rtol=1e-14, atol=0.0)
+    d, i = g.nearest_other_label(g.labels.max(), np.empty((0, 2)))
+    assert d.shape == i.shape == (0,)
 
 
 def test_no_other_label_gives_inf_and_minus_one_on_both_paths():
