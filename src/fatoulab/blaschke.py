@@ -1,10 +1,12 @@
 """Finite Blaschke products and their unit-circle dynamics.
 
-Covers evaluation, argument lifts of the induced circle maps, Denjoy-Wolff
-point location, boundary periodic points, and the audit of rational
-circle-map candidates. Only
-finite products are instantiated; infinite-degree inner functions have no
-finite representation here.
+Covers evaluation, argument lifts of the induced circle maps, boundary
+periodic points, the audit of rational circle-map candidates, and the
+Denjoy-Wolff point. That point is read off the fixed points, not an orbit: a
+circle fixed point with |B'| <= 1 if there is one (Julia-Wolff), else the
+attracting fixed point inside the disk (Denjoy-Wolff). Only finite products
+are instantiated; infinite-degree inner functions have no finite
+representation here.
 """
 
 from __future__ import annotations
@@ -16,14 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import damped_newton
 from .errors import LiftGridExhausted, LiftNotExpandingWarning, PoleOnCircle, RotationLike
 
 TWO_PI = 2.0 * math.pi
-
-# A Denjoy-Wolff orbit is treated as boundary-bound after this many
-# consecutive iterates with modulus above 1 - _BOUNDARY_NEAR.
-_BOUNDARY_NEAR = 1e-6
-_BOUNDARY_RUN = 20
 
 _MIN_GRID_BITS = 14
 _MAX_GRID_BITS = 19
@@ -36,9 +34,15 @@ _DEDUP_TOL = 1e-10
 # fixes the last digits of the angles and points that it reports.
 _BISECT_TOL = 5e-14
 _CANDIDATE_BISECT_TOL = 1e-14
-# The Denjoy-Wolff tolerance: the interior Cauchy margin and the slack on a
-# boundary fixed point's derivative.
+# The slack on a boundary Denjoy-Wolff point's |B'| <= 1, which rounding of
+# |B'| at a parabolic point (exactly 1) must not exceed.
 _DW_TOL = 1e-9
+# An interior fixed point is the Denjoy-Wolff point only if |B'| <= 1 minus
+# this gap. A boundary fixed point of even multiplicity, which the circle root
+# finder can miss, leaves P a root pair split by rounding to about 1e-8 from
+# the circle, with |B'| about 1 - 2e-8; the gap keeps such a root from being
+# reported as an attracting interior point.
+_NEUTRAL_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,8 @@ class BlaschkeProduct:
         z = np.asarray(z, dtype=complex)
         d = len(self.zeros)
         if d == 0:
-            return (np.full_like(z, self.rotation), np.zeros_like(z))
+            val, deriv = np.full_like(z, self.rotation), np.zeros_like(z)
+            return (val, deriv) if z.ndim else (complex(val), complex(deriv))
         f = np.empty((d,) + z.shape, dtype=complex)
         fp = np.empty_like(f)
         for j, a in enumerate(self.zeros):
@@ -276,67 +281,55 @@ class DenjoyWolff:
     derivative_modulus: float
 
 
-def denjoy_wolff(
-    b: BlaschkeProduct,
-    budget: int = 2000,
-    z0: complex = 0.0 + 0.0j,
-) -> DenjoyWolff:
-    """Locate the Denjoy-Wolff point by iteration from z0 (default 0).
+def denjoy_wolff(b: BlaschkeProduct) -> DenjoyWolff:
+    """The Denjoy-Wolff point of B, from its fixed points (Denjoy-Wolff, Julia-Wolff).
 
-    Interior: the orbit becomes Cauchy inside |z| <= 1 - _DW_TOL and a Newton
-    polish lands on the fixed point. Boundary: the orbit hugs the circle for
-    _BOUNDARY_RUN consecutive steps; the limit angle is refined to a circle
-    fixed point with derivative <= 1 + _DW_TOL. Elliptic rotations do neither and
-    raise RotationLike.
+    Boundary: a circle fixed point zeta with |B'(zeta)| <= 1 + _DW_TOL, from
+    the circle root finder; |B'| on the circle is the sum of the Poisson
+    kernels at the zeros, and only one such point exists unless B is the
+    identity, so the least |B'| is kept. At a parabolic point the lift meets
+    its level tangentially, so the angle is resolved only to about
+    eps^(1/m) for multiplicity m (1e-5 when m = 3), and a point of even
+    multiplicity, which the lift touches without crossing, may be missed.
+    Interior: otherwise, the fixed point in the disk, the least-modulus root of
+    P = N - z D (B = N/D) polished by damped Newton; it is reported only when
+    |B'(p)| <= 1 - _NEUTRAL_GAP. Raises RotationLike for the identity (P = 0),
+    for elliptic automorphisms and for a near-neutral point it cannot place.
     """
-    z = complex(z0)
-    boundary_run = 0
-    for _ in range(budget):
-        w = b.evaluate(z)
-        if abs(w) > 1.0 - _BOUNDARY_NEAR:
-            boundary_run += 1
-            if boundary_run >= _BOUNDARY_RUN:
-                return _refine_boundary(b, cmath.phase(w))
-        else:
-            boundary_run = 0
-        if abs(w - z) < 1e-9 and abs(w) <= 1.0 - _DW_TOL:
-            p = _newton_fixed_point(b, w)
-            dm = abs(b.eval_with_derivative(p)[1])
-            if dm >= 1.0 - 1e-9:
-                # a neutral interior fixed point makes B an elliptic automorphism
-                raise RotationLike(f"neutral interior fixed point at {p}")
-            return DenjoyWolff(p, INTERIOR, dm)
-        z = w
-    raise RotationLike("orbit neither contracts nor approaches the boundary")
+    fixed = _fixed_point_polynomial(b)
+    if not np.any(fixed):
+        raise RotationLike("B is the identity: every point is fixed")
+    boundary = [
+        (abs(b.eval_with_derivative(cmath.exp(1j * t))[1]), t)
+        for t, _ in _circle_roots(b.evaluate, _BISECT_TOL)
+    ]
+    dm, t = min(boundary, default=(math.inf, 0.0))
+    if dm <= 1.0 + _DW_TOL:
+        return DenjoyWolff(cmath.exp(1j * t), BOUNDARY, dm)
 
-
-def _newton_fixed_point(b: BlaschkeProduct, z: complex) -> complex:
-    for _ in range(50):
+    def g(z):
         val, der = b.eval_with_derivative(z)
-        g, gp = val - z, der - 1.0
-        if gp == 0:
-            break
-        step = g / gp
-        z = z - step
-        if abs(step) < 1e-15:
-            break
-    return z
+        return val - z, der - 1.0
+
+    roots = np.polynomial.polynomial.polyroots(fixed)
+    p = damped_newton(g, complex(roots[np.argmin(np.abs(roots))]), 1e-15, 50)
+    dm = abs(b.eval_with_derivative(p)[1])
+    if abs(p) < 1.0 and dm <= 1.0 - _NEUTRAL_GAP:
+        return DenjoyWolff(p, INTERIOR, dm)
+    raise RotationLike(
+        f"no circle fixed point has |B'| <= 1, and the fixed point {p} with |B'| = {dm!r}"
+        " is a rotation centre or an unresolved near-neutral point"
+    )
 
 
-def _refine_boundary(b: BlaschkeProduct, theta_hat: float) -> DenjoyWolff:
-    best = None
-    for t, _ in _circle_roots(b.evaluate, _BISECT_TOL):
-        # |B'| on the circle, the sum of the Poisson kernels at the zeros
-        dm = abs(b.eval_with_derivative(cmath.exp(1j * t))[1])
-        if dm > 1.0 + _DW_TOL:
-            continue
-        gap = abs((t - theta_hat + math.pi) % TWO_PI - math.pi)
-        if best is None or gap < best[0]:
-            best = (gap, t, dm)
-    if best is None:
-        raise RotationLike("no non-repelling boundary fixed point found")
-    _, t, dm = best
-    return DenjoyWolff(cmath.exp(1j * t), BOUNDARY, dm)
+def _fixed_point_polynomial(b: BlaschkeProduct) -> np.ndarray:
+    """Ascending coefficients of P = N - z D, where B = N/D; its roots are B's finite fixed points."""
+    num = np.array([b.rotation])
+    den = np.array([1.0 + 0.0j])
+    for a in b.zeros:
+        num = np.polynomial.polynomial.polymul(num, [-a, 1.0])
+        den = np.polynomial.polynomial.polymul(den, [1.0, -a.conjugate()])
+    return np.polynomial.polynomial.polysub(num, np.polynomial.polynomial.polymulx(den))
 
 
 # ---------------------------------------------------------------------------

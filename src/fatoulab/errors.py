@@ -16,7 +16,7 @@ class OutOfWindow(FatouLabError):
 
 
 class RotationLike(FatouLabError):
-    """Disk-map orbit neither contracts inside nor approaches the boundary within budget."""
+    """A disk map has no certain Denjoy-Wolff point: the identity, a rotation, or a near-neutral fixed point."""
 
 
 class PoleOnCircle(FatouLabError):

@@ -105,18 +105,156 @@ def test_denjoy_wolff_moebius_boundary():
     assert dw.derivative_modulus <= 1.0 + 1e-8
 
 
-def test_denjoy_wolff_start_independent():
-    for phi in (0.4, 1.3, 2.9):
-        dw = denjoy_wolff(B_SQUARE, z0=0.9 * cmath.exp(1j * phi))
-        assert abs(dw.point) < 1e-12
+def conjugate_by_rotation(b, alpha):
+    """R^-1 B R for R(z) = e^{i alpha} z: zeros a -> e^{-i alpha} a, rotation c -> c e^{i(d-1) alpha}."""
+    return BlaschkeProduct(
+        b.rotation * cmath.exp(1j * (b.degree - 1) * alpha),
+        tuple(cmath.exp(-1j * alpha) * a for a in b.zeros),
+    )
+
+
+def parabolic_moebius():
+    """The Moebius product with zero i/(1+i) whose rotation puts a double fixed point at 1."""
+    a = 1j / (1 + 1j)
+    return BlaschkeProduct((1 - a.conjugate()) / (1 - a), (a,))
+
+
+def upper_half_plane_conjugate():
+    """The degree-2 product conjugate, by the Cayley map, to F(w) = w + 1 - 1/w on the upper half-plane.
+
+    B = 0 where F(w) = i, at the roots of w^2 + (1 - i) w - 1 in the upper
+    half-plane; the rotation matches B(0) to the image of F(i). F(w) ~ w + 1
+    at w = infinity, so z = 1 is a parabolic boundary fixed point.
+    """
+    cayley = lambda w: (w - 1j) / (w + 1j)  # noqa: E731
+    zeros = tuple(cayley(complex(w)) for w in np.roots([1, 1 - 1j, -1]) if w.imag > 0)
+    c = cayley(1j + 1 - 1 / 1j) / np.prod([-a for a in zeros])
+    return BlaschkeProduct(c / abs(c), zeros)
+
+
+# Denjoy-Wolff point 1: with |B'(1)| = 2/3, and parabolic (B'(1) = 1, multiplicity 3)
+B_HALF_SQUARED = BlaschkeProduct(zeros=(-0.5, -0.5))  # ((z + 1/2)/(1 + z/2))^2
+B_PARABOLIC_3 = BlaschkeProduct(zeros=(1j / math.sqrt(3), -1j / math.sqrt(3)))  # (3z^2 + 1)/(3 + z^2)
+
+
+@pytest.mark.parametrize("b", [B_HALF_SQUARED, B_PARABOLIC_3], ids=["half_squared", "parabolic_3"])
+def test_denjoy_wolff_boundary_at_one(b):
+    dw = denjoy_wolff(b)
+    assert dw.location == BOUNDARY
+    assert dw.point == 1.0
+    assert dw.derivative_modulus <= 1.0 + 1e-9
+    # a parabolic point of multiplicity 3 is resolved only to about eps^(1/3)
+    for alpha in (0.1, 0.4, 1.0, 2.5):
+        dw = denjoy_wolff(conjugate_by_rotation(b, alpha))
+        assert dw.location == BOUNDARY
+        assert abs(dw.point - cmath.exp(-1j * alpha)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "rotation, zeros, multiplier",
+    [
+        ((0.4213310888988597, -0.90690689352728),
+         ((0.8067738319055644, -0.34950723358602165), (-0.7064458092587693, -0.010223136531296584)),
+         0.9994159388421072),
+        ((0.14299576230758124, 0.989723300706856),
+         ((0.4114155695434676, 0.25758821644132346), (0.39865406565962735, 0.7427696388525029)),
+         0.9915973383798737),
+        ((-0.15248415195634624, 0.9883059158996034),
+         ((0.7639226629369262, -0.5540507482061523), (0.1838256279151338, -0.5693094894161908),
+          (0.9045458457719588, 0.12292345193562704)),
+         0.9950500864456886),
+    ],
+)
+def test_denjoy_wolff_weakly_attracting_interior(rotation, zeros, multiplier):
+    """Random products whose interior fixed point attracts with |B'(p)| within 1e-2 of 1."""
+    b = BlaschkeProduct(complex(*rotation), tuple(complex(*a) for a in zeros))
+    dw = denjoy_wolff(b)
+    assert dw.location == INTERIOR
+    assert abs(b.evaluate(dw.point) - dw.point) < 1e-14
+    assert abs(dw.derivative_modulus - multiplier) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "b",
+    [conjugate_by_rotation(parabolic_moebius(), 0.4)]
+    + [conjugate_by_rotation(upper_half_plane_conjugate(), alpha) for alpha in (0.3, 1.7)],
+    ids=["moebius_0.4", "half_plane_0.3", "half_plane_1.7"],
+)
+def test_denjoy_wolff_missed_double_boundary_point_is_never_interior(b):
+    """A double boundary fixed point that the lift touches without crossing.
+
+    P's double root there splits by rounding into a pair about 1e-8 from the
+    circle, with |B'| about 1 - 2e-8: that is a near-neutral point, not an
+    attracting one.
+    """
+    try:
+        dw = denjoy_wolff(b)
+    except RotationLike:
+        return
+    assert dw.location == BOUNDARY
+
+
+def test_denjoy_wolff_double_boundary_point_on_a_node():
+    for b in (parabolic_moebius(), upper_half_plane_conjugate()):
+        dw = denjoy_wolff(b)
+        assert dw.location == BOUNDARY
+        assert abs(dw.point - 1.0) < 1e-12
+
+
+def test_denjoy_wolff_rotation_equivariant():
+    """DW(R^-1 B R) = R^-1 DW(B) for every rotation R, interior and boundary."""
+    for b in (B_SQUARE, B_GENERIC, MOEBIUS, B_HALF_SQUARED):
+        dw = denjoy_wolff(b)
+        for alpha in (0.4, 1.3, 2.9):
+            turned = denjoy_wolff(conjugate_by_rotation(b, alpha))
+            assert turned.location == dw.location
+            assert abs(turned.point - cmath.exp(-1j * alpha) * dw.point) < 1e-12
+            assert abs(turned.derivative_modulus - dw.derivative_modulus) < 1e-12
 
 
 def test_denjoy_wolff_rejects_rotation():
     rot = BlaschkeProduct(rotation=cmath.exp(1j * 0.773), zeros=(0,))
     with pytest.raises(RotationLike):
-        denjoy_wolff(rot, budget=300)
+        denjoy_wolff(rot)
+    # an elliptic automorphism phi(lam phi(z)) about p, with phi(z) = (p - z)/(1 - conj(p) z)
+    p, lam = 0.3 + 0.2j, cmath.exp(0.9j)
+    phi = lambda z: (p - z) / (1 - p.conjugate() * z)  # noqa: E731
+    a = phi(p / lam)
+    elliptic = BlaschkeProduct(phi(lam * p) / -a, (a,))
+    assert abs(elliptic.evaluate(p) - p) < 1e-15
     with pytest.raises(RotationLike):
-        denjoy_wolff(rot, budget=300, z0=0.4 + 0.2j)
+        denjoy_wolff(elliptic)
+
+
+def test_denjoy_wolff_rejects_identity():
+    with pytest.raises(RotationLike, match="identity"):
+        denjoy_wolff(BlaschkeProduct(zeros=(0,)))
+
+
+def test_denjoy_wolff_constant_product():
+    c = cmath.exp(1.1j)
+    dw = denjoy_wolff(BlaschkeProduct(rotation=c))
+    assert dw.location == BOUNDARY
+    assert abs(dw.point - c) < 1e-12
+    assert type(dw.derivative_modulus) is float and dw.derivative_modulus == 0.0
+
+
+def test_degree_zero_derivative_is_complex():
+    b = BlaschkeProduct(rotation=1j)
+    val, der = b.eval_with_derivative(0.5)
+    assert type(val) is complex and type(der) is complex
+    assert (val, der) == (1j, 0j)
+    val, der = b.eval_with_derivative(np.array([0.5, 0.25j]))
+    assert val.shape == der.shape == (2,)
+
+
+@pytest.mark.parametrize("b", [MOEBIUS, B_HALF_SQUARED, B_PARABOLIC_3], ids=["moebius", "half_squared", "parabolic_3"])
+def test_boundary_derivative_is_the_poisson_sum(b):
+    """|B'(zeta)| = sum (1 - |a|^2)/|zeta - a|^2 at a circle point zeta."""
+    dw = denjoy_wolff(b)
+    assert dw.location == BOUNDARY
+    poisson = sum((1 - abs(a) ** 2) / abs(dw.point - a) ** 2 for a in b.zeros)
+    assert abs(dw.derivative_modulus - poisson) < 1e-12
 
 
 def test_denjoy_wolff_generic_interior():

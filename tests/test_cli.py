@@ -426,6 +426,27 @@ def test_inner_subcommand(tmp_path):
     assert len(rows) == 1 + 1 + 3 + 7
 
 
+@pytest.mark.parametrize(
+    "zeros, modulus",
+    [
+        ([[-0.5, 0.0], [-0.5, 0.0]], 2 / 3),  # ((z + 1/2)/(1 + z/2))^2
+        ([[0.0, 3 ** -0.5], [0.0, -(3 ** -0.5)]], 1.0),  # (3z^2 + 1)/(3 + z^2), parabolic
+    ],
+    ids=["half_squared", "parabolic_3"],
+)
+# the circle map of ((z + 1/2)/(1 + z/2))^2 contracts at 1, so a branch has several roots
+@pytest.mark.filterwarnings("ignore::fatoulab.errors.LiftNotExpandingWarning")
+def test_inner_boundary_denjoy_wolff_point(tmp_path, zeros, modulus):
+    payload = {"map": {"family": "z_exp"}, "inner": {"blaschke": {"zeros": zeros}, "periods": [1]}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "inner"
+    assert cli.main(["inner", "--config", str(cfg), "--out", str(out)]) == 0
+    dw = json.loads((out / "points.json").read_text())["denjoy_wolff"]
+    assert dw["location"] == "boundary"
+    assert dw["point"] == [1.0, 0.0]
+    assert abs(dw["derivative_modulus"] - modulus) < 1e-12
+
+
 def test_render_strips_lists_three_major_components(tmp_path):
     three_pi = 3 * np.pi
     payload = {
