@@ -12,12 +12,25 @@ points, so that a block's working arrays stay in a core's L2 cache instead of
 streaming through memory at every step. Each orbit depends on its start point
 alone, so the results do not depend on the block size.
 
-An attracting fixed point p captures an orbit at its first step inside a
-certified disk D(p, r), one that f maps into D(p, 0.99 r) with |f'| <= 0.99
-on it (`certified_radius`): every orbit that enters such a disk converges to
-p. A listed cycle of period q > 1, or a fixed point with no certified disk,
-captures an orbit instead when it comes within tol/4 of p and q more steps
-move it by less than tol.
+Every Fatou verdict is the first entry into a set S with f(S) inside S:
+
+- An attracting fixed point p captures an orbit at its first step inside a
+  certified disk D(p, r), one that f maps into D(p, 0.99 r) with
+  |f'| <= 0.99 on it (`certified_radius`): every orbit that enters such a
+  disk converges to p. A listed cycle of period q > 1, or a fixed point with
+  no certified disk, captures an orbit instead when it comes within tol/4 of
+  p and q more steps move it by less than tol.
+- The parabolic point 0 of z_exp takes an orbit at its first step in the
+  petal {Re(1/z) > PETAL}. w = 1/z conjugates f to F(w) = w e^{1/w}, and for
+  |w| >= 2, |F(w) - w - 1| <= 2(e^{1/2} - 3/2) < 0.3: every {Re(1/z) > c}
+  with c >= 2 is invariant, and Re(1/z) grows by more than 0.7 a step in it.
+- A drift escape of z_plus_exp or fatou_plus fires at the first step n with
+  f^{n-1}(z) in S, Re f^{n-1} < DRIFT_MAX_RE and Re f^n > Re f^{n-1} in
+  floating point. For z_plus_exp S is a half-strip
+  {x > 0, |y - 2 pi k| < pi/2}, where Re f - x = e^{-x} cos y > 0 and
+  |y - 2 pi k| shrinks; for fatou_plus it is the half-plane {x > 0}, where
+  Re f >= x + 1 - e^{-x} > x. The two floating-point conditions keep the
+  verdict off orbits that stall where e^{-x} is below a few ulps of x.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ from .catalog import (
     TWO_PI,
     Z_EXP,
     Z_PLUS_EXP,
+    _EXP_OVERFLOW,
     EntireMap,
     damped_newton,
 )
@@ -43,16 +57,18 @@ from .errors import Overflow
 DEFAULT_ESCAPE_RADIUS = 50.0
 DEFAULT_TOL = 1e-6
 
-# Baker-domain drift heuristic (family-specific, calibrated on the known
-# absorbing behaviour): escape is certified after Re f^n has increased for
-# DRIFT_RUN consecutive steps while beyond DRIFT_MIN_RE.
-DRIFT_MIN_RE = 3.0
-DRIFT_RUN = 50
 _DRIFT_FAMILIES = (Z_PLUS_EXP, FATOU_PLUS)
 
-# Parabolic certification (z_exp): the petal attracts along R+, so we require
-# a small modulus, an argument inside the petal sector and a shrinking step.
-PARABOLIC_ABS = 1e-3
+# c of the petal {Re(1/z) > c}, in z the disk x > c (x^2 + y^2). An orbit
+# stays in |z| < 1/c from its verdict on. The sector rule it replaced,
+# |z| < 1e-3 with Re z > |Im z|, lies inside c = 707, so c = 600 decides no
+# cell later; c >= 500 keeps orbits in the |z| < 2e-3 that the benchmark checks.
+PETAL = 600.0
+
+# A drift rise counts only from Re z < DRIFT_MAX_RE. Past it e^{-x} is within
+# a few dozen ulps of x, and a z_plus_exp orbit can stall in floating point
+# (x + e^{-x} cos y rounds to x), so one ulp of f would decide it.
+DRIFT_MAX_RE = 30.0
 
 # Certified attracting disks: radii 1, 1/2, ... down to 2^-_RADIUS_HALVINGS,
 # each mapped into _CONTRACTION times itself with |f'| <= _CONTRACTION on it.
@@ -63,7 +79,7 @@ _CONTRACTION = 0.99
 # (undecided, or escaping past the radius or by overflow).
 CLASS_ATTRACTING = 1000  # + attractor index j
 CLASS_PARABOLIC = 2000
-CLASS_DRIFT = 3500  # + drift strip k, the nearest integer to Im z / 2 pi
+CLASS_DRIFT = 3500  # + half-strip k of z_plus_exp, the nearest integer to Im z / 2 pi
 
 # Points per kernel block, about 2 MB of working arrays. On exp_lambda, z_exp
 # and fatou_minus grids 2^14 ran slower, fatou_minus (17 attractor tests per
@@ -149,7 +165,10 @@ def classify_orbits_array(
 
     The class is the kernel's Fatou verdict: CLASS_ATTRACTING + j at capture
     by attractor j, CLASS_PARABOLIC in the parabolic petal, CLASS_DRIFT + k
-    for a drift-certified escape ending near strip k, and 0 otherwise.
+    for a drift escape in the half-strip k of z_plus_exp (CLASS_DRIFT for
+    fatou_plus), and 0 otherwise. The iterations of a verdict are its step n:
+    the first step inside the certified disk or the petal, or the step of the
+    first resolved rise from S.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -188,25 +207,34 @@ def _classify_block(
 
     `radii` holds each attractor's certified radius, or None where the tol
     rule applies. Writes each point's verdict into the block's views `kinds`,
-    `iterations` and `classes`. The orbits still running stay compacted:
-    `z`, `pos` (their positions in the block) and, for the drift families,
-    `drift_count` hold only them.
+    `iterations` and `classes`. The orbits still running stay compacted: `z`
+    and `pos` (their positions in the block) hold only them.
     """
     pos = np.arange(z.size)
-    drift_count = np.zeros(z.size, dtype=np.int16) if m.family in _DRIFT_FAMILIES else None
     # The one parabolic point of the catalog is 0, so w - p is w itself.
     parabolic = bool(parabolic_points(m))
+    drift = m.family in _DRIFT_FAMILIES
+    strips = m.family == Z_PLUS_EXP
+    # Past step 1 every live point has |z| <= escape_radius, so at a radius
+    # of at most 709 no exp argument overflows and the mask is dead work.
+    lean = escape_radius <= _EXP_OVERFLOW
     capture = tol / 4.0
 
     for step in range(1, budget + 1):
         if pos.size == 0:
             break
-        w, bad = m.evaluate_array(z)
+        if lean and step > 1:
+            w, bad = _unmasked_step(m, z), None
+        else:
+            w, bad = m.evaluate_array(z)
         abs_w = np.abs(w)
 
         # Overflow of the exponential is escape evidence for every catalog map;
         # neither it nor a modulus past the radius is Fatou evidence (class 0).
-        escaped = bad | (abs_w > escape_radius)
+        # A non-finite value of the unmasked step fails abs_w <= radius.
+        escaped = ~(abs_w <= escape_radius)
+        if bad is not None:
+            escaped |= bad
         undecided = ~escaped
         for j, ((p, q), r) in enumerate(zip(attractors, radii)):
             sel = np.flatnonzero(np.abs(w - p) < (capture if r is None else r))
@@ -222,22 +250,20 @@ def _classify_block(
             undecided[sel] = False
 
         if parabolic:
-            # the petal test runs on the few points near 0 only
-            sel = np.flatnonzero(abs_w < PARABOLIC_ABS)
-            sel = sel[undecided[sel] & (w.real[sel] > np.abs(w.imag[sel]))]
-            if sel.size:
-                w1, bad1 = m.evaluate_array(w[sel])
-                sel = sel[~bad1 & (np.abs(w1) <= abs_w[sel])]
-                kinds[pos[sel]] = Kind.PARABOLIC
-                classes[pos[sel]] = CLASS_PARABOLIC
-                undecided[sel] = False
+            # x > c |w|^2 implies |w| < 1/c: the test runs on those few points
+            sel = np.flatnonzero(abs_w < 1.0 / PETAL)
+            x, y = w.real[sel], w.imag[sel]
+            sel = sel[undecided[sel] & (x > PETAL * (x * x + y * y))]
+            kinds[pos[sel]] = Kind.PARABOLIC
+            classes[pos[sel]] = CLASS_PARABOLIC
+            undecided[sel] = False
 
-        if drift_count is not None:
-            rising = (w.real > z.real) & (w.real > DRIFT_MIN_RE) & ~bad
-            drift_count = np.where(rising, drift_count + 1, 0)
-            drifted = undecided & (drift_count >= DRIFT_RUN)
+        if drift:
+            # For z_plus_exp a rise from x > 0 means e^{-x} cos y > 0, which
+            # places z in S: the sign of the computed cosine is exact.
+            drifted = undecided & (z.real > 0.0) & (z.real < DRIFT_MAX_RE) & (w.real > z.real)
             if drifted.any():
-                strip = np.round(w[drifted].imag / TWO_PI).astype(np.int32)
+                strip = np.round(w.imag[drifted] / TWO_PI).astype(np.int32) if strips else 0
                 classes[pos[drifted]] = CLASS_DRIFT + strip
                 escaped |= drifted
                 undecided &= ~drifted
@@ -248,5 +274,14 @@ def _classify_block(
             kinds[pos[escaped]] = Kind.ESCAPING
             iterations[pos[~undecided]] = step
             pos, z = pos[undecided], w[undecided]
-            if drift_count is not None:
-                drift_count = drift_count[undecided]
+
+
+def _unmasked_step(m: EntireMap, z: np.ndarray) -> np.ndarray:
+    """f(z) with the bits of `m.evaluate_array(z)`, for |Re z| <= 709 only.
+
+    The exp argument cannot overflow there, so the overflow mask and its
+    isfinite pass are skipped; f itself may still overflow to inf or nan.
+    """
+    # -z negated as float64 pairs, as evaluate_array does
+    arg = z if m.family == EXP_LAMBDA else np.negative(z.view(np.float64)).view(complex)
+    return m._value(z, np.exp(arg))

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from fatoulab.catalog import exp_lambda
+from fatoulab.catalog import exp_lambda, fatou_plus
 from fatoulab.errors import OutOfWindow
 from fatoulab.grid import ClassificationGrid, classify_grid, label_components
 from fatoulab.measure import disk_grid
 from fatoulab.orbits import CLASS_ATTRACTING, CLASS_DRIFT, CLASS_PARABOLIC, Kind
 from fatoulab.raster import label_by_class, outer_ring
+
+from conftest import THREE_PI
 
 TWO_PI = 2 * np.pi
 
@@ -49,6 +51,21 @@ def test_zplus_strip_escaping_fraction(zplus_grid):
     core &= (centers.real > 0) & (centers.real < 8)
     drift = (zplus_grid.kinds == Kind.ESCAPING) & (zplus_grid.classes != 0)
     assert drift[core].mean() >= 0.95
+
+
+def test_fatou_plus_baker_domain_is_one_major_label():
+    """fatou_plus at 300 x 300 on [-2, 10] x [-3 pi, 3 pi], budget 400: every
+    cell with Re z > 1 lies in one major label, the drift class of the
+    half-plane Re z > 0, which f maps into itself with Re rising."""
+    g = label_components(
+        classify_grid(fatou_plus(), (-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300), 400)
+    )
+    labels, counts = np.unique(g.labels[g.labels > 0], return_counts=True)
+    major = labels[counts >= 0.01 * g.nx * g.ny]
+    assert major.size == 1
+    right = g.cell_centers().real > 1.0
+    assert np.all(g.labels[right] == major[0])
+    assert np.all(g.classes[right] == CLASS_DRIFT)
 
 
 def test_label_partition_and_stability(zplus_grid):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from fatoulab import orbits
 from fatoulab.catalog import EntireMap, exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
+from fatoulab.errors import Overflow
 from fatoulab.orbits import (
     CLASS_ATTRACTING,
     CLASS_DRIFT,
     CLASS_PARABOLIC,
+    DRIFT_MAX_RE,
+    PETAL,
     Kind,
     certified_radius,
     classify_orbits_array,
@@ -73,10 +76,21 @@ def test_z_plus_exp_line_escape():
 
 
 def test_z_plus_exp_slow_drift():
-    # x_{n+1} = x_n + e^{-x_n} ~ log(n + e): never crosses the radius, certified by drift
-    kind, n, cls = _one(z_plus_exp(), 0.0, 400)
-    assert (kind, cls) == (Kind.ESCAPING, CLASS_DRIFT + 0)
-    assert 0 < iterate(cmath_z_plus_exp, 0.0, n).real < 6.0
+    # x_{n+1} = x_n + e^{-x_n} ~ log(n + e) never crosses the radius; f(0) = 1
+    # lies in the half-strip k = 0 and f(1) = 1 + 1/e > 1, so step 2 decides
+    assert _one(z_plus_exp(), 0.0, 400) == (Kind.ESCAPING, 2, CLASS_DRIFT + 0)
+
+
+def test_z_plus_exp_drift_needs_a_resolved_rise_below_re_30():
+    """At x = 29 on y = 0 the rise e^{-29} is about 70 ulps of x: a verdict at
+    step 1. Just outside the half-strip, at y = pi/2 + 1e-6, the fall
+    e^{-29} cos y ~ -2.5e-19 rounds to 0, so the orbit stalls in floating
+    point, undecided. At x = 31 the rise of about 10 ulps is resolved, but
+    lies past DRIFT_MAX_RE: undecided too."""
+    m = z_plus_exp()
+    assert _one(m, 29.0, 50) == (Kind.ESCAPING, 1, CLASS_DRIFT)
+    assert _one(m, complex(29.0, np.pi / 2 + 1e-6), 50) == (Kind.UNDECIDED, 50, 0)
+    assert _one(m, 31.0, 50) == (Kind.UNDECIDED, 50, 0)
 
 
 def test_z_exp_parabolic_and_escape():
@@ -123,7 +137,8 @@ def test_determinism():
 
 def test_escaping_verdicts_carry_their_trigger():
     """Escaping requires |f^n| > radius or an overflow at the verdict step n,
-    unless the class records a certified drift run ending near strip k."""
+    unless the class records a drift verdict in half-strip k: f^{n-1} lies in
+    it, with 0 < Re f^{n-1} < DRIFT_MAX_RE, and Re f^n > Re f^{n-1}."""
     rng = np.random.default_rng(8)
     maps = (
         (exp_lambda(0.25), cmath_exp_quarter),
@@ -143,7 +158,10 @@ def test_escaping_verdicts_carry_their_trigger():
             else:
                 drifts += 1
                 assert m.family == "z_plus_exp"
-                assert cls == CLASS_DRIFT + round(w.imag / (2 * np.pi))
+                v = iterate(f, z0, int(n) - 1)
+                k = cls - CLASS_DRIFT
+                assert 0 < v.real < DRIFT_MAX_RE and abs(v.imag - 2 * np.pi * k) < np.pi / 2
+                assert w.real > v.real
     assert drifts > 0
 
 
@@ -165,27 +183,26 @@ def test_scalar_matches_array_kernel(exp_map, exp_grid):
 @pytest.mark.parametrize("block, n", [(7, 150), (1000, 2500)])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
     """Blocks of 7 and of 1000 points give the single-block kinds, iterations
-    and classes: drift runs (z_plus_exp), parabolic verdicts (z_exp) and
-    attractor captures (exp_lambda, and fatou_minus with its 15 attractor
-    tests per step) end at many steps inside each block. fatou_plus runs the
-    drift counter too, but its orbits all leave by radius today, so only its
-    equality is asserted. exp_lambda captures in its certified disk end at
-    steps 1 to 5, the fewest distinct verdict steps of the five cases."""
+    and classes: drift verdicts (z_plus_exp, fatou_plus), parabolic verdicts
+    (z_exp) and attractor captures (exp_lambda, and fatou_minus with its 15
+    attractor tests per step) end at many steps inside each block. fatou_plus
+    orbits enter Re z > 0 within a few steps, so its drift verdicts end at
+    steps 1 to 4 on 150 points, the fewest distinct verdict steps of the five
+    cases; the other four end at 5 or more."""
     rng = np.random.default_rng(5)
     cases = (
-        (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING),
-        (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC),
-        (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING),
-        (fatou_minus(), (-4.0, 4.0, -20.0, 20.0), 300, Kind.ATTRACTING),
-        (fatou_plus(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, None),
+        (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 5),
+        (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC, 5),
+        (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING, 5),
+        (fatou_minus(), (-4.0, 4.0, -20.0, 20.0), 300, Kind.ATTRACTING, 5),
+        (fatou_plus(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 4),
     )
-    for m, (re0, re1, im0, im1), budget, kind in cases:
+    for m, (re0, re1, im0, im1), budget, kind, steps in cases:
         z = rng.uniform(re0, re1, n) + 1j * rng.uniform(im0, im1, n)
         kw = dict(attractors=default_attractors(m))
         whole = classify_orbits_array(m, z, budget, **kw)
-        if kind is not None:
-            assert ((whole.kinds == kind) & (whole.classes != 0)).any()
-        assert np.unique(whole.iterations).size >= 5
+        assert ((whole.kinds == kind) & (whole.classes != 0)).any()
+        assert np.unique(whole.iterations).size >= steps
         monkeypatch.setattr(orbits, "_BLOCK", block)
         blocked = classify_orbits_array(m, z, budget, **kw)
         monkeypatch.undo()
@@ -306,33 +323,48 @@ def test_uncertified_entries_take_the_tol_rule():
     assert [k for k, _, _ in got] == [Kind.ESCAPING] + [Kind.ATTRACTING] * 11
 
 
-@pytest.mark.parametrize("m, window", [
-    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0)),
-    (fatou_minus(), (-4.0, 4.0, -20.0, 20.0)),
-], ids=["exp_lambda", "fatou_minus"])
-def test_verdicts_survive_a_one_ulp_shift_of_every_value(monkeypatch, m, window):
+@pytest.mark.parametrize("m, window, n, budget", [
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, 300),
+    (fatou_minus(), (-4.0, 4.0, -20.0, 20.0), 300, 300),
+    (z_exp(), (-2.0, 2.0, -2.0, 2.0), 120, 1500),
+    (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 300, 400),
+], ids=["exp_lambda", "fatou_minus", "z_exp", "z_plus_exp"])
+def test_verdicts_survive_a_one_ulp_shift_of_every_value(monkeypatch, m, window, n, budget):
     """Moving every value of f by one ulp, up and then down, changes no kind
-    and no class on a 300 x 300 grid."""
-    z = _lattice(*window, 300)
-    att = default_attractors(m)
-    exact = classify_orbits_array(m, z, 300, attractors=att)
-    evaluate_array = EntireMap.evaluate_array
-    for toward in (np.inf, -np.inf):
-        def shifted(self, z, toward=toward):
-            w, bad = evaluate_array(self, z)
-            return np.nextafter(w.view(np.float64), toward).view(complex), bad
+    and no class on an n x n grid. Every step of the kernel, masked or not,
+    computes its values in EntireMap._value, which the shift patches for
+    arrays; the scalar values of certified_radius keep their bits.
 
-        monkeypatch.setattr(EntireMap, "evaluate_array", shifted)
-        moved = classify_orbits_array(m, z, 300, attractors=att)
+    On z_plus_exp the shift reaches orbits that stall in floating point past
+    Re 30, where x + e^{-x} cos y rounds to x: without DRIFT_MAX_RE it flips
+    114 cells (up) and 8 (down) of this grid, as the 50-step drift rule did."""
+    z = _lattice(*window, n)
+    att = default_attractors(m)
+    exact = classify_orbits_array(m, z, budget, attractors=att)
+    value = EntireMap._value
+    for toward in (np.inf, -np.inf):
+        calls = []
+
+        def shifted(self, z, e, toward=toward):
+            w = value(self, z, e)
+            if not isinstance(w, np.ndarray):
+                return w
+            calls.append(w.size)
+            return np.nextafter(w.view(np.float64), toward).view(complex)
+
+        monkeypatch.setattr(EntireMap, "_value", shifted)
+        moved = classify_orbits_array(m, z, budget, attractors=att)
         monkeypatch.undo()
+        # one array evaluation at least per step of the longest orbit
+        assert len(calls) >= exact.iterations.max()
         assert np.array_equal(moved.kinds, exact.kinds)
         assert np.array_equal(moved.classes, exact.classes)
 
 
 def test_a_capture_is_not_relabeled_by_the_petal_test():
-    """z_exp with a listed point p = 5e-4 inside the petal's test region: an
+    """z_exp with a listed point p = 5e-4 inside the petal Re(1/z) > 600: an
     orbit landing on p at step 1 is captured by the tol rule (f moves p by
-    p^2 < tol) and keeps that verdict although |f(z0)| < 1e-3 on R+."""
+    p^2 < tol) and keeps that verdict although f(z0) lies in the petal."""
     m, p = z_exp(), 5e-4
     z0 = p
     for _ in range(60):  # f(z0) = p, by fixed-point iteration of z0 = p e^{z0}
@@ -340,3 +372,180 @@ def test_a_capture_is_not_relabeled_by_the_petal_test():
     assert abs(cmath_z_exp(z0) - p) < 1e-7
     assert _one(m, z0, 10, attractors=((p, 1),)) == (Kind.ATTRACTING, 1, CLASS_ATTRACTING)
     assert _one(m, z0, 10) == (Kind.PARABOLIC, 1, CLASS_PARABOLIC)
+
+
+# ---------------------------------------------------------------------------
+# Certified petal and drift sets
+# ---------------------------------------------------------------------------
+
+
+def _petal_edge(mp, c, margin, n=4096):
+    """n points of the circle |z - 1/(2c)| = 1/(2c), the edge Re(1/z) = c of
+    the petal, moved inside to Re(1/z) = c + margin: 1/z = c + margin - i c
+    tan(theta/2) runs over the circle's angles theta in (-pi, pi)."""
+    theta = np.linspace(-np.pi, np.pi, n + 2)[1:-1]
+    return [1 / mp.mpc(c + margin, -c * math.tan(t / 2)) for t in theta.tolist()]
+
+
+def _strip_edges(mp, k, half_width, margin, n=1000):
+    """The edges |y - 2 pi k| = half_width, x >= 0, for x up to 40, and the line
+    x = 0 across them, all moved inside by margin."""
+    centre, h = 2 * mp.pi * k, mp.mpf(half_width) - margin
+    xs = np.linspace(0.0, 40.0, n).tolist()
+    edges = [mp.mpc(margin + x, centre + s * h) for x in xs for s in (-1, 1)]
+    line = [mp.mpc(margin, centre + t * h) for t in np.linspace(-1.0, 1.0, n).tolist()]
+    return edges + line
+
+
+def _drift_failures(f, points, inside):
+    """Points z whose image leaves the set or whose real part does not rise."""
+    return [z for z in points if not (inside(f(z)) and f(z).real > z.real)]
+
+
+def test_petal_and_drift_sets_are_invariant():
+    """At 30 digits, on their edges moved inside by 1e-9: f maps the petal
+    Re(1/z) > c into itself for c = 2 and c = PETAL, with Re(1/z) growing by
+    at least 0.7; f maps each half-strip |y - 2 pi k| < pi/2, x > 0 of
+    z_plus_exp into itself with Re rising, and the half-plane x > 0 of
+    fatou_plus likewise. A half-strip of half-width 2 is not invariant."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        margin = mp.mpf("1e-9")
+        for c in (2.0, PETAL):
+            for z in _petal_edge(mp, c, margin):
+                fz = z * mp.exp(-z)
+                assert (1 / fz).real >= (1 / z).real + 0.7 > c, (c, z)
+
+        def z_plus(z):
+            return z + mp.exp(-z)
+
+        for k in (-1, 0, 1):
+            def in_strip(w, k=k):
+                return w.real > 0 and abs(w.imag - 2 * mp.pi * k) < mp.pi / 2
+
+            assert _drift_failures(z_plus, _strip_edges(mp, k, mp.pi / 2, margin), in_strip) == []
+            # the mutant: cos y < 0 on |y - 2 pi k| = 2, so Re f falls there
+            assert len(_drift_failures(z_plus, _strip_edges(mp, k, 2, margin), in_strip)) >= 1000
+
+        def plus(z):
+            return z + 1 + mp.exp(-z)
+
+        line = [mp.mpc(margin, y) for y in np.linspace(-3 * np.pi, 3 * np.pi, 3000).tolist()]
+        assert _drift_failures(plus, line, lambda w: w.real > 0) == []
+
+
+def old_petal_and_drift_rule(m, z, budget, escape_radius=50.0):
+    """(kinds, iterations, classes) by the parabolic and drift rules that the
+    petal and half-strips replace, frozen: a parabolic verdict at the first
+    step with |f^n| < 1e-3, Re f^n > |Im f^n| and |f^{n+1}| <= |f^n|; a drift
+    verdict once Re f^n has risen for 50 straight steps past Re 3, with class
+    CLASS_DRIFT + round(Im f^n / 2 pi). An escape by radius or overflow at the
+    same step wins. Values come from evaluate_array, as in the kernel."""
+    z = np.asarray(z, dtype=complex).copy()
+    kinds = np.zeros(z.size, dtype=np.int8)
+    iterations = np.full(z.size, budget, dtype=np.int32)
+    classes = np.zeros(z.size, dtype=np.int32)
+    pos, run = np.arange(z.size), np.zeros(z.size, dtype=np.int32)
+    for step in range(1, budget + 1):
+        w, bad = m.evaluate_array(z)
+        abs_w = np.abs(w)
+        escaped = bad | (abs_w > escape_radius)
+        undecided = ~escaped
+        if m.family == "z_exp":
+            sel = np.flatnonzero(undecided & (abs_w < 1e-3) & (w.real > np.abs(w.imag)))
+            w1, bad1 = m.evaluate_array(w[sel])
+            sel = sel[~bad1 & (np.abs(w1) <= abs_w[sel])]
+            kinds[pos[sel]], classes[pos[sel]] = Kind.PARABOLIC, CLASS_PARABOLIC
+            undecided[sel] = False
+        else:
+            run = np.where((w.real > z.real) & (w.real > 3.0) & ~bad, run + 1, 0)
+            sel = np.flatnonzero(undecided & (run >= 50))
+            classes[pos[sel]] = CLASS_DRIFT + np.round(w.imag[sel] / (2 * np.pi)).astype(np.int32)
+            escaped[sel], undecided[sel] = True, False
+        kinds[pos[escaped]] = Kind.ESCAPING
+        iterations[pos[~undecided]] = step
+        pos, z, run = pos[undecided], w[undecided], run[undecided]
+        if pos.size == 0:
+            break
+    return kinds, iterations, classes
+
+
+def _oracle_failure(f, z, kind, n):
+    """The benchmark's cmath check of one verdict, or None when it holds: a
+    parabolic orbit stays in |z| < 2e-3 with Re z > 0 for 500 steps from step
+    n; a drift orbit's real part rises strictly for 200 steps after step n."""
+    if kind == Kind.PARABOLIC:
+        for step in range(1, n + 500):
+            z = f(z)
+            if step >= n and not (z.real > 0 and abs(z) < 2e-3):
+                return f"leaves the petal at step {step}"
+        return None
+    z = iterate(f, z, n)
+    for step in range(200):
+        w = f(z)
+        if not w.real > z.real:
+            return f"Re stops rising {step} steps after the verdict"
+        z = w
+    return None
+
+
+@pytest.mark.parametrize("m, f, window, n, budget", [
+    (z_exp(), cmath_z_exp, (-2.0, 2.0, -2.0, 2.0), 40, 1500),
+    (z_plus_exp(), cmath_z_plus_exp, (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 60, 400),
+], ids=["z_exp", "z_plus_exp"])
+def test_certified_verdicts_agree_with_the_old_rules(m, f, window, n, budget):
+    """Wherever the old rules and the certificates both decide a cell, kinds
+    and classes agree and the certified step comes no later; the certificates
+    leave no more cells undecided; and every certified verdict passes the
+    benchmark's cmath check."""
+    z = _lattice(*window, n)
+    res = classify_orbits_array(m, z, budget)
+    kinds, iterations, classes = old_petal_and_drift_rule(m, z, budget)
+    both = (res.kinds != Kind.UNDECIDED) & (kinds != Kind.UNDECIDED)
+    assert np.array_equal(res.kinds[both], kinds[both])
+    assert np.array_equal(res.classes[both], classes[both])
+    assert np.all(res.iterations[both] <= iterations[both])
+    assert np.count_nonzero(res.kinds == Kind.UNDECIDED) <= np.count_nonzero(kinds == Kind.UNDECIDED)
+    certified = np.flatnonzero(res.classes != 0)
+    assert certified.size > 0.5 * z.size
+    assert np.median(res.iterations[certified]) < np.median(iterations[certified])
+    for i in certified.tolist():
+        why = _oracle_failure(f, complex(z[i]), Kind(int(res.kinds[i])), int(res.iterations[i]))
+        assert why is None, (z[i], why)
+
+
+# f itself overflows here (lam e^z, z e^{-z}) with no exp overflow: numpy
+# warns in the multiply, and both step paths catch the non-finite value,
+# which is the point. An overflow in exp still fails the test.
+@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.parametrize("escape_radius", [1e6, 700.0])
+@pytest.mark.parametrize("m", [z_exp(), z_plus_exp(), exp_lambda(1e10)], ids=lambda m: m.family)
+def test_overflowing_steps_escape_at_any_radius(m, escape_radius):
+    """Start points with |Re z| > 709, where exp overflows at step 1; points
+    such as -16.1 (exp_lambda), -6.6 (z_exp) and -6.6 + pi i (z_plus_exp) whose
+    later iterates overflow exp inside the radius 1e6; and exp_lambda(1e10),
+    whose lam e^z overflows inside the range of exp. The batch verdicts equal
+    the one-point ones, and each class-0 escape has m.evaluate overflow, or
+    leave the radius or the finite numbers, at its step and not before. At
+    radius 700 the steps after the first skip the overflow mask; at 1e6 every
+    step keeps it."""
+    re = np.array([-1000.0, -720.0, -709.5, -705.0, -16.1, -6.6, -1.0, 0.5, 700.0, 709.5, 720.0])
+    z = (re[:, None] + 1j * np.array([0.0, 0.5, np.pi, 700.0])).ravel()
+    res = classify_orbits_array(m, z, 60, escape_radius=escape_radius)
+    batch = list(zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist()))
+    assert batch == [_one(m, z0, 60, escape_radius=escape_radius) for z0 in z.tolist()]
+    escapes = 0
+    for z0, (kind, n, cls) in zip(z.tolist(), batch):
+        if kind != Kind.ESCAPING or cls != 0:
+            continue
+        escapes += 1
+        w = z0
+        for step in range(1, n + 1):
+            try:
+                w = m.evaluate(w)
+            except Overflow:
+                assert step == n, (z0, step)
+                break
+            assert (not abs(w) <= escape_radius) == (step == n), (z0, step, w)
+    assert escapes >= 10
