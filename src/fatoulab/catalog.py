@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,8 +49,11 @@ class EntireMap:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == EXP_LAMBDA:
-            if self.lam is None or self.lam == 0.0:
-                raise ValueError("exp_lambda requires a nonzero lambda")
+            # A real lambda makes f commute with conjugation, which grids use.
+            if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+                raise ValueError(f"exp_lambda requires a real lambda, not {self.lam!r}")
+            if not abs(self.lam) <= sys.float_info.max or self.lam == 0.0:
+                raise ValueError("exp_lambda requires a finite nonzero lambda")
         elif self.lam is not None:
             raise ValueError(f"{self.family} takes no lambda parameter")
 
@@ -134,10 +139,7 @@ class EntireMap:
     def from_json(d: dict) -> "EntireMap":
         if not isinstance(d, dict) or "family" not in d:
             raise ValueError("map descriptor must be an object with a 'family' key")
-        lam = d.get("lambda")
-        if lam is not None and (isinstance(lam, bool) or not isinstance(lam, (int, float))):
-            raise ValueError("map lambda must be a number")
-        return EntireMap(family=d["family"], lam=lam)
+        return EntireMap(family=d["family"], lam=d.get("lambda"))
 
 
 def exp_lambda(lam: float) -> EntireMap:

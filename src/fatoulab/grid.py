@@ -1,10 +1,12 @@
 """Grid rendering of Fatou components: classification, labeling, distances.
 
-Cells are classified at their centers, labeled by 4-connectivity within
-the label class the orbit kernel assigns, and queried for exact distances to
-the nearest cell of another label. Label 0 always means "Julia / undecided /
-ambiguous escape"; only cells of a nonzero class (attracting, parabolic,
-drift-certified Baker escape) are labeled.
+Cells are classified at their centers (on a window symmetric about the real
+axis, half of them at the conjugates of their mirror cells' centers),
+labeled by 4-connectivity within the label class the orbit kernel assigns,
+and queried for exact distances to the nearest cell of another label.
+Label 0 always means "Julia / undecided / ambiguous escape"; only cells of a
+nonzero class (attracting, parabolic, drift-certified Baker escape) are
+labeled.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ import numpy as np
 
 from .catalog import EntireMap
 from .errors import OutOfWindow
-from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, classify_orbits_array
+from .orbits import (
+    DEFAULT_ESCAPE_RADIUS,
+    DEFAULT_TOL,
+    attractor_conjugation,
+    classify_orbits_array,
+    conjugate_classes,
+)
 from .raster import label_by_class, outer_ring
 
 # Raster cells along each side of a bucket of the distance index.
@@ -63,11 +71,12 @@ class ClassificationGrid:
         hx, hy = self.cell_size
         return float(np.hypot(hx, hy))
 
-    def cell_centers(self) -> np.ndarray:
+    def cell_centers(self, rows: int | None = None) -> np.ndarray:
+        """Centers of the rows 0 ... rows - 1, all rows by default."""
         re_min, _, im_min, _ = self.window
         hx, hy = self.cell_size
         xs = re_min + (np.arange(self.nx) + 0.5) * hx
-        ys = im_min + (np.arange(self.ny) + 0.5) * hy
+        ys = im_min + (np.arange(self.ny if rows is None else rows) + 0.5) * hy
         return xs[None, :] + 1j * ys[:, None]
 
     def contains(self, z) -> np.ndarray:
@@ -243,7 +252,19 @@ def classify_grid(
     tol: float = DEFAULT_TOL,
     threads: int = 1,
 ) -> ClassificationGrid:
-    """The orbit kernel at every cell center; deterministic for any thread count."""
+    """The orbit kernel at every cell; deterministic for any thread count.
+
+    On a window symmetric about the real axis (im_min == -im_max) whose
+    attractor list is closed under conjugation (`attractor_conjugation`),
+    the kernel runs on rows 0 ... ny - ny//2 - 1 only. Each row ny-1-k then
+    takes row k's kinds and iterations and its conjugate classes
+    (`conjugate_classes`): every catalog map has real coefficients, so these
+    are the kernel's verdicts at conj(center of row k), bit for bit. That
+    sample point lies less than 4 ulps of im_max from `cell_centers()`'
+    value for row ny-1-k, so a cell whose center lies that close to where a
+    verdict changes can get the verdict of its mirror cell. Any other window
+    or list classifies every row.
+    """
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ValueError("resolution components must be >= 2")
@@ -260,7 +281,12 @@ def classify_grid(
         escape_radius=float(escape_radius),
         tol=float(tol),
     )
-    centers = grid.cell_centers()
+    _, _, im_min, im_max = grid.window
+    sigma = attractor_conjugation(grid.attractors, grid.tol) if im_min == -im_max else None
+    # Rows 0 ... mirrored - 1 are mirrored onto rows ny - 1 ... ny - mirrored.
+    mirrored = 0 if sigma is None else ny // 2
+    rows = ny - mirrored
+    centers = grid.cell_centers(rows)
 
     def work(row_range):
         lo, hi = row_range
@@ -268,17 +294,27 @@ def classify_grid(
             m, centers[lo:hi].ravel(), budget, escape_radius, grid.attractors, tol
         )
         shape = (hi - lo, nx)
-        grid.kinds[lo:hi] = res.kinds.reshape(shape)
-        grid.iterations[lo:hi] = res.iterations.reshape(shape)
-        grid.classes[lo:hi] = res.classes.reshape(shape)
+        kinds, iterations, classes = (
+            a.reshape(shape) for a in (res.kinds, res.iterations, res.classes)
+        )
+        grid.kinds[lo:hi] = kinds
+        grid.iterations[lo:hi] = iterations
+        grid.classes[lo:hi] = classes
+        n = min(hi, mirrored) - lo
+        if n > 0:
+            mirror = slice(ny - lo - n, ny - lo)
+            grid.kinds[mirror] = kinds[n - 1::-1]
+            grid.iterations[mirror] = iterations[n - 1::-1]
+            conjugate_classes(res, sigma)  # rewrites res.classes, which `classes` views
+            grid.classes[mirror] = classes[n - 1::-1]
 
     if threads > 1:
-        chunk = max(1, ny // (threads * 4))
-        ranges = [(i, min(i + chunk, ny)) for i in range(0, ny, chunk)]
+        chunk = max(1, rows // (threads * 4))
+        ranges = [(i, min(i + chunk, rows)) for i in range(0, rows, chunk)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, ranges))
     else:
-        work((0, ny))
+        work((0, rows))
     return grid
 
 

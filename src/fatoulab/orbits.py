@@ -36,6 +36,7 @@ Every Fatou verdict is the first entry into a set S with f(S) inside S:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,52 @@ def certified_radius(m: EntireMap, p: complex) -> float | None:
         if m.derivative_bound(p, r) * r + gap <= _CONTRACTION * r:
             return r
     return None
+
+
+def attractor_conjugation(
+    attractors: tuple[tuple[complex, int], ...], tol: float = DEFAULT_TOL
+) -> np.ndarray | None:
+    """sigma with attractors[sigma[j]] = (conj p_j, q_j), or None when some
+    conj p_j is not listed with the period q_j, or when sigma would reverse
+    the order of two entries whose capture regions can meet.
+
+    sigma[j] is the first such entry. A map with real coefficients takes the
+    capture region of p_j onto that of conj p_j, and a point in two regions
+    goes to the first entry, so the conjugate of an orbit captured by
+    attractor j is captured by attractor sigma[j]. A region lies within a
+    certified radius (at most 1) or tol/4 of its point.
+    """
+    first: dict[tuple[complex, int], int] = {}
+    for i, a in enumerate(attractors):
+        first.setdefault(a, i)
+    sigma = [first.get((p.conjugate(), q)) for p, q in attractors]
+    if None in sigma:
+        return None
+    reach = [max(1.0, tol / 4.0) if q == 1 else tol / 4.0 for _, q in attractors]
+    for i, j in itertools.combinations(range(len(attractors)), 2):
+        if sigma[i] > sigma[j] and abs(attractors[i][0] - attractors[j][0]) < reach[i] + reach[j]:
+            return None
+    return np.array(sigma, dtype=np.int32)
+
+
+def conjugate_classes(orbits: OrbitArrays, sigma: np.ndarray) -> None:
+    """Turn the classes of `orbits` into those of the conjugate start points, in place.
+
+    Every catalog map has real coefficients, so f(conj z) = conj f(z), bit
+    for bit as numpy computes it, and each verdict test is symmetric: the
+    orbit of conj z gets the same kind and step. Only its class moves,
+    capture by attractor j to capture by sigma[j] (`attractor_conjugation`)
+    and drift in half-strip k to drift in half-strip -k. The kinds tell the
+    verdicts apart, where the class numbers of far strips can coincide with
+    attractor or parabolic classes. Blocks of `_BLOCK` points keep the masks
+    small, which keeps a render's peak memory where it was without the fold.
+    """
+    for lo in range(0, orbits.classes.size, _BLOCK):
+        kinds, classes = orbits.kinds[lo:lo + _BLOCK], orbits.classes[lo:lo + _BLOCK]
+        att = kinds == Kind.ATTRACTING
+        classes[att] = CLASS_ATTRACTING + sigma[classes[att] - CLASS_ATTRACTING]
+        drift = (kinds == Kind.ESCAPING) & (classes != 0)
+        np.subtract(2 * CLASS_DRIFT, classes, out=classes, where=drift)
 
 
 def parabolic_points(m: EntireMap) -> tuple[complex, ...]:

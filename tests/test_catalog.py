@@ -102,6 +102,19 @@ def test_family_validation():
         EntireMap("exp_lambda")
     with pytest.raises(ValueError):
         EntireMap("z_exp", 0.3)
+    assert EntireMap("exp_lambda", np.float64(-1.5)).lam == -1.5
+
+
+@pytest.mark.parametrize("lam", [0.3 + 0.1j, 0.25 + 0j, np.complex128(0.25), True, "0.25", 0.0,
+                                 float("nan"), float("inf"), 10**400])
+def test_exp_lambda_requires_a_finite_nonzero_real_lambda(lam):
+    """A real lambda is what makes exp_lambda commute with conjugation, which
+    the grids' conjugation fold relies on; the constructor enforces it, as
+    the config schema does."""
+    with pytest.raises(ValueError):
+        EntireMap("exp_lambda", lam)
+    with pytest.raises(ValueError):
+        EntireMap.from_json({"family": "exp_lambda", "lambda": lam})
     assert set(FAMILIES) == {"exp_lambda", "fatou_plus", "fatou_minus", "z_plus_exp", "z_exp"}
 
 

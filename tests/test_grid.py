@@ -7,11 +7,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from fatoulab.catalog import exp_lambda, fatou_plus
+from fatoulab import grid as grid_module
+from fatoulab.catalog import exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
 from fatoulab.errors import OutOfWindow
 from fatoulab.grid import ClassificationGrid, classify_grid, label_components
 from fatoulab.measure import disk_grid
-from fatoulab.orbits import CLASS_ATTRACTING, CLASS_DRIFT, CLASS_PARABOLIC, Kind
+from fatoulab.orbits import (
+    CLASS_ATTRACTING,
+    CLASS_DRIFT,
+    CLASS_PARABOLIC,
+    Kind,
+    classify_orbits_array,
+    default_attractors,
+)
 from fatoulab.raster import label_by_class, outer_ring
 
 from conftest import THREE_PI
@@ -339,3 +347,147 @@ def test_no_other_label_gives_inf_and_minus_one_on_both_paths():
     assert (float(d), int(i)) == (np.inf, -1)
     d, i = g.nearest_other_label(label, [(3.0, 3.0), (5.5, 1.5)])
     assert d.tolist() == [np.inf, np.inf] and i.tolist() == [-1, -1]
+
+
+# -- the conjugation fold ------------------------------------------------------
+
+# One window per family, symmetric about the real axis, with a budget that
+# decides most cells: strips -1, 0 and 1 of z_plus_exp, and the fatou_minus
+# attractors 2 pi i k for |k| <= 2, lie inside.
+FOLD_CASES = [
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300),
+    (fatou_plus(), (-2.0, 10.0, -THREE_PI, THREE_PI), 400),
+    (fatou_minus(), (-6.0, 14.0, -15.0, 15.0), 300),
+    (z_plus_exp(), (-2.0, 10.0, -THREE_PI, THREE_PI), 400),
+    (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1500),
+]
+
+
+def _kernel_points(monkeypatch) -> list[int]:
+    """The sizes of the point arrays classify_grid hands to the orbit kernel."""
+    sizes = []
+    kernel = grid_module.classify_orbits_array
+
+    def counted(m, z, *args):
+        sizes.append(z.size)
+        return kernel(m, z, *args)
+
+    monkeypatch.setattr(grid_module, "classify_orbits_array", counted)
+    return sizes
+
+
+def _assert_kernel_verdicts(g, m, points, budget, attractors):
+    res = classify_orbits_array(m, points.ravel(), budget, attractors=attractors)
+    for name in ("kinds", "iterations", "classes"):
+        assert np.array_equal(getattr(g, name), getattr(res, name).reshape(points.shape)), name
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("ny", [24, 25])
+@pytest.mark.parametrize("m, window, budget", FOLD_CASES, ids=[c[0].family for c in FOLD_CASES])
+def test_folded_grid_is_the_kernel_at_its_sample_points(monkeypatch, m, window, budget, ny, threads):
+    """On a window symmetric about the real axis, with the auto attractors,
+    the kernel runs on rows 0 ... ny - ny//2 - 1 only. Every cell holds the
+    kernel's kinds, iterations and classes at its sample point, bit for bit:
+    its center, or conj(center of row k) for the mirrored row ny-1-k."""
+    att = default_attractors(m)
+    sizes = _kernel_points(monkeypatch)
+    g = classify_grid(m, window, (30, ny), budget, attractors=att, threads=threads)
+    assert sum(sizes) == 30 * (ny - ny // 2)
+    points = g.cell_centers()
+    points[ny - ny // 2:] = np.conj(points[:ny // 2][::-1])
+    _assert_kernel_verdicts(g, m, points, budget, att)
+    assert (g.classes != 0).any()
+
+
+@pytest.mark.parametrize("m, window, resolution, budget", [
+    (z_exp(), (-2.0, 2.0, -2.0, 2.0), (150, 150), 1500),
+    (z_plus_exp(), (-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300), 400),
+    (fatou_plus(), (-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300), 400),
+    (fatou_minus(), (-6.0, 14.0, -15.0, 15.0), (100, 151), 300),
+    (exp_lambda(0.25), (-10.0, 4.0, -THREE_PI, THREE_PI), (175, 235), 300),
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), (250, 250), 300),
+], ids=["z_exp", "z_plus_exp", "fatou_plus", "fatou_minus", "exp_lambda-measure", "exp_lambda-fine"])
+def test_folded_grids_equal_the_kernel_at_the_cell_centers(m, window, resolution, budget):
+    """The benchmark's grids (z_plus_exp at full size, the others at reduced
+    size): mirrored rows sample conj(center of row k), within 2 ulps of the
+    cell centers, and no cell's verdict moves from the unfolded kernel's at
+    cell_centers()."""
+    att = default_attractors(m)
+    g = classify_grid(m, window, resolution, budget, attractors=att)
+    _assert_kernel_verdicts(g, m, g.cell_centers(), budget, att)
+
+
+@pytest.mark.parametrize("m, moved", [(z_plus_exp(), 63), (fatou_plus(), 3)], ids=["z_plus_exp", "fatou_plus"])
+def test_fold_moves_only_cells_centered_on_a_strip_edge(m, moved):
+    """At 150 rows on [-3 pi, 3 pi], rows 87, 112 and 137 are centered on
+    y = pi/2, 3 pi/2 and 5 pi/2 in exact arithmetic, where cos y, and with
+    it a drift rise from the first step, changes sign. Their computed
+    centers lie about 1e-15 above those edges, within 2 ulps of 3 pi, and
+    the mirror images of rows 62, 37 and 12 lie about 1e-15 below, so the
+    two sample points of a cell can get different verdict steps. The
+    folded grid gives both rows of each pair the verdicts of the lower one;
+    the unfolded kernel gave the grid no such symmetry."""
+    g = classify_grid(m, (-2.0, 10.0, -THREE_PI, THREE_PI), (150, 150), 400)
+    centers = g.cell_centers()
+    res = classify_orbits_array(m, centers.ravel(), 400)
+    kinds, iterations = res.kinds.reshape(centers.shape), res.iterations.reshape(centers.shape)
+    moved_cells = (g.kinds != kinds) | (g.iterations != iterations)
+    assert moved_cells.sum() == moved
+    assert np.flatnonzero(moved_cells.any(axis=1)).tolist() == [87, 112, 137]
+    assert np.array_equal(g.kinds, g.kinds[::-1]) and np.array_equal(g.iterations, g.iterations[::-1])
+    assert not np.array_equal(iterations, iterations[::-1])
+
+
+@pytest.mark.parametrize("m, window, attractors", [
+    (z_plus_exp(), (-2.0, 10.0, -THREE_PI, 2.0 * np.pi), ()),
+    (fatou_minus(), (-6.0, 14.0, -15.0, 15.0), ((complex(0.0, 2.0 * np.pi), 1),)),
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), ((0.3574 + 0.001j, 1), (0.3574 - 0.001j, 1))),
+], ids=["asymmetric window", "attractors not closed under conjugation", "overlapping conjugate disks"])
+def test_grids_without_the_symmetry_classify_every_row(monkeypatch, m, window, attractors):
+    """No fold on a window asymmetric about the real axis, nor when conj p of
+    a listed attractor p is missing, nor when p and conj p have overlapping
+    capture disks (a point in both is captured by p, and so is its
+    conjugate): every cell is the kernel at its center."""
+    sizes = _kernel_points(monkeypatch)
+    g = classify_grid(m, window, (40, 31), 300, attractors=attractors, threads=3)
+    assert sum(sizes) == 40 * 31
+    _assert_kernel_verdicts(g, m, g.cell_centers(), 300, attractors)
+    assert (g.classes != 0).any()
+
+
+def _mirror_gap_ulps(window, resolution) -> float:
+    """The largest gap, in ulps of im_max, between a mirrored row's sample
+    point conj(center of row k) and the center of row ny-1-k."""
+    g = classify_grid(exp_lambda(0.25), window, resolution, 1)
+    centers, h = g.cell_centers(), g.ny // 2
+    mirrored, own = np.conj(centers[:h][::-1]), centers[g.ny - h:]
+    assert np.array_equal(mirrored.real, own.real)
+    assert np.array_equal(g.cell_centers(h), centers[:h])
+    return float(np.abs(mirrored.imag - own.imag).max() / np.spacing(window[3]))
+
+
+@pytest.mark.parametrize("window, resolution", [
+    ((-2.0, 2.0, -2.0, 2.0), (300, 300)),
+    ((-2.0, 10.0, -THREE_PI, THREE_PI), (300, 300)),
+    ((-2.0, 4.0, -3.0, 3.0), (1000, 1000)),
+    ((-10.0, 4.0, -THREE_PI, THREE_PI), (350, 470)),
+    ((-2.0, 4.0, -3.0, 3.0), (200, 200)),
+], ids=["basins-deep z_exp", "basins-deep z_plus_exp", "basins-fine", "harmonic-measure",
+        "boundary-tools"])
+def test_benchmark_grids_sample_within_two_ulps_of_the_centers(window, resolution):
+    assert _mirror_gap_ulps(window, resolution) <= 2.0
+
+
+def test_mirrored_sample_points_lie_within_four_ulps_of_the_centers():
+    """With a = im_max and h the rounded 2a/ny, the centers of rows k and
+    ny-1-k sum to n h - 2a (under 2 ulps of a) plus the roundings of
+    (k + 1/2) h, of (ny - k - 1/2) h and of -a + (k + 1/2) h (at most
+    1/2, 1 and 1/2 ulp); -a + (ny - k - 1/2) h is exact by Sterbenz's
+    lemma. So the gap is under 4 ulps of im_max; random windows reach 3."""
+    rng = np.random.default_rng(11)
+    gaps = [
+        _mirror_gap_ulps((-1.0, 1.0, -a, a), (2, int(ny)))
+        for a, ny in zip(np.exp(rng.uniform(-8.0, 8.0, 400)), rng.integers(2, 3000, 400))
+    ]
+    assert max(gaps) < 4.0

@@ -16,8 +16,10 @@ from fatoulab.orbits import (
     DRIFT_MAX_RE,
     PETAL,
     Kind,
+    attractor_conjugation,
     certified_radius,
     classify_orbits_array,
+    conjugate_classes,
     default_attractors,
 )
 
@@ -549,3 +551,103 @@ def test_overflowing_steps_escape_at_any_radius(m, escape_radius):
                 break
             assert (not abs(w) <= escape_radius) == (step == n), (z0, step, w)
     assert escapes >= 10
+
+
+ALL_FAMILIES = [exp_lambda(0.25), exp_lambda(-1.5), fatou_plus(), fatou_minus(), z_plus_exp(), z_exp()]
+
+
+def _conjugate_test_points(seed: int) -> np.ndarray:
+    """Random points about the catalog's windows, points with |Re z| up to
+    800 (past the 709 where exp overflows), and points on the real axis."""
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(-12.0, 12.0, 4000) + 1j * rng.uniform(-30.0, 30.0, 4000)
+    far = rng.uniform(-800.0, 800.0, 1000) + 1j * rng.uniform(-800.0, 800.0, 1000)
+    real = rng.uniform(-800.0, 800.0, 200) + 0j
+    return np.concatenate([near, far, real])
+
+
+def _assert_conjugate(w: np.ndarray, wc: np.ndarray) -> None:
+    """wc = conj(w) bit for bit where w is finite. Non-finite values fall at
+    the same entries; their nan signs may differ, and the kernel reads them
+    only as escapes."""
+    finite = np.isfinite(w)
+    assert np.array_equal(np.isfinite(wc), finite)
+    assert np.array_equal(wc[finite].view(np.float64), np.conj(w[finite]).view(np.float64))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.parametrize("m", ALL_FAMILIES, ids=lambda m: f"{m.family}({m.lam})")
+def test_steps_commute_with_conjugation(m):
+    """f(conj z) = conj f(z) as numpy computes it, for both step functions of
+    the kernel: glibc's complex exp and numpy's complex multiply are
+    sign-symmetric. The overflow masks agree too. Points past |Re z| = 709
+    overflow exp, where _unmasked_step, which the kernel calls only inside
+    the radius, gives inf or nan."""
+    z = _conjugate_test_points(3)
+    w, bad = m.evaluate_array(z)
+    wc, badc = m.evaluate_array(np.conj(z))
+    assert np.array_equal(bad, badc)
+    _assert_conjugate(w, wc)
+    with np.errstate(all="ignore"):
+        _assert_conjugate(orbits._unmasked_step(m, z), orbits._unmasked_step(m, np.conj(z)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
+@pytest.mark.parametrize("m", ALL_FAMILIES, ids=lambda m: f"{m.family}({m.lam})")
+def test_conjugate_start_points_get_conjugate_verdicts(m):
+    """The kernel on conj z gives z's kinds and iterations, and the classes
+    that conjugate_classes makes of z's: attractor j becomes the conjugate
+    entry sigma[j], drift strip k becomes -k (checked here against the
+    strips read off directly), parabolic and class 0 stay."""
+    z = _conjugate_test_points(4)
+    att = default_attractors(m)
+    budget = 1500 if m.family == "z_exp" else 300
+    res = classify_orbits_array(m, z, budget, attractors=att)
+    conj = classify_orbits_array(m, np.conj(z), budget, attractors=att)
+    assert np.array_equal(conj.kinds, res.kinds)
+    assert np.array_equal(conj.iterations, res.iterations)
+    drift = (res.kinds == Kind.ESCAPING) & (res.classes != 0)
+    assert np.array_equal(conj.classes[drift] - CLASS_DRIFT, CLASS_DRIFT - res.classes[drift])
+    if m.family == "z_plus_exp":
+        assert {-1, 1} <= set((res.classes[drift] - CLASS_DRIFT).tolist())
+    sigma = attractor_conjugation(att)
+    conjugate_classes(res, sigma)
+    assert np.array_equal(conj.classes, res.classes)
+    assert len(set(zip(res.kinds.tolist(), res.classes.tolist()))) >= 2
+
+
+@pytest.mark.parametrize("m", [fatou_minus(), z_plus_exp()], ids=lambda m: m.family)
+def test_conjugate_classes_do_not_depend_on_the_block_size(monkeypatch, m):
+    att = default_attractors(m)
+    res = classify_orbits_array(m, _conjugate_test_points(5)[:4000], 300, attractors=att)
+    small = orbits.OrbitArrays(res.kinds, res.iterations, res.classes.copy())
+    conjugate_classes(res, attractor_conjugation(att))
+    monkeypatch.setattr(orbits, "_BLOCK", 7)
+    conjugate_classes(small, attractor_conjugation(att))
+    assert np.array_equal(small.classes, res.classes)
+    assert len(set(res.classes.tolist())) > 10
+
+
+def test_attractor_conjugation():
+    """sigma maps each entry to the first entry with the conjugate point and
+    the same period; a missing conjugate, or one of another period, gives
+    None. So does a pair whose capture regions can meet in reversed order:
+    a point in both goes to the first entry, its conjugate to the other
+    entry's conjugate. Conjugate points get the same certified radius."""
+    fm = default_attractors(fatou_minus())
+    assert len(fm) == 15
+    assert attractor_conjugation(fm).tolist() == list(range(14, -1, -1))
+    assert attractor_conjugation(default_attractors(exp_lambda(0.25))).tolist() == [0]
+    assert attractor_conjugation(()).tolist() == []
+    a, b = 0.5 + 1j, 0.5 - 1j
+    assert attractor_conjugation(((a, 1), (b, 1), (a, 1), (0.3, 2))).tolist() == [1, 0, 1, 3]
+    assert attractor_conjugation(((complex(0.0, 2 * math.pi), 1),)) is None
+    assert attractor_conjugation(((a, 1), (b, 2))) is None
+    near = 0.3574 + 0.001j
+    assert attractor_conjugation(((near, 1), (near.conjugate(), 1))) is None
+    assert attractor_conjugation(((near, 2), (near.conjugate(), 2))).tolist() == [1, 0]
+    assert attractor_conjugation(((near, 2), (near.conjugate(), 2)), tol=0.01) is None
+    m = fatou_minus()
+    assert [certified_radius(m, p) for p, _ in fm] == [certified_radius(m, p) for p, _ in fm[::-1]]
