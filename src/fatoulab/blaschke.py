@@ -7,6 +7,10 @@ circle fixed point with |B'| <= 1 if there is one (Julia-Wolff), else the
 attracting fixed point inside the disk (Denjoy-Wolff). Only finite products
 are instantiated; infinite-degree inner functions have no finite
 representation here.
+
+Every complex product is formed from float64 parts (`_mul`) and every array
+modulus by np.hypot, so arrays round as single points do, at every SIMD
+dispatch level of numpy; np.angle in the circle lift is the one exception.
 """
 
 from __future__ import annotations
@@ -41,8 +45,35 @@ _DW_TOL = 1e-9
 # this gap. A boundary fixed point of even multiplicity, which the circle root
 # finder can miss, leaves P a root pair split by rounding to about 1e-8 from
 # the circle, with |B'| about 1 - 2e-8; the gap keeps such a root from being
-# reported as an attracting interior point.
+# reported as an attracting interior point, and a root this close to the
+# circle is projected onto it instead.
 _NEUTRAL_GAP = 1e-6
+
+
+def _mul(u, v):
+    """u * v as re = ur vr - ui vi, im = ur vi + ui vr, each rounded from float64 parts.
+
+    numpy's complex multiply loop fuses these multiply-adds at AVX2 and above
+    but not at SSE4.2; this gives the SSE4.2 bits, and a scalar's, everywhere.
+    """
+    out = np.empty(np.broadcast(u, v).shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.subtract(np.multiply(u.real, v.real, out=re), u.imag * v.imag, out=re)
+    np.add(np.multiply(u.real, v.imag, out=im), u.imag * v.real, out=im)
+    return out
+
+
+def _modulus(w):
+    """|w| by np.hypot, as CPython's abs(complex); numpy's complex abs rounds otherwise, by level."""
+    return np.hypot(w.real, w.imag)
+
+
+def _horner(coeffs, z):
+    """The polynomial with ascending coefficients `coeffs` at z, by Horner's rule through `_mul`."""
+    w = np.full_like(z, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        w = c + _mul(w, z)
+    return w
 
 
 @dataclass(frozen=True)
@@ -69,34 +100,30 @@ class BlaschkeProduct:
         z = np.asarray(z, dtype=complex)
         w = np.full_like(z, self.rotation)
         for a in self.zeros:
-            w = w * (z - a) / (1.0 - np.conj(a) * z)
+            # a zero at 0 has the denominator 1 + 0j, to the bit, at every finite z
+            w = _mul(w, z - a) / (1.0 - _mul(a.conjugate(), z) if a else 1.0)
         return w if w.ndim else complex(w)
 
     def eval_with_derivative(self, z):
         """(B(z), B'(z)) by the product rule; robust at zeros of B."""
         z = np.asarray(z, dtype=complex)
         d = len(self.zeros)
-        if d == 0:
-            val, deriv = np.full_like(z, self.rotation), np.zeros_like(z)
-            return (val, deriv) if z.ndim else (complex(val), complex(deriv))
         f = np.empty((d,) + z.shape, dtype=complex)
         fp = np.empty_like(f)
         for j, a in enumerate(self.zeros):
-            den = 1.0 - np.conj(a) * z
+            den = 1.0 - _mul(a.conjugate(), z)
             f[j] = (z - a) / den
-            fp[j] = (1.0 - abs(a) ** 2) / den**2
+            fp[j] = (1.0 - abs(a) ** 2) / _mul(den, den)
         prefix = np.ones((d + 1,) + z.shape, dtype=complex)
         for j in range(d):
-            prefix[j + 1] = prefix[j] * f[j]
+            prefix[j + 1] = _mul(prefix[j], f[j])
         suffix = np.ones((d + 1,) + z.shape, dtype=complex)
         for j in range(d - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * f[j]
-        deriv = sum(fp[j] * prefix[j] * suffix[j + 1] for j in range(d))
-        val = self.rotation * prefix[d]
-        deriv = self.rotation * deriv
-        if z.ndim:
-            return val, deriv
-        return complex(val), complex(deriv)
+            suffix[j] = _mul(suffix[j + 1], f[j])
+        deriv = sum((_mul(_mul(fp[j], prefix[j]), suffix[j + 1]) for j in range(d)), np.zeros_like(z))
+        val = _mul(self.rotation, prefix[d])
+        deriv = _mul(self.rotation, deriv)
+        return (val, deriv) if z.ndim else (complex(val), complex(deriv))
 
     def iterate(self, z, n: int):
         for _ in range(n):
@@ -211,34 +238,6 @@ def _circle_roots(func, tol: float, degree: int | None = None) -> list[tuple[flo
     return kept
 
 
-def _iterate_residuals(b: BlaschkeProduct, z: np.ndarray, n: int) -> np.ndarray:
-    """abs(b.iterate(p, n) - p) for each point p of z, rounded as for one point at a time.
-
-    One point at a time, the first factor's product with the rotation and
-    every conj(a) * z go through numpy's complex multiply loop (one operand is
-    0-d), but the products with the later factors are numpy scalar math, which
-    rounds re = wr*nr - wi*ni and im = wr*ni + wi*nr without the loop's fused
-    multiply-add; so those are formed from float64 parts here. Subtraction
-    and division round alike either way, and np.hypot is CPython's complex abs.
-    """
-    x = z
-    for _ in range(n):
-        w = np.full_like(x, b.rotation)
-        for i, a in enumerate(b.zeros):
-            num = x - a
-            if i == 0:
-                w = w * num
-            else:
-                prod = np.empty_like(w)
-                prod.real = w.real * num.real - w.imag * num.imag
-                prod.imag = w.real * num.imag + w.imag * num.real
-                w = prod
-            w = w / (1.0 - np.conj(a) * x)
-        x = w
-    d = x - z
-    return np.hypot(d.real, d.imag)
-
-
 def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoint]:
     """Fixed points of the boundary map of B^n, one branch equation per 2pi j.
 
@@ -247,9 +246,9 @@ def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoi
     there; a LiftNotExpandingWarning is issued and all roots are returned.
     B^n has degree d^n, so its lift rises by 2pi d^n over one turn: from
     d^n >= 0.45 * 2^_MAX_GRID_BITS on, the mean step of the finest grid is at
-    least 0.9 pi and LiftGridExhausted is raised before any evaluation. Each
-    point's residual |B^n(z) - z| is computed for all points at once
-    (`_iterate_residuals`), with the bits of a one-point evaluation.
+    least 0.9 pi and LiftGridExhausted is raised before any evaluation. The
+    residuals |B^n(z) - z| are computed for all points at once, with the bits
+    of a one-point evaluation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -262,7 +261,7 @@ def circle_periodic_points(b: BlaschkeProduct, n: int) -> list[CirclePeriodicPoi
     if len(set(branches)) < len(branches):
         warnings.warn("some branch equations had multiple roots", LiftNotExpandingWarning)
     z = np.array([cmath.exp(1j * t) for t, _ in found], dtype=complex)
-    residuals = _iterate_residuals(b, z, n).tolist()
+    residuals = _modulus(b.iterate(z, n) - z).tolist()
     return [CirclePeriodicPoint(t, j, r) for (t, j), r in zip(found, residuals)]
 
 
@@ -293,7 +292,10 @@ def denjoy_wolff(b: BlaschkeProduct) -> DenjoyWolff:
     multiplicity, which the lift touches without crossing, may be missed.
     Interior: otherwise, the fixed point in the disk, the least-modulus root of
     P = N - z D (B = N/D) polished by damped Newton; it is reported only when
-    |B'(p)| <= 1 - _NEUTRAL_GAP. Raises RotationLike for the identity (P = 0),
+    |B'(p)| <= 1 - _NEUTRAL_GAP. A missed point of even multiplicity leaves
+    that root within _NEUTRAL_GAP of the circle: zeta = p/|p| is then the
+    boundary point, to about eps^(1/2), if B(zeta) is within 1e-12 of zeta and
+    |B'(zeta)| <= 1 + _DW_TOL. Raises RotationLike for the identity (P = 0),
     for elliptic automorphisms and for a near-neutral point it cannot place.
     """
     fixed = _fixed_point_polynomial(b)
@@ -312,10 +314,15 @@ def denjoy_wolff(b: BlaschkeProduct) -> DenjoyWolff:
         return val - z, der - 1.0
 
     roots = np.polynomial.polynomial.polyroots(fixed)
-    p = damped_newton(g, complex(roots[np.argmin(np.abs(roots))]), 1e-15, 50)
+    p = damped_newton(g, complex(roots[np.argmin(_modulus(roots))]), 1e-15, 50)
     dm = abs(b.eval_with_derivative(p)[1])
     if abs(p) < 1.0 and dm <= 1.0 - _NEUTRAL_GAP:
         return DenjoyWolff(p, INTERIOR, dm)
+    if abs(1.0 - abs(p)) < _NEUTRAL_GAP:  # never p = 0, the centre of a rotation
+        zeta = p / abs(p)
+        val, der = b.eval_with_derivative(zeta)
+        if abs(val - zeta) < 1e-12 and abs(der) <= 1.0 + _DW_TOL:
+            return DenjoyWolff(zeta, BOUNDARY, abs(der))
     raise RotationLike(
         f"no circle fixed point has |B'| <= 1, and the fixed point {p} with |B'| = {dm!r}"
         " is a rotation centre or an unresolved near-neutral point"
@@ -346,9 +353,7 @@ class RationalCircleMap:
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
-        num = np.polynomial.polynomial.polyval(z, np.asarray(self.num, dtype=complex))
-        den = np.polynomial.polynomial.polyval(z, np.asarray(self.den, dtype=complex))
-        w = num / den
+        w = _horner(self.num, z) / _horner(self.den, z)
         return w if w.ndim else complex(w)
 
 
@@ -365,11 +370,11 @@ def verify_inner_candidate(cand: RationalCircleMap, samples: int = 10**4) -> Inn
     """Audit a rational candidate: circle preservation, disk invariance, boundary fixed points."""
     thetas = TWO_PI * np.arange(samples) / samples
     z = np.exp(1j * thetas)
-    den = np.polynomial.polynomial.polyval(z, np.asarray(cand.den, dtype=complex))
-    if np.min(np.abs(den)) < 1e-12:
+    den = _horner(cand.den, z)
+    if np.min(_modulus(den)) < 1e-12:
         raise PoleOnCircle("denominator vanishes on the sampled circle")
-    w = cand.evaluate(z)
-    max_err = float(np.max(np.abs(np.abs(w) - 1.0)))
+    w = _horner(cand.num, z) / den
+    max_err = float(np.max(np.abs(_modulus(w) - 1.0)))
     circle_preserving = max_err < 1e-12
 
     notes: list[str] = []
@@ -380,7 +385,7 @@ def verify_inner_candidate(cand: RationalCircleMap, samples: int = 10**4) -> Inn
         r = np.sqrt(rng.uniform(0.0, 1.0, 256)) * 0.999
         phi = rng.uniform(0.0, TWO_PI, 256)
         inside = cand.evaluate(r * np.exp(1j * phi))
-        maps_disk_in = bool(np.all(np.abs(inside) < 1.0))
+        maps_disk_in = bool(np.all(_modulus(inside) < 1.0))
     if not maps_disk_in:
         notes.append(f"candidate does not map the disk into itself: g(0) = {v0}")
 

@@ -91,12 +91,6 @@ def _int_at_least(n: int):
     return _must(f"an integer >= {n}", lambda v: _is_int(v) and v >= n)
 
 
-def _entire_map(v) -> None:
-    if isinstance(v, dict) and v.get("lambda") is not None and not _is_real(v["lambda"]):
-        raise ValueError("lambda must be a finite number")
-    EntireMap.from_json(v)
-
-
 def _blaschke(v) -> None:
     if not (isinstance(v, dict) and _is_pair(v.get("rotation", [1.0, 0.0]))
             and _is_pairs(v.get("zeros", []))):
@@ -120,7 +114,7 @@ _ORBIT_BUDGET = _must("an integer in [1, 2**31 - 1]", lambda v: _is_int(v) and 1
 # order, so an object comes before its fields. The first part of a key that
 # names a subcommand marks its section, which is walked only for that run.
 SCHEMA = {
-    "map": (REQUIRED, _entire_map),
+    "map": (REQUIRED, EntireMap.from_json),
     "window": ([-2.0, 4.0, -3.0, 3.0], _RECTANGLE),
     "resolution": ([200, 200], _must(
         "two integers >= 2", lambda v: _is_list(v, lambda x: _is_int(x) and x >= 2, 2))),

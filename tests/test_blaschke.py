@@ -1,6 +1,9 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -175,23 +178,23 @@ def test_denjoy_wolff_weakly_attracting_interior(rotation, zeros, multiplier):
 
 
 @pytest.mark.parametrize(
-    "b",
-    [conjugate_by_rotation(parabolic_moebius(), 0.4)]
-    + [conjugate_by_rotation(upper_half_plane_conjugate(), alpha) for alpha in (0.3, 1.7)],
+    "b, alpha",
+    [(parabolic_moebius(), 0.4), (upper_half_plane_conjugate(), 0.3), (upper_half_plane_conjugate(), 1.7)],
     ids=["moebius_0.4", "half_plane_0.3", "half_plane_1.7"],
 )
-def test_denjoy_wolff_missed_double_boundary_point_is_never_interior(b):
+def test_denjoy_wolff_missed_double_boundary_point_is_never_interior(b, alpha):
     """A double boundary fixed point that the lift touches without crossing.
 
     P's double root there splits by rounding into a pair about 1e-8 from the
     circle, with |B'| about 1 - 2e-8: that is a near-neutral point, not an
-    attracting one.
+    attracting one, and its projection onto the circle is the boundary point
+    e^{-i alpha}, found to about eps^(1/2).
     """
-    try:
-        dw = denjoy_wolff(b)
-    except RotationLike:
-        return
+    dw = denjoy_wolff(conjugate_by_rotation(b, alpha))
     assert dw.location == BOUNDARY
+    assert abs(dw.point - cmath.exp(-1j * alpha)) < 1e-7
+    assert abs(abs(dw.point) - 1.0) < 1e-15
+    assert dw.derivative_modulus <= 1.0 + 1e-9
 
 
 def test_denjoy_wolff_double_boundary_point_on_a_node():
@@ -335,6 +338,70 @@ def test_residuals_equal_the_one_point_path_bitwise():
             assert p.residual == abs(b.iterate(z, n) - z), (b, n, p)
             checked += 1
     assert checked > 700
+
+
+# numpy's dispatch groups above the x86-64-v2 (SSE4.2) baseline, in numpy 2.4's names.
+BASELINE_ONLY = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def complex_multiply_is_fused():
+    """Whether numpy's complex multiply of a fixed array rounds otherwise than its float64 parts do."""
+    rng = np.random.default_rng(3)
+    u, v = (rng.standard_normal(512) + 1j * rng.standard_normal(512) for _ in range(2))
+    parts = (u.real * v.real - u.imag * v.imag) + 1j * (u.real * v.imag + u.imag * v.real)
+    return bool(np.any(u * v != parts))
+
+
+def as_rational(b):
+    """b as a RationalCircleMap, its coefficients expanded in CPython's complex arithmetic."""
+    num, den = [b.rotation], [1.0 + 0.0j]
+    for a in b.zeros:
+        num = [s - a * t for s, t in zip([0j] + num, num + [0j])]
+        den = [s - a.conjugate() * t for s, t in zip(den + [0j], [0j] + den)]
+    return RationalCircleMap(tuple(num), tuple(den))
+
+
+def dispatch_sample():
+    """The hex of every float that a seeded sample of products and candidates reports."""
+    values = []
+    for b in random_products(7, 6, (2, 3)):
+        for n in (1, 2, 3):
+            values += [x.hex() for p in circle_periodic_points(b, n) for x in (p.theta, p.residual)]
+        dw = denjoy_wolff(b)
+        values += [x.hex() for x in (dw.point.real, dw.point.imag, dw.derivative_modulus)]
+    for b in random_products(8, 6, (2, 3)):
+        rep = verify_inner_candidate(as_rational(b), samples=2048)
+        values += [rep.max_circle_error.hex()]
+        values += [x.hex() for p in rep.boundary_fixed_points for x in (p.real, p.imag)]
+    return values
+
+
+@pytest.mark.filterwarnings("ignore::fatoulab.errors.LiftNotExpandingWarning")
+def test_outputs_equal_at_the_sse42_baseline_bitwise():
+    """Residuals, Denjoy-Wolff points and candidate audits have the same bits at
+    numpy's SSE4.2 baseline as at the dispatch level of this process.
+
+    numpy imports even when it does not know the names in
+    NPY_DISABLE_CPU_FEATURES, so a canary proves that the baseline took effect:
+    its complex multiply must round otherwise than the float64 parts here
+    (fused multiply-adds, AVX2 and above) and like them in the subprocess.
+    """
+    if not complex_multiply_is_fused():
+        pytest.skip("numpy's complex multiply is not fused at this dispatch level")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blaschke.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_ONLY,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")])))
+    code = ("import json, warnings, test_blaschke as t\n"
+            "warnings.simplefilter('ignore')\n"
+            "print(json.dumps([t.complex_multiply_is_fused(), t.dispatch_sample()]))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    fused, values = json.loads(run.stdout)
+    if fused:
+        pytest.skip(f"NPY_DISABLE_CPU_FEATURES={BASELINE_ONLY!r} left the fused multiply in place")
+    expected = dispatch_sample()
+    assert len(expected) > 300
+    assert values == expected
 
 
 def per_branch_brackets(h):
