@@ -101,9 +101,10 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
     """One preimage z with |f(z) - w| < 1e-12 on the given branch.
 
     exp_lambda uses the closed form log(w/lam) + 2 pi i k; z_exp uses the
-    Lambert-W branch and raises NewtonDiverged when its root is outside the
-    strip of branch k; the exp-family maps run damped Newton from strip seeds
-    and verify strip membership of the result.
+    Lambert-W branch and raises NewtonDiverged when `branch_of` gives its root
+    another index, which happens only for real w > 0, on the cuts of
+    W_k(-w), where the index rests on rounding; the exp-family maps run
+    damped Newton from strip seeds and verify strip membership of the result.
     """
     w = complex(w)
     exact_critical = _singular_guard(m, w, branch)
@@ -128,11 +129,7 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
 
 
 def _lambert_root(m: EntireMap, w: complex, k: int) -> complex:
-    """The z_exp preimage -W_k(-w), polished by Newton from `_lambert_w`.
-
-    W_k can lie outside branch k's strip (`branch_of`) by up to pi, so
-    `inverse` checks the strip; `_candidate_preimages` takes every root.
-    """
+    """The z_exp preimage -W_k(-w), polished by Newton from `_lambert_w`."""
     return _damped_newton(m, w, -_lambert_w(-w, k))
 
 
@@ -207,8 +204,13 @@ def branch_of(m: EntireMap, z: complex) -> int:
         wrapped = (z.imag + math.pi) % TWO_PI - math.pi
         return round((z.imag - wrapped) / TWO_PI)
     if m.family == Z_EXP:
-        # Lambert-W branch k has Im W in ((2k-1)pi, (2k+1)pi] up to the cut; W = -z.
-        return math.ceil((-z.imag - math.pi) / TWO_PI)
+        # W = -z is W_k(x), x = W e^W, for k the unwinding number Im(W + log W -
+        # log x)/2pi; Arg x is that of W e^{i Im W}. Only W_-1 (W < -1) and W_0 are real.
+        w = -complex(z)
+        if w.imag == 0.0:
+            return -1 if w.real < -1.0 else 0
+        arg_x = cmath.phase(w * cmath.exp(complex(0.0, w.imag)))
+        return round((w.imag + cmath.phase(w) - arg_x) / TWO_PI)
     return math.ceil((z.imag - math.pi) / TWO_PI)
 
 

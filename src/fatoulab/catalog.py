@@ -17,7 +17,7 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -223,16 +223,6 @@ class SingularData:
     critical_points: tuple[complex, ...]
     critical_values: tuple[complex, ...]
     asymptotic_values: tuple[complex, ...]
-    critical_indices: tuple[int, ...] = ()
-
-    def sources(self) -> list[tuple[str, complex]]:
-        """(source_id, value) pairs feeding the postsingular sampler."""
-        out = []
-        for k, v in zip(self.critical_indices, self.critical_values):
-            out.append((f"cv[k={k}]", v))
-        for j, v in enumerate(self.asymptotic_values):
-            out.append((f"av[{j}]", v))
-        return out
 
 
 def singular_values(m: EntireMap, k_bound: int = 8) -> SingularData:
@@ -245,11 +235,9 @@ def singular_values(m: EntireMap, k_bound: int = 8) -> SingularData:
         return SingularData((), (), (0.0 + 0.0j,))
     if m.family == Z_EXP:
         cp = (1.0 + 0.0j,)
-        return SingularData(cp, (m.evaluate(cp[0]),), (0.0 + 0.0j,), (0,))
-    ks = tuple(range(-k_bound, k_bound + 1))
-    cps = tuple(complex(0.0, TWO_PI * k) for k in ks)
-    cvs = tuple(m.evaluate(c) for c in cps)
-    return SingularData(cps, cvs, (), ks)
+        return SingularData(cp, (m.evaluate(cp[0]),), (0.0 + 0.0j,))
+    cps = tuple(complex(0.0, TWO_PI * k) for k in range(-k_bound, k_bound + 1))
+    return SingularData(cps, tuple(m.evaluate(c) for c in cps), ())
 
 
 # ---------------------------------------------------------------------------
@@ -257,57 +245,33 @@ def singular_values(m: EntireMap, k_bound: int = 8) -> SingularData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CloudSample:
-    source: str
-    step: int
-    point: complex
-
-
-@dataclass(frozen=True)
-class PostsingularCloud:
-    """Forward orbits of singular values, truncated at an escape radius."""
-
-    samples: tuple[CloudSample, ...]
-    depth: int
-    escape_radius: float
-    truncated: dict[str, int] = field(default_factory=dict)
-
-    def points(self) -> np.ndarray:
-        return np.array([s.point for s in self.samples], dtype=complex)
-
-
 def postsingular_sample(
     m: EntireMap,
     depth: int,
     escape_radius: float = 1e6,
     k_bound: int = 8,
-) -> PostsingularCloud:
-    """Orbits of all singular values up to `depth` steps or until |z| > escape_radius.
+) -> np.ndarray:
+    """The distinct points of the singular values' orbits, in first-reached order.
 
-    Truncation is recorded in `truncated` (source -> first omitted step),
-    never raised.
+    Each critical value, then each asymptotic value, is followed for `depth`
+    steps; an orbit ends early once |z| > escape_radius (that point is left
+    out) or f overflows. A point met again, on this orbit or an earlier one,
+    is kept once.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if escape_radius <= 0:
         raise ValueError("escape_radius must be positive")
     sd = singular_values(m, k_bound=k_bound)
-    samples: list[CloudSample] = []
-    truncated: dict[str, int] = {}
-    for source, v in sd.sources():
+    points: dict[complex, None] = {}
+    for v in sd.critical_values + sd.asymptotic_values:
         z = complex(v)
-        for step in range(depth + 1):
+        for _ in range(depth + 1):
             if abs(z) > escape_radius:
-                truncated[source] = step
                 break
-            samples.append(CloudSample(source, step, z))
-            if step == depth:
-                break
+            points.setdefault(z)
             try:
                 z = m.evaluate(z)
             except Overflow:
-                truncated[source] = step + 1
                 break
-    return PostsingularCloud(tuple(samples), depth, escape_radius, truncated)
-
+    return np.array(list(points), dtype=complex)

@@ -356,7 +356,7 @@ def _run_audit(cfg: dict, out: Path) -> dict:
         escape_radius=cloud_cfg["escape_radius"],
         k_bound=cloud_cfg["k_bound"],
     )
-    audit = contraction_audit(m, chain, region, cloud.points(), segment=section["segment"])
+    audit = contraction_audit(m, chain, region, cloud, segment=section["segment"])
     serialize.audit_to_csv(audit, out / "audit.csv")
     return {
         "certified_violations": len(audit.certified_violations),

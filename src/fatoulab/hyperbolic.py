@@ -20,6 +20,10 @@ from .catalog import EntireMap
 from .errors import CloudOffSegment, DegeneratePointSet, OnPostsingularSet, OnSegment
 
 TWICE_PUNCTURED_K = 4.38
+# Pair terms of density_lower (and point distances) evaluated at once: complex
+# temporaries of 2**14 entries, 256 KB each. At 2**16 the bench audit process
+# peaked 6 MB higher (40.0 MB against 34.0 MB) in the same time.
+_PAIR_CHUNK = 1 << 14
 
 
 def punctured_disk_density(zeta: complex) -> float:
@@ -31,19 +35,44 @@ def punctured_disk_density(zeta: complex) -> float:
 
 
 def _as_points(p) -> np.ndarray:
+    """The distinct points of p, each at its first place."""
     pts = np.asarray(p, dtype=complex).ravel()
     if pts.size == 0:
         raise DegeneratePointSet("point set is empty")
-    return pts
+    return pts[np.sort(np.unique(pts, return_index=True)[1])]
 
 
-def density_upper(p, z: complex) -> float:
-    """Inscribed-disk upper bound 2/dist(z, P); valid since D(z, dist) avoids P."""
-    pts = _as_points(p)
-    d = float(np.min(np.abs(pts - z)))
-    if d < 1e-14:
-        raise OnPostsingularSet(f"{z} is within 1e-14 of the point set")
-    return 2.0 / d
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of range(n) holding about _PAIR_CHUNK terms, at `width` terms an item."""
+    step = max(1, _PAIR_CHUNK // width)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _distances(pts: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+    """(the query points, their distances to pts); raises OnPostsingularSet
+    naming the first query point within 1e-14 of pts."""
+    zs = np.asarray(z, dtype=complex).ravel()
+    d = np.empty(zs.size)
+    for rows in _blocks(zs.size, pts.size):
+        d[rows] = np.abs(pts - zs[rows, None]).min(axis=1)
+    near = d < 1e-14
+    if near.any():
+        raise OnPostsingularSet(f"{zs[near.argmax()]} is within 1e-14 of the point set")
+    return zs, d
+
+
+def _shaped(values: np.ndarray, z):
+    """values in the shape of the query z: a float for a single point."""
+    return float(values[0]) if np.ndim(z) == 0 else values.reshape(np.shape(z))
+
+
+def density_upper(p, z):
+    """Inscribed-disk upper bound 2/dist(z, P); valid since D(z, dist) avoids P.
+
+    z is a point (the bound is a float) or an array of points.
+    """
+    _, d = _distances(_as_points(p), z)
+    return _shaped(2.0 / d, z)
 
 
 def _two_puncture_bound(zeta: np.ndarray) -> np.ndarray:
@@ -52,24 +81,28 @@ def _two_puncture_bound(zeta: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * r * (np.abs(np.log(r)) + TWICE_PUNCTURED_K))
 
 
-def density_lower(p, z: complex) -> float:
+def density_lower(p, z):
     """Monotone lower bound: best two-puncture comparison over all pairs of P-points.
 
     Each pair (a, b) gives rho_W >= rho_{C - {a,b}} >= bound((z-a)/(b-a))/|b-a|;
     taking the maximum keeps the bound monotone under adding points to P.
+    z is a point (the bound is a float) or an array of points.
     """
     pts = _as_points(p)
-    if (pts == pts[0]).all():
+    if pts.size < 2:
         raise DegeneratePointSet("density_lower needs at least two distinct points")
-    if float(np.min(np.abs(pts - z))) < 1e-14:
-        raise OnPostsingularSet(f"{z} is within 1e-14 of the point set")
-    a = pts[:, None]
-    b = pts[None, :]
-    sep = b - a
-    mask = np.abs(sep) > 0.0
-    zeta = np.where(mask, (z - a) / np.where(mask, sep, 1.0), np.nan)
-    vals = np.where(mask, _two_puncture_bound(zeta) / np.abs(np.where(mask, sep, 1.0)), -np.inf)
-    return float(np.nanmax(vals))
+    zs, _ = _distances(pts, z)
+    i, j = np.nonzero(~np.eye(pts.size, dtype=bool))
+    a = pts[i]
+    sep = pts[j] - a
+    abs_sep = np.abs(sep)
+    best = np.full(zs.size, -np.inf)
+    for rows in _blocks(zs.size, a.size):
+        for cols in _blocks(a.size, 1):
+            zeta = (zs[rows, None] - a[cols]) / sep[cols]
+            vals = _two_puncture_bound(zeta) / abs_sep[cols]
+            best[rows] = np.fmax(best[rows], np.fmax.reduce(vals, axis=1))
+    return _shaped(best, z)
 
 
 def segment_complement_density(c: float, z: complex) -> float:
@@ -99,21 +132,25 @@ def _inverse_joukowski(w: complex) -> complex:
     return zeta
 
 
-def density_bound(p, z: complex, segment: float | None) -> tuple[float, float]:
+def density_bound(p, z, segment: float | None):
     """Two-sided bound (lower, upper) for the density of C minus P at z.
 
-    `segment=c` asserts that P is contained in [0, c] (`contraction_audit`
-    checks it, this function does not); the exact density of C minus [0, c]
-    then tightens the upper bound.
+    z is a point (each bound is a float) or an array of points. `segment=c`
+    asserts that P is contained in [0, c] (`contraction_audit` checks it,
+    this function does not); the exact density of C minus [0, c] then
+    tightens the upper bound.
     """
-    lower = density_lower(p, z)
-    upper = density_upper(p, z)
+    zs = np.asarray(z, dtype=complex).ravel()
+    lower = density_lower(p, zs)
+    upper = density_upper(p, zs)
     if segment is not None:
-        upper = min(upper, segment_complement_density(segment, z))
-    lower = min(lower, upper)
-    if not (0.0 < lower <= upper * (1.0 + 1e-12)):
-        raise ValueError(f"invalid density bracket [{lower}, {upper}] at {z}")
-    return lower, upper
+        upper = np.minimum(upper, [segment_complement_density(segment, x) for x in zs.tolist()])
+    lower = np.minimum(lower, upper)
+    bad = ~((0.0 < lower) & (lower <= upper * (1.0 + 1e-12)))
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(f"invalid density bracket [{lower[k]}, {upper[k]}] at {zs[k]}")
+    return _shaped(lower, z), _shaped(upper, z)
 
 
 # ---------------------------------------------------------------------------
@@ -168,30 +205,20 @@ def contraction_audit(
         off = ~((pts.imag == 0.0) & (pts.real >= 0.0) & (pts.real <= segment))
         if off.any():
             raise CloudOffSegment(f"{pts[off][0]} lies off the segment [0, {segment}]")
-    rows: list[AuditRow] = []
-    violations: list[AuditRow] = []
+    xs = [complex(x) for x in region]
     n = len(chain)
     if n == 0:
         # The identity chain is an exact isometry; the bounds cancel exactly.
-        rows = [AuditRow(complex(x), 1.0, 1.0, VERDICT_OK) for x in region]
-        return ContractionAudit(tuple(rows), ())
-    for x in region:
-        x = complex(x)
-        y = apply_chain(chain, x)
-        f_prime = 1.0 / abs(m.iterate_with_derivative(y, n)[1])  # |F'(x)| = 1/|(f^n)'(F(x))|
-
-        x_lower, x_upper = density_bound(p, x, segment)
-        y_lower, y_upper = density_bound(p, y, segment)
-        lo = y_lower * f_prime / x_upper
-        hi = y_upper * f_prime / x_lower
-        if hi <= 1.0:
-            verdict = VERDICT_OK
-        elif lo > 1.0:
-            verdict = VERDICT_VIOLATION
-        else:
-            verdict = VERDICT_INCONCLUSIVE
-        row = AuditRow(x, lo, hi, verdict)
-        rows.append(row)
-        if verdict == VERDICT_VIOLATION:
-            violations.append(row)
-    return ContractionAudit(tuple(rows), tuple(violations))
+        return ContractionAudit(tuple(AuditRow(x, 1.0, 1.0, VERDICT_OK) for x in xs), ())
+    ys = [apply_chain(chain, x) for x in xs]
+    # |F'(x)| = 1/|(f^n)'(F(x))|
+    f_prime = np.array([1.0 / abs(m.iterate_with_derivative(y, n)[1]) for y in ys])
+    # Columns x and F(x): bounds run x_0, F(x_0), x_1, ..., and an error names the first.
+    lower, upper = density_bound(p, np.column_stack([xs, ys]), segment)
+    lo = lower[:, 1] * f_prime / upper[:, 0]
+    hi = upper[:, 1] * f_prime / lower[:, 0]
+    verdicts = np.where(
+        hi <= 1.0, VERDICT_OK, np.where(lo > 1.0, VERDICT_VIOLATION, VERDICT_INCONCLUSIVE)
+    )
+    rows = tuple(map(AuditRow, xs, lo.tolist(), hi.tolist(), verdicts.tolist()))
+    return ContractionAudit(rows, tuple(r for r in rows if r.verdict == VERDICT_VIOLATION))

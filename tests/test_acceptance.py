@@ -180,17 +180,17 @@ def test_c08_contraction_audit_soundness(exp_map, zexp_map, zplus_map):
 
     cases = [
         (exp_map, chain_fixing(exp_map, QR, 2), circle(QR, 0.1),
-         postsingular_sample(exp_map, 20).points(), None),
+         postsingular_sample(exp_map, 20), None),
         (exp_map, chain_fixing(exp_map, QR, 4), circle(QR, 0.1),
-         postsingular_sample(exp_map, 20).points(), None),
+         postsingular_sample(exp_map, 20), None),
         (zexp_map, chain_fixing(zexp_map, p2, 1), circle(p2, 0.3),
-         postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
+         postsingular_sample(zexp_map, 30), float(np.exp(-1.0))),
         (zexp_map, chain_fixing(zexp_map, p2, 2), circle(p2, 0.3),
-         postsingular_sample(zexp_map, 30).points(), float(np.exp(-1.0))),
+         postsingular_sample(zexp_map, 30), float(np.exp(-1.0))),
         (zplus_map, pullback_chain(zplus_map, orbit[:3]), circle(orbit[2], 0.15),
-         postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
+         postsingular_sample(zplus_map, 15, k_bound=2), None),
         (zplus_map, pullback_chain(zplus_map, orbit[:4]), circle(orbit[3], 0.15),
-         postsingular_sample(zplus_map, 15, k_bound=2).points(), None),
+         postsingular_sample(zplus_map, 15, k_bound=2), None),
     ]
     zexp_conclusive = []
     for m, chain, region, P, segment in cases:

@@ -113,8 +113,9 @@ def test_lambert_roots_equal_roots_from_scipy_seeds(zexp_map):
     Halley's steps equals, within 1e-9 relative, the root Newton polishes from
     SciPy's lambertw; next to the critical point 1, where Newton's residual
     1e-12 fixes a root only to 1e-12 / |f'|, within that. `inverse` returns it
-    only inside branch k's strip and raises NewtonDiverged otherwise, so it
-    never returns a root on another branch."""
+    when `branch_of` gives it index k, and raises NewtonDiverged otherwise, so
+    it never returns a root on another branch; it refuses only real w > 0, on
+    the cuts, where the index of a computed root rests on rounding."""
     from scipy.special import lambertw
 
     returned = refused = 0
@@ -132,10 +133,33 @@ def test_lambert_roots_equal_roots_from_scipy_seeds(zexp_map):
                 returned += 1
             except NewtonDiverged:
                 assert branch_of(zexp_map, z) != k, (w, k)
+                assert w.imag == 0 and w.real > 0, (w, k)
                 refused += 1
             except CriticalValueCollision:
                 assert abs(w - math.exp(-1.0)) < 1e-12
-    assert returned > 2 * refused > 0
+    assert returned > 30 * refused
+
+
+def test_inverse_zexp_refuses_no_random_request(zexp_map):
+    """`branch_of` reads the Lambert-W index of a z_exp root from its
+    unwinding number, so `inverse` returns -W_k(-w) for every one of 3,000
+    random requests, where the strip index refused about a quarter."""
+    from scipy.special import lambertw
+
+    rng = np.random.default_rng(0)
+    re, im = rng.uniform(-2, 2, (2, 3000))
+    for w, k in zip((re + 1j * im).tolist(), rng.integers(-3, 4, 3000).tolist()):
+        z = inverse(zexp_map, w, k)
+        ref = complex(-lambertw(-w, k))
+        assert abs(z - ref) <= 1e-9 * max(1.0, abs(ref)), (w, k)
+        assert branch_of(zexp_map, z) == k
+
+
+def test_branch_of_zexp_on_the_real_axis(zexp_map):
+    """W = -z real: W_-1 below -1, W_0 from -1 up, whatever the zero's sign."""
+    for x, k in ((-3.0, -1), (-1.0 - 1e-9, -1), (-1.0, 0), (-0.5, 0), (0.0, 0), (2.0, 0)):
+        for im in (0.0, -0.0):
+            assert branch_of(zexp_map, -complex(x, im)) == k, (x, im)
 
 
 def test_lambert_root_at_the_double_nearest_the_critical_value(zexp_map):

@@ -140,7 +140,7 @@ def test_map_from_json():
 def test_singular_values_z_plus_exp():
     sd = singular_values(z_plus_exp(), k_bound=3)
     assert len(sd.critical_points) == 7
-    for k, cp, cv in zip(sd.critical_indices, sd.critical_points, sd.critical_values):
+    for k, cp, cv in zip(range(-3, 4), sd.critical_points, sd.critical_values):
         assert cp == 2j * np.pi * k
         assert abs(cv - (1 + 2j * np.pi * k)) < 1e-12
     assert sd.asymptotic_values == ()
@@ -170,31 +170,47 @@ def test_critical_point_residuals():
 
 
 def test_postsingular_chain_property():
+    """The cloud lists distinct points in first-reached order: each point is a
+    singular value or f of a point listed before it, bit for bit."""
     for m in all_maps():
+        sd = singular_values(m, k_bound=2)
+        sources = set(sd.critical_values + sd.asymptotic_values)
         cloud = postsingular_sample(m, 10, k_bound=2)
-        by_source = {}
-        for s in cloud.samples:
-            by_source.setdefault(s.source, []).append(s)
-        for samples in by_source.values():
-            samples.sort(key=lambda s: s.step)
-            for a, b in zip(samples, samples[1:]):
-                err = abs(m.evaluate(a.point) - b.point)
-                assert err < 1e-10 * (1 + abs(b.point))
-        assert all(abs(s.point) <= cloud.escape_radius for s in cloud.samples)
+        assert cloud.dtype == complex and cloud.ndim == 1
+        assert np.unique(cloud).size == cloud.size
+        assert np.all(np.abs(cloud) <= 1e6)
+        images = set()
+        for p in cloud:
+            assert p in sources or p in images, (m, p)
+            try:
+                images.add(m.evaluate(p))
+            except Overflow:
+                pass
 
 
 def test_postsingular_zexp_tail():
     # direct-iteration oracle; monotone decrease since x e^{-x} < x on (0, 1/e]
     cloud = postsingular_sample(z_exp(), 3)
-    tail = [s.point.real for s in cloud.samples if s.source.startswith("cv")]
+    tail = cloud[:4].real
     expected = [0.36787944117144233, 0.25464638004358253, 0.19739947309425335, 0.1620378556316583]
     assert np.allclose(tail, expected, rtol=0, atol=1e-14)
     assert all(0 < b < a <= 1 / np.e + 1e-15 for a, b in zip(tail, tail[1:]))
+    # the fixed asymptotic value 0 comes last, once
+    assert cloud.tolist() == [*cloud[:4].tolist(), 0j]
+
+
+def test_postsingular_zexp_cloud_lists_zero_once():
+    """At the audit's depth 30 the orbit of 1/e gives 31 points and the
+    asymptotic value 0, which f fixes, one more: 32, not 62."""
+    cloud = postsingular_sample(z_exp(), 30, k_bound=2)
+    assert cloud.size == 32
+    assert cloud[0] == z_exp().evaluate(1.0) and cloud[-1] == 0
+    assert np.all(np.diff(cloud[:31].real) < 0)
 
 
 def test_postsingular_exp_lambda_orbit():
     cloud = postsingular_sample(exp_lambda(0.25), 5)
-    orbit = [s.point.real for s in cloud.samples]
+    orbit = cloud.real
     expected = [0.0, 0.25, 0.32100635417193535, 0.34462858504576444,
                 0.3528663957188888, 0.35578524825053476]
     assert np.allclose(orbit, expected, rtol=0, atol=1e-14)
@@ -203,12 +219,14 @@ def test_postsingular_exp_lambda_orbit():
 
 def test_postsingular_depth_zero_and_truncation():
     for m in all_maps():
-        cloud = postsingular_sample(m, 0, k_bound=1)
         sd = singular_values(m, k_bound=1)
-        assert sorted((s.point for s in cloud.samples), key=abs) == sorted(
-            (v for _, v in sd.sources()), key=abs
-        )
-    cloud = postsingular_sample(z_plus_exp(), 50, escape_radius=3.0, k_bound=0)
-    assert "cv[k=0]" in cloud.truncated
-    assert all(abs(s.point) <= 3.0 for s in cloud.samples)
-
+        cloud = postsingular_sample(m, 0, k_bound=1)
+        assert cloud.tolist() == list(dict.fromkeys(sd.critical_values + sd.asymptotic_values))
+    # escape ends an orbit: the first point past the radius is left out
+    m = z_plus_exp()
+    cloud = postsingular_sample(m, 50, escape_radius=3.0, k_bound=0)
+    assert 1 < cloud.size < 51
+    assert np.all(np.abs(cloud) <= 3.0) and abs(m.evaluate(cloud[-1])) > 3.0
+    # overflow ends an orbit: 1000 e^1000 is past double range
+    cloud = postsingular_sample(exp_lambda(1000.0), 5, escape_radius=1e300)
+    assert cloud.tolist() == [0j, 1000 + 0j]

@@ -27,7 +27,7 @@ def test_curve_csv(tmp_path, exp_map, exp_grid):
 
 def test_audit_csv(tmp_path, exp_map):
     chain = chain_fixing(exp_map, QR, 2)
-    P = postsingular_sample(exp_map, 10).points()
+    P = postsingular_sample(exp_map, 10)
     region = [QR + 0.1 * np.exp(2j * np.pi * k / 8) for k in range(8)]
     audit = contraction_audit(exp_map, chain, region, P)
     serialize.audit_to_csv(audit, tmp_path / "audit.csv")
