@@ -102,9 +102,10 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
 
     exp_lambda uses the closed form log(w/lam) + 2 pi i k; z_exp uses the
     Lambert-W branch and raises NewtonDiverged when `branch_of` gives its root
-    another index, which happens only for real w > 0, on the cuts of
-    W_k(-w), where the index rests on rounding; the exp-family maps run
-    damped Newton from strip seeds and verify strip membership of the result.
+    another index. For real w > 0, -w lies on a cut of W_k, where that index
+    rests on rounding; there the root is returned as the seed's branch, the
+    side of the cut SciPy's lambertw takes. The exp-family maps run damped
+    Newton from strip seeds and verify strip membership of the result.
     """
     w = complex(w)
     exact_critical = _singular_guard(m, w, branch)
@@ -116,7 +117,8 @@ def inverse(m: EntireMap, w: complex, branch: int) -> complex:
 
     if m.family == Z_EXP:
         z = _lambert_root(m, w, branch)
-        if branch_of(m, z) != branch:
+        on_cut = w.imag == 0 and w.real > 0
+        if not on_cut and branch_of(m, z) != branch:
             raise NewtonDiverged(f"Lambert-W branch {branch} at {w} ended on branch {branch_of(m, z)}")
         return z
 

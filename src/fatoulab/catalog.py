@@ -32,7 +32,7 @@ Z_EXP = "z_exp"
 
 FAMILIES = (EXP_LAMBDA, FATOU_PLUS, FATOU_MINUS, Z_PLUS_EXP, Z_EXP)
 
-# exp() of a double overflows past this magnitude of the (real) argument.
+# The scalar evaluate's Overflow guard, below the 709.78 where exp() overflows.
 _EXP_OVERFLOW = 709.0
 
 TWO_PI = 2.0 * math.pi
@@ -76,7 +76,9 @@ class EntireMap:
         return z * e
 
     def evaluate(self, z: complex) -> complex:
-        """f(z); raises Overflow when the exp argument leaves double range."""
+        """f(z); raises Overflow when the real exp argument exceeds 709, a guard
+        for Newton that spares each scalar call an np.errstate (exp itself is
+        finite to about 709.78, where `evaluate_array` may return a finite f)."""
         return self.eval_with_derivative(z)[0]
 
     def eval_with_derivative(self, z: complex) -> tuple[complex, complex]:
@@ -114,26 +116,15 @@ class EntireMap:
             deriv *= d
         return z, deriv
 
-    def evaluate_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised f(z); returns (values, overflow_mask), never raises Overflow.
-
-        An entry whose exp argument overflows holds f evaluated with that
-        argument replaced by 0, a finite value with no meaning; read it
-        through the mask, which the orbit engine maps to escape evidence.
-        The mask also marks non-finite values.
-        """
+    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
+        """Vectorised f(z), inf or nan exactly where f overflows in floating
+        point; never raises Overflow and never warns. Callers read escape from
+        the value: a non-finite entry fails every `|w| <= R` and `< tol` test."""
         z = np.ascontiguousarray(z, dtype=complex)
-        if self.family == EXP_LAMBDA:
-            arg, bad = z, z.real > _EXP_OVERFLOW
-        else:
-            # -z negated as float64 pairs: the bits of complex negation, at a
-            # fraction of its cost; -z overflows where z.real < -709.
-            arg, bad = np.negative(z.view(np.float64)).view(complex), z.real < -_EXP_OVERFLOW
-        if bad.any():
-            arg = np.where(bad, 0.0, arg)
-        w = self._value(z, np.exp(arg))
-        bad |= ~np.isfinite(w)
-        return w, bad
+        # -z negated as float64 pairs: the bits of complex negation, at a fraction of its cost
+        arg = z if self.family == EXP_LAMBDA else np.negative(z.view(np.float64)).view(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._value(z, np.exp(arg))
 
     @staticmethod
     def from_json(d: dict) -> "EntireMap":

@@ -13,7 +13,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -131,7 +130,6 @@ SCHEMA = {
             v, lambda a: _is_list(a, _is_real, 3) and _is_int(a[2]) and a[2] >= 1))),
     # The seed is a uint64 word of every Philox key (measure._philox_chunks).
     "rng_seed": (0, _must("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)),
-    "threads": (max(1, os.cpu_count() or 1), _int_at_least(1)),
     "out_dir": ("out", _must("a string", lambda v: isinstance(v, str))),
     "render": ({}, _OBJECT),
     "periodic": ({}, _OBJECT),
@@ -188,9 +186,9 @@ SCHEMA = {
     "scan.budget": (60, _ORBIT_BUDGET),
 }
 
-# Where a run happens, not what it computes: the echo and the hash skip these,
-# so reruns into other directories or on other core counts stay byte-identical.
-_EXECUTION = ("out_dir", "threads")
+# Where a run happens, not what it computes: the echo and the hash skip it,
+# so reruns into other directories stay byte-identical.
+_EXECUTION = ("out_dir",)
 
 
 def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
@@ -277,7 +275,6 @@ def _build_grid(cfg: dict, m: EntireMap):
         escape_radius=cfg["escape_radius"],
         attractors=_attractors_of(cfg, m),
         tol=cfg["tolerances"]["orbit_tol"],
-        threads=cfg["threads"],
     )
     return label_components(grid)
 
@@ -489,9 +486,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="fatoulab", description=__doc__)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker threads for grid classification"
-    )
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="rng seed override")
     args = parser.parse_args(argv)
@@ -501,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    overrides = {"threads": args.threads, "out_dir": args.out, "rng_seed": args.seed}
+    overrides = {"out_dir": args.out, "rng_seed": args.seed}
     try:
         cfg = resolve_config(raw, args.subcommand, overrides)
     except ConfigError as exc:

@@ -12,7 +12,6 @@ labeled.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,9 +249,8 @@ def classify_grid(
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     attractors: tuple[tuple[complex, int], ...] = (),
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> ClassificationGrid:
-    """The orbit kernel at every cell; deterministic for any thread count.
+    """The orbit kernel at every cell, in one `classify_orbits_array` call.
 
     On a window symmetric about the real axis (im_min == -im_max) whose
     attractor list is closed under conjugation (`attractor_conjugation`),
@@ -286,35 +284,17 @@ def classify_grid(
     # Rows 0 ... mirrored - 1 are mirrored onto rows ny - 1 ... ny - mirrored.
     mirrored = 0 if sigma is None else ny // 2
     rows = ny - mirrored
-    centers = grid.cell_centers(rows)
-
-    def work(row_range):
-        lo, hi = row_range
-        res = classify_orbits_array(
-            m, centers[lo:hi].ravel(), budget, escape_radius, grid.attractors, tol
-        )
-        shape = (hi - lo, nx)
-        kinds, iterations, classes = (
-            a.reshape(shape) for a in (res.kinds, res.iterations, res.classes)
-        )
-        grid.kinds[lo:hi] = kinds
-        grid.iterations[lo:hi] = iterations
-        grid.classes[lo:hi] = classes
-        n = min(hi, mirrored) - lo
-        if n > 0:
-            mirror = slice(ny - lo - n, ny - lo)
-            grid.kinds[mirror] = kinds[n - 1::-1]
-            grid.iterations[mirror] = iterations[n - 1::-1]
-            conjugate_classes(res, sigma)  # rewrites res.classes, which `classes` views
-            grid.classes[mirror] = classes[n - 1::-1]
-
-    if threads > 1:
-        chunk = max(1, rows // (threads * 4))
-        ranges = [(i, min(i + chunk, rows)) for i in range(0, rows, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, ranges))
-    else:
-        work((0, rows))
+    res = classify_orbits_array(
+        m, grid.cell_centers(rows).ravel(), budget, escape_radius, grid.attractors, tol
+    )
+    grid.kinds[:rows] = res.kinds.reshape(rows, nx)
+    grid.iterations[:rows] = res.iterations.reshape(rows, nx)
+    grid.classes[:rows] = res.classes.reshape(rows, nx)
+    if mirrored:
+        grid.kinds[rows:] = grid.kinds[mirrored - 1::-1]
+        grid.iterations[rows:] = grid.iterations[mirrored - 1::-1]
+        conjugate_classes(res, sigma)
+        grid.classes[rows:] = res.classes.reshape(rows, nx)[mirrored - 1::-1]
     return grid
 
 

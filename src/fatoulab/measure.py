@@ -262,19 +262,13 @@ def _dense_orbit_stat(
         return None
     t = np.asarray(targets, dtype=complex)
     best = np.full(t.shape, np.inf)
-    z = hits.copy()
-    alive = np.ones(z.shape, dtype=bool)
+    z = hits  # only the set of orbit points matters: an escape (inf, nan too) drops out
     for _ in range(budget + 1):
-        za = z[alive]
-        if za.size == 0:
+        if z.size == 0:
             break
-        d = np.abs(za[None, :] - t[:, None]).min(axis=1)
-        best = np.minimum(best, d)
-        w, bad = m.evaluate_array(za)
-        ok = ~bad & (np.abs(w) <= escape_radius)
-        idx = np.nonzero(alive)[0]
-        z[idx[ok]] = w[ok]
-        alive[idx[~ok]] = False
+        best = np.minimum(best, np.abs(z[None, :] - t[:, None]).min(axis=1))
+        w = m.evaluate_array(z)
+        z = w[np.abs(w) <= escape_radius]
     return float(best.max())
 
 

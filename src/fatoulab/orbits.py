@@ -12,6 +12,10 @@ points, so that a block's working arrays stay in a core's L2 cache instead of
 streaming through memory at every step. Each orbit depends on its start point
 alone, so the results do not depend on the block size.
 
+Each step is one `EntireMap.evaluate_array` call. Escape is read from its
+value alone: where f overflows to inf or nan, the value fails |w| <= R and
+every capture test, so overflow escapes at the step it happens, with class 0.
+
 Every Fatou verdict is the first entry into a set S with f(S) inside S:
 
 - An attracting fixed point p captures an orbit at its first step inside a
@@ -49,7 +53,6 @@ from .catalog import (
     TWO_PI,
     Z_EXP,
     Z_PLUS_EXP,
-    _EXP_OVERFLOW,
     EntireMap,
     damped_newton,
 )
@@ -262,36 +265,26 @@ def _classify_block(
     parabolic = bool(parabolic_points(m))
     drift = m.family in _DRIFT_FAMILIES
     strips = m.family == Z_PLUS_EXP
-    # Past step 1 every live point has |z| <= escape_radius, so at a radius
-    # of at most 709 no exp argument overflows and the mask is dead work.
-    lean = escape_radius <= _EXP_OVERFLOW
     capture = tol / 4.0
 
     for step in range(1, budget + 1):
         if pos.size == 0:
             break
-        if lean and step > 1:
-            w, bad = _unmasked_step(m, z), None
-        else:
-            w, bad = m.evaluate_array(z)
+        w = m.evaluate_array(z)
         abs_w = np.abs(w)
 
-        # Overflow of the exponential is escape evidence for every catalog map;
-        # neither it nor a modulus past the radius is Fatou evidence (class 0).
-        # A non-finite value of the unmasked step fails abs_w <= radius.
+        # Overflow of f (inf or nan fails the test) and a modulus past the
+        # radius escape; neither is Fatou evidence (class 0).
         escaped = ~(abs_w <= escape_radius)
-        if bad is not None:
-            escaped |= bad
         undecided = ~escaped
         for j, ((p, q), r) in enumerate(zip(attractors, radii)):
             sel = np.flatnonzero(np.abs(w - p) < (capture if r is None else r))
             sel = sel[undecided[sel]]
             if r is None and sel.size:
-                wq, okq = w[sel], np.ones(sel.size, dtype=bool)
+                wq = w[sel]
                 for _ in range(q):
-                    wq, badq = m.evaluate_array(wq)
-                    okq &= ~badq
-                sel = sel[okq & (np.abs(wq - w[sel]) < tol)]
+                    wq = m.evaluate_array(wq)
+                sel = sel[np.abs(wq - w[sel]) < tol]  # fails where wq overflowed
             kinds[pos[sel]] = Kind.ATTRACTING
             classes[pos[sel]] = CLASS_ATTRACTING + j
             undecided[sel] = False
@@ -322,13 +315,3 @@ def _classify_block(
             iterations[pos[~undecided]] = step
             pos, z = pos[undecided], w[undecided]
 
-
-def _unmasked_step(m: EntireMap, z: np.ndarray) -> np.ndarray:
-    """f(z) with the bits of `m.evaluate_array(z)`, for |Re z| <= 709 only.
-
-    The exp argument cannot overflow there, so the overflow mask and its
-    isfinite pass are skipped; f itself may still overflow to inf or nan.
-    """
-    # -z negated as float64 pairs, as evaluate_array does
-    arg = z if m.family == EXP_LAMBDA else np.negative(z.view(np.float64)).view(complex)
-    return m._value(z, np.exp(arg))

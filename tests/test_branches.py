@@ -113,12 +113,12 @@ def test_lambert_roots_equal_roots_from_scipy_seeds(zexp_map):
     Halley's steps equals, within 1e-9 relative, the root Newton polishes from
     SciPy's lambertw; next to the critical point 1, where Newton's residual
     1e-12 fixes a root only to 1e-12 / |f'|, within that. `inverse` returns it
-    when `branch_of` gives it index k, and raises NewtonDiverged otherwise, so
-    it never returns a root on another branch; it refuses only real w > 0, on
-    the cuts, where the index of a computed root rests on rounding."""
+    for every request: off the cuts `branch_of` gives it index k, and for real
+    w > 0, on the cuts, where that index rests on rounding, it is the root of
+    SciPy's branch k."""
     from scipy.special import lambertw
 
-    returned = refused = 0
+    returned = on_cut = refused = 0
     for w in _lambert_cases():
         for k in range(-3, 4):
             try:
@@ -129,15 +129,21 @@ def test_lambert_roots_equal_roots_from_scipy_seeds(zexp_map):
             slope = abs(zexp_map.eval_with_derivative(ref)[1])
             assert abs(z - ref) <= max(1e-9 * abs(ref), 1e-12 / slope), (w, k)
             try:
-                assert inverse(zexp_map, w, k) == z and branch_of(zexp_map, z) == k, (w, k)
-                returned += 1
+                assert inverse(zexp_map, w, k) == z, (w, k)
             except NewtonDiverged:
-                assert branch_of(zexp_map, z) != k, (w, k)
-                assert w.imag == 0 and w.real > 0, (w, k)
                 refused += 1
+                continue
             except CriticalValueCollision:
                 assert abs(w - math.exp(-1.0)) < 1e-12
-    assert returned > 30 * refused
+                continue
+            returned += 1
+            if w.imag == 0 and w.real > 0:
+                on_cut += 1
+            else:
+                assert branch_of(zexp_map, z) == k, (w, k)
+    assert refused == 0
+    # the 364 cut requests but 4 at the critical value 1/e and 3 whose SciPy seed Newton misses
+    assert on_cut == 357 and returned > 6000
 
 
 def test_inverse_zexp_refuses_no_random_request(zexp_map):

@@ -78,7 +78,6 @@ def test_schema_violations_exit_2(tmp_path):
         ("render", {**BASE, "map": {"family": "exp_lambda", "lambda": "quarter"}}),
         ("render", {**BASE, "attractors": [["0.36", 0.0, 1]]}),
         ("render", {**BASE, "budgets": 300}),
-        ("render", {**BASE, "threads": 0}),
         ("audit", {**BASE, "audit": {"fixed_point": [0.0, 6.28], "region": {}, "segment": "e"}}),
         ("audit", {**BASE, "audit": {"fixed_point": [0.0, 6.28], "orbit": [[0.0, 6.28]],
                                      "region": {}}}),
@@ -105,7 +104,7 @@ def test_schema_violations_exit_2(tmp_path):
                                      "periods": [2, 2]}}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
-         "lambda_string", "attractor_string", "budgets_not_object", "threads_zero",
+         "lambda_string", "attractor_string", "budgets_not_object",
          "segment_string", "orbit_and_fixed_point", "blaschke_zero_outside_disk",
          "candidate_string_coefficient", "escaping_scan_without_point",
          "blaschke_degree_1_with_periods", "attractor_beyond_escape_radius",
@@ -184,14 +183,15 @@ def test_resolved_config_echoes_defaults(tmp_path):
     assert resolved["escape_radius"] == 50.0  # default filled in
     assert resolved["tolerances"]["orbit_tol"] == 1e-6
     assert "out_dir" not in resolved  # location is not a run parameter
-    assert "threads" not in resolved  # nor is the worker count
 
 
 def test_threads_change_neither_echo_nor_hash(tmp_path):
-    cfg = write_config(tmp_path, BASE)
+    """`threads` is no longer a field, so like any unknown key it is dropped."""
+    cfg1 = write_config(tmp_path, BASE)
+    cfg2 = write_config(tmp_path, {**BASE, "threads": 1}, name="threads.json")
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert cli.main(["render", "--config", str(cfg), "--out", str(out1), "--threads", "1"]) == 0
-    assert cli.main(["render", "--config", str(cfg), "--out", str(out2), "--threads", "2"]) == 0
+    assert cli.main(["render", "--config", str(cfg1), "--out", str(out1)]) == 0
+    assert cli.main(["render", "--config", str(cfg2), "--out", str(out2)]) == 0
     assert (out1 / "resolved_config.json").read_bytes() == (out2 / "resolved_config.json").read_bytes()
     h1 = json.loads((out1 / "summary.json").read_text())["config_hash"]
     h2 = json.loads((out2 / "summary.json").read_text())["config_hash"]
@@ -592,7 +592,6 @@ _TOP = {
     "tolerances": {"orbit_tol": 1e-6},
     "attractors": "auto",
     "rng_seed": 0,
-    "threads": 1,
     "out_dir": "out",
 }
 _SECTIONS = {

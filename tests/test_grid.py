@@ -382,17 +382,16 @@ def _assert_kernel_verdicts(g, m, points, budget, attractors):
         assert np.array_equal(getattr(g, name), getattr(res, name).reshape(points.shape)), name
 
 
-@pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("ny", [24, 25])
 @pytest.mark.parametrize("m, window, budget", FOLD_CASES, ids=[c[0].family for c in FOLD_CASES])
-def test_folded_grid_is_the_kernel_at_its_sample_points(monkeypatch, m, window, budget, ny, threads):
+def test_folded_grid_is_the_kernel_at_its_sample_points(monkeypatch, m, window, budget, ny):
     """On a window symmetric about the real axis, with the auto attractors,
     the kernel runs on rows 0 ... ny - ny//2 - 1 only. Every cell holds the
     kernel's kinds, iterations and classes at its sample point, bit for bit:
     its center, or conj(center of row k) for the mirrored row ny-1-k."""
     att = default_attractors(m)
     sizes = _kernel_points(monkeypatch)
-    g = classify_grid(m, window, (30, ny), budget, attractors=att, threads=threads)
+    g = classify_grid(m, window, (30, ny), budget, attractors=att)
     assert sum(sizes) == 30 * (ny - ny // 2)
     points = g.cell_centers()
     points[ny - ny // 2:] = np.conj(points[:ny // 2][::-1])
@@ -450,7 +449,7 @@ def test_grids_without_the_symmetry_classify_every_row(monkeypatch, m, window, a
     capture disks (a point in both is captured by p, and so is its
     conjugate): every cell is the kernel at its center."""
     sizes = _kernel_points(monkeypatch)
-    g = classify_grid(m, window, (40, 31), 300, attractors=attractors, threads=3)
+    g = classify_grid(m, window, (40, 31), 300, attractors=attractors)
     assert sum(sizes) == 40 * 31
     _assert_kernel_verdicts(g, m, g.cell_centers(), 300, attractors)
     assert (g.classes != 0).any()

@@ -436,26 +436,34 @@ def test_petal_and_drift_sets_are_invariant():
         assert _drift_failures(plus, line, lambda w: w.real > 0) == []
 
 
+def _old_overflow_step(m, z):
+    """f(z) and the overflow mask of the rules the kernel replaced: an exp
+    argument with real part past 709, or a non-finite value."""
+    w = m.evaluate_array(z)
+    arg_re = z.real if m.family == "exp_lambda" else -z.real
+    return w, (arg_re > 709.0) | ~np.isfinite(w)
+
+
 def old_petal_and_drift_rule(m, z, budget, escape_radius=50.0):
     """(kinds, iterations, classes) by the parabolic and drift rules that the
     petal and half-strips replace, frozen: a parabolic verdict at the first
     step with |f^n| < 1e-3, Re f^n > |Im f^n| and |f^{n+1}| <= |f^n|; a drift
     verdict once Re f^n has risen for 50 straight steps past Re 3, with class
     CLASS_DRIFT + round(Im f^n / 2 pi). An escape by radius or overflow at the
-    same step wins. Values come from evaluate_array, as in the kernel."""
+    same step wins, overflow read from `_old_overflow_step`."""
     z = np.asarray(z, dtype=complex).copy()
     kinds = np.zeros(z.size, dtype=np.int8)
     iterations = np.full(z.size, budget, dtype=np.int32)
     classes = np.zeros(z.size, dtype=np.int32)
     pos, run = np.arange(z.size), np.zeros(z.size, dtype=np.int32)
     for step in range(1, budget + 1):
-        w, bad = m.evaluate_array(z)
+        w, bad = _old_overflow_step(m, z)
         abs_w = np.abs(w)
         escaped = bad | (abs_w > escape_radius)
         undecided = ~escaped
         if m.family == "z_exp":
             sel = np.flatnonzero(undecided & (abs_w < 1e-3) & (w.real > np.abs(w.imag)))
-            w1, bad1 = m.evaluate_array(w[sel])
+            w1, bad1 = _old_overflow_step(m, w[sel])
             sel = sel[~bad1 & (np.abs(w1) <= abs_w[sel])]
             kinds[pos[sel]], classes[pos[sel]] = Kind.PARABOLIC, CLASS_PARABOLIC
             undecided[sel] = False
@@ -516,11 +524,11 @@ def test_certified_verdicts_agree_with_the_old_rules(m, f, window, n, budget):
         assert why is None, (z[i], why)
 
 
-# f itself overflows here (lam e^z, z e^{-z}) with no exp overflow: numpy
-# warns in the multiply, and both step paths catch the non-finite value,
-# which is the point. An overflow in exp still fails the test.
-@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
+# The scalar m.evaluate loop below overflows in lam e^z and z e^{-z} with no
+# exp overflow, where numpy warns in the scalar multiply; the kernel's steps
+# must not warn at all.
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar multiply:RuntimeWarning")
 @pytest.mark.parametrize("escape_radius", [1e6, 700.0])
 @pytest.mark.parametrize("m", [z_exp(), z_plus_exp(), exp_lambda(1e10)], ids=lambda m: m.family)
 def test_overflowing_steps_escape_at_any_radius(m, escape_radius):
@@ -529,9 +537,8 @@ def test_overflowing_steps_escape_at_any_radius(m, escape_radius):
     later iterates overflow exp inside the radius 1e6; and exp_lambda(1e10),
     whose lam e^z overflows inside the range of exp. The batch verdicts equal
     the one-point ones, and each class-0 escape has m.evaluate overflow, or
-    leave the radius or the finite numbers, at its step and not before. At
-    radius 700 the steps after the first skip the overflow mask; at 1e6 every
-    step keeps it."""
+    leave the radius or the finite numbers, at its step and not before, at a
+    radius inside and one past the 709 where the scalar guard fires."""
     re = np.array([-1000.0, -720.0, -709.5, -705.0, -16.1, -6.6, -1.0, 0.5, 700.0, 709.5, 720.0])
     z = (re[:, None] + 1j * np.array([0.0, 0.5, np.pi, 700.0])).ravel()
     res = classify_orbits_array(m, z, 60, escape_radius=escape_radius)
@@ -551,6 +558,20 @@ def test_overflowing_steps_escape_at_any_radius(m, escape_radius):
                 break
             assert (not abs(w) <= escape_radius) == (step == n), (z0, step, w)
     assert escapes >= 10
+
+
+@pytest.mark.parametrize("z0", [709.5, 709.5 + 0.5j])
+def test_a_finite_step_past_the_scalar_guard_is_not_an_escape(z0):
+    """exp is finite up to Re 709.78, so f(z0) = 1e-306 e^{z0}, of modulus
+    about 136, stays inside the radius 1000 although m.evaluate raises
+    Overflow there; f^2(z0), near 1e-247, lies in the certified disk of the
+    fixed point near 1e-306. The orbit is captured at step 2."""
+    m = exp_lambda(1e-306)
+    with pytest.raises(Overflow):
+        m.evaluate(z0)
+    att = default_attractors(m, escape_radius=1000.0)
+    assert _one(m, z0, 10, escape_radius=1000.0, attractors=att) == (
+        Kind.ATTRACTING, 2, CLASS_ATTRACTING)
 
 
 ALL_FAMILIES = [exp_lambda(0.25), exp_lambda(-1.5), fatou_plus(), fatou_minus(), z_plus_exp(), z_exp()]
@@ -575,26 +596,18 @@ def _assert_conjugate(w: np.ndarray, wc: np.ndarray) -> None:
     assert np.array_equal(wc[finite].view(np.float64), np.conj(w[finite]).view(np.float64))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
 @pytest.mark.parametrize("m", ALL_FAMILIES, ids=lambda m: f"{m.family}({m.lam})")
 def test_steps_commute_with_conjugation(m):
-    """f(conj z) = conj f(z) as numpy computes it, for both step functions of
-    the kernel: glibc's complex exp and numpy's complex multiply are
-    sign-symmetric. The overflow masks agree too. Points past |Re z| = 709
-    overflow exp, where _unmasked_step, which the kernel calls only inside
-    the radius, gives inf or nan."""
+    """f(conj z) = conj f(z) as the kernel's one step computes it: glibc's
+    complex exp and numpy's complex multiply are sign-symmetric. Points past
+    |Re z| = 709.78 overflow exp, and f there is inf or nan at the same
+    entries on both sides."""
     z = _conjugate_test_points(3)
-    w, bad = m.evaluate_array(z)
-    wc, badc = m.evaluate_array(np.conj(z))
-    assert np.array_equal(bad, badc)
-    _assert_conjugate(w, wc)
-    with np.errstate(all="ignore"):
-        _assert_conjugate(orbits._unmasked_step(m, z), orbits._unmasked_step(m, np.conj(z)))
+    w = m.evaluate_array(z)
+    assert not np.isfinite(w).all()
+    _assert_conjugate(w, m.evaluate_array(np.conj(z)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in (scalar )?multiply:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in (scalar )?multiply:RuntimeWarning")
 @pytest.mark.parametrize("m", ALL_FAMILIES, ids=lambda m: f"{m.family}({m.lam})")
 def test_conjugate_start_points_get_conjugate_verdicts(m):
     """The kernel on conj z gives z's kinds and iterations, and the classes

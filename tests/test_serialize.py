@@ -9,9 +9,9 @@ from fatoulab import serialize
 from fatoulab.boundary import access_curve, newton_periodic
 from fatoulab.branches import chain_fixing
 from fatoulab.catalog import postsingular_sample
-from fatoulab.grid import ClassificationGrid, classify_grid
+from fatoulab.grid import ClassificationGrid
 from fatoulab.hyperbolic import contraction_audit
-from fatoulab.orbits import Kind, default_attractors
+from fatoulab.orbits import Kind
 
 from conftest import QR
 
@@ -50,15 +50,6 @@ def test_grid_ppm_palette(tmp_path, exp_grid):
     # the attracting basin cell carries the attracting palette entry
     ix, iy = exp_grid.cell_of(0.357 + 0j)
     assert tuple(body[exp_grid.ny - 1 - iy, ix]) == serialize.PALETTE["attracting"]
-
-
-def test_grid_threads_deterministic(exp_map):
-    kw = dict(attractors=default_attractors(exp_map))
-    g1 = classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=1, **kw)
-    g4 = classify_grid(exp_map, (-2, 4, -3, 3), (64, 64), 120, threads=4, **kw)
-    assert np.array_equal(g1.kinds, g4.kinds)
-    assert np.array_equal(g1.iterations, g4.iterations)
-    assert np.array_equal(g1.classes, g4.classes)
 
 
 def _grid_csv_reference(grid, path):
