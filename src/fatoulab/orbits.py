@@ -314,4 +314,3 @@ def _classify_block(
             kinds[pos[escaped]] = Kind.ESCAPING
             iterations[pos[~undecided]] = step
             pos, z = pos[undecided], w[undecided]
-
