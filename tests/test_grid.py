@@ -382,17 +382,23 @@ def _assert_kernel_verdicts(g, m, points, budget, attractors):
         assert np.array_equal(getattr(g, name), getattr(res, name).reshape(points.shape)), name
 
 
+@pytest.mark.parametrize("calls", [1, 3])
 @pytest.mark.parametrize("ny", [24, 25])
 @pytest.mark.parametrize("m, window, budget", FOLD_CASES, ids=[c[0].family for c in FOLD_CASES])
-def test_folded_grid_is_the_kernel_at_its_sample_points(monkeypatch, m, window, budget, ny):
+def test_folded_grid_is_the_kernel_at_its_sample_points(monkeypatch, m, window, budget, ny, calls):
     """On a window symmetric about the real axis, with the auto attractors,
-    the kernel runs on rows 0 ... ny - ny//2 - 1 only. Every cell holds the
+    the kernel runs once per grid, on rows 0 ... ny - ny//2 - 1 only, and
+    classifying the grid again gives the same grid. Every cell holds the
     kernel's kinds, iterations and classes at its sample point, bit for bit:
     its center, or conj(center of row k) for the mirrored row ny-1-k."""
     att = default_attractors(m)
     sizes = _kernel_points(monkeypatch)
-    g = classify_grid(m, window, (30, ny), budget, attractors=att)
-    assert sum(sizes) == 30 * (ny - ny // 2)
+    grids = [classify_grid(m, window, (30, ny), budget, attractors=att) for _ in range(calls)]
+    assert sizes == [30 * (ny - ny // 2)] * calls
+    g = grids[0]
+    for other in grids[1:]:
+        for name in ("kinds", "iterations", "classes"):
+            assert np.array_equal(getattr(other, name), getattr(g, name)), name
     points = g.cell_centers()
     points[ny - ny // 2:] = np.conj(points[:ny // 2][::-1])
     _assert_kernel_verdicts(g, m, points, budget, att)
