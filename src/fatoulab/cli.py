@@ -289,13 +289,15 @@ def _run_render(cfg: dict, out: Path) -> dict:
     grid = _build_grid(cfg, m)
     serialize.grid_to_ppm(grid, out / "grid.ppm")
     serialize.grid_to_csv(grid, out / "grid.csv")
-    labels, counts = np.unique(grid.labels[grid.labels > 0], return_counts=True)
-    major = counts >= 0.01 * grid.nx * grid.ny
+    sizes = np.bincount(grid.labels.ravel())
+    labels = np.flatnonzero(sizes[1:]) + 1
+    major = labels[sizes[labels] >= 0.01 * grid.nx * grid.ny]
+    kinds = np.bincount(grid.kinds.ravel(), minlength=len(Kind))
     return {
         "components": int(labels.size),
-        "major_components": int(major.sum()),
-        "major_labels": [int(l) for l in labels[major]],
-        "cells_by_kind": {kind.name.lower(): int((grid.kinds == kind).sum()) for kind in Kind},
+        "major_components": int(major.size),
+        "major_labels": major.tolist(),
+        "cells_by_kind": {kind.name.lower(): int(kinds[kind]) for kind in Kind},
         "outputs": ["grid.ppm", "grid.csv"],
     }
 

@@ -3,7 +3,10 @@
 Cells are classified at their centers (on a window symmetric about the real
 axis, half of them at the conjugates of their mirror cells' centers),
 labeled by 4-connectivity within the label class the orbit kernel assigns,
-and queried for exact distances to the nearest cell of another label.
+and queried for exact distances to the nearest cell of another label: one
+point by a scan of the candidate centers, an array of points by a bucket
+index (`_BucketIndex`) that a coarse-to-fine split of tiles builds once per
+label.
 Label 0 always means "Julia / undecided / ambiguous escape"; only cells of a
 nonzero class (attracting, parabolic, drift-certified Baker escape) are
 labeled.
@@ -29,8 +32,8 @@ from .raster import label_by_class, outer_ring
 
 # Raster cells along each side of a bucket of the distance index.
 _BUCKET_CELLS = 8
-# Centers the index build compares at once, (buckets in a chunk) x (centers).
-_BUILD_CHUNK = 2**18
+# Each level of the index build splits a tile into _SPLIT x _SPLIT tiles.
+_SPLIT = 4
 
 
 @dataclass
@@ -120,12 +123,19 @@ class ClassificationGrid:
             return np.full(xy.shape[:-1], np.inf), np.full(xy.shape[:-1], -1)
         if xy.shape == (2,):
             return _scan(centers, xy)
-        pts = xy.reshape(-1, 2)
-        inside = self.contains(pts[:, 0] + 1j * pts[:, 1])
+        pts = np.ascontiguousarray(xy.reshape(-1, 2))
+        x, y = pts[:, 0], pts[:, 1]
+        re_min, re_max, im_min, im_max = self.window
+        inside = (x >= re_min) & (x <= re_max) & (y >= im_min) & (y <= im_max)
+        index = self._other_label_index(label)
+        cz = centers.view(complex)[:, 0]
+        if inside.all():
+            d, i = index.query(cz, pts.view(complex)[:, 0])
+            return d.reshape(xy.shape[:-1]), i.reshape(xy.shape[:-1])
         d = np.empty(len(pts))
         i = np.empty(len(pts), dtype=np.intp)
         if inside.any():
-            d[inside], i[inside] = self._other_label_index(label).query(centers, pts[inside])
+            d[inside], i[inside] = index.query(cz, pts[inside].view(complex)[:, 0])
         for k in np.flatnonzero(~inside):
             d[k], i[k] = _scan(centers, pts[k])
         return d.reshape(xy.shape[:-1]), i.reshape(xy.shape[:-1])
@@ -133,8 +143,7 @@ class ClassificationGrid:
     def other_label_center(self, label: int, index) -> np.ndarray:
         """The centers, as complex numbers, that `nearest_other_label(label, ...)`
         returned as `index` (with finite distance)."""
-        c = self._other_label_centers(label)[index]
-        return c[..., 0] + 1j * c[..., 1]
+        return self._other_label_centers(label).view(complex)[:, 0][index]
 
     def _other_label_centers(self, label: int) -> np.ndarray:
         """(x, y) rows of the other-label cell centers that are 4-adjacent to `label`.
@@ -149,6 +158,7 @@ class ClassificationGrid:
         if label not in self._centers:
             own = np.pad(self.labels == label, 1, constant_values=label == 0)
             pts = self.cell_centers()[outer_ring(own)[1:-1, 1:-1]]
+            # C-ordered (x, y) rows, so that .view(complex) reads them as points.
             self._centers[label] = np.column_stack([pts.real, pts.imag])
         return self._centers[label]
 
@@ -167,13 +177,22 @@ def _scan(centers: np.ndarray, xy: np.ndarray) -> tuple[np.floating, np.intp]:
     return np.sqrt(d2[i]), i
 
 
-def _axis_distances(c: np.ndarray, lo: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_distances(c: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances from the coordinates `c` to the farthest and to the
-    nearest point of each interval [lo, lo + width], one row per interval."""
-    below, above = c - lo, lo + width - c
-    far = np.maximum(np.abs(below), np.abs(above))
-    near = np.maximum(np.maximum(-below, -above), 0.0)
-    return far * far, near * near
+    nearest point of the intervals [lo, hi], elementwise.
+
+    With below = c - lo and above = hi - c, these are max(|below|, |above|)**2
+    and max(-below, -above, 0)**2, bit for bit: under = lo - c and
+    over = c - hi are -below and -above exactly, and the one of them that is
+    positive, if any, is the smaller in magnitude, since hi - lo > 0.
+    """
+    under, over = lo - c, c - hi
+    far = np.minimum(under, over)
+    far *= far
+    near = np.maximum(under, over, out=under)
+    np.maximum(near, 0.0, out=near)
+    near *= near
+    return far, near
 
 
 @dataclass(frozen=True)
@@ -186,6 +205,18 @@ class _BucketIndex:
     small margin for rounding), so it holds the nearest center of every point
     of R. Buckets extend past the window's upper edges when k does not divide
     the resolution; only points inside the window may be queried.
+
+    The build searches only the centers a bucket can reach. It starts from
+    one tile over the whole bucket grid, listing every center, and splits
+    each tile into _SPLIT x _SPLIT tiles until the tiles are the buckets. A
+    tile T lists the centers of its parent's list that lie within U of T,
+    where U is T's own least farthest-corner distance over that list, with a
+    margin (relative 1e-6, absolute 1e-9 of the window's extent) far wider
+    than the rounding. A bucket R inside T has the smaller U and lies inside
+    T, so every center its list needs, and the center that sets its U, are
+    in T's list. The work of a split is (children) x (parent's list), so the
+    build takes time and memory bounded by a few times the lists' length,
+    where comparing every bucket with every center grows as their product.
     """
 
     origin: tuple[float, float]
@@ -201,44 +232,87 @@ class _BucketIndex:
         hx, hy = grid.cell_size
         sx, sy = _BUCKET_CELLS * hx, _BUCKET_CELLS * hy
         nbx, nby = -(-grid.nx // _BUCKET_CELLS), -(-grid.ny // _BUCKET_CELLS)
-        # Absolute slack for a point that rounding puts in a bucket it misses
-        # by a few ulps of its coordinates.
-        slack = 1e-12 * max(abs(re_min), abs(re_max), abs(im_min), abs(im_max))
-        # Squared farthest and nearest distances along each axis from every
-        # center to every bucket column and bucket row; a bucket's squared
-        # distances are the sums of its column's and its row's.
-        far_x, near_x = _axis_distances(centers[:, 0], re_min + np.arange(nbx)[:, None] * sx, sx)
-        far_y, near_y = _axis_distances(centers[:, 1], im_min + np.arange(nby)[:, None] * sy, sy)
-        counts, items = [], []
-        step = max(1, _BUILD_CHUNK // (nbx * len(centers)))
-        for lo in range(0, nby, step):
-            rows = slice(lo, min(lo + step, nby))
-            u = np.sqrt((far_x + far_y[rows, None]).min(axis=2))
-            limit = (1.0 + 1e-9) * u + slack
-            near = (near_x + near_y[rows, None]).reshape(-1, len(centers))
-            bucket, center = np.nonzero(near <= (limit * limit).reshape(-1, 1))
-            counts.append(np.bincount(bucket, minlength=near.shape[0]))
-            items.append(center)
-        starts = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-        return cls((re_min, im_min), (sx, sy), nbx, nby, starts, np.concatenate(items))
+        if not len(centers):
+            return cls((re_min, im_min), (sx, sy), nbx, nby,
+                       np.zeros(nbx * nby + 1, dtype=np.intp), np.empty(0, dtype=np.intp))
+        extent = max(abs(re_min), abs(re_max), abs(im_min), abs(im_max))
+        # Tile sides in buckets, from the buckets up to one tile over the grid.
+        sides = [1, _SPLIT]
+        while sides[-1] < max(nbx, nby):
+            sides.append(sides[-1] * _SPLIT)
+        starts, items = np.array([0, len(centers)]), np.arange(len(centers))
+        cx, cy = centers[:, 0].copy(), centers[:, 1].copy()
+        for side in reversed(sides[:-1]):
+            # The buckets take the exact rule; their absolute slack covers a
+            # point that rounding puts in a bucket it misses by a few ulps.
+            margin = (1e-9, 1e-12 * extent) if side == 1 else (1e-6, 1e-9 * extent)
+            starts, items = _split_tiles(
+                starts, items, cx, cy, (re_min, im_min), (side * sx, side * sy),
+                (-(-nbx // side), -(-nby // side)), margin,
+            )
+        return cls((re_min, im_min), (sx, sy), nbx, nby, starts, items)
 
-    def query(self, centers: np.ndarray, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and indices of the nearest of `centers` for (n, 2) points
-        `xy` inside the window, as the scan computes and breaks ties."""
-        bx = np.minimum(((xy[:, 0] - self.origin[0]) / self.size[0]).astype(np.intp), self.nbx - 1)
-        by = np.minimum(((xy[:, 1] - self.origin[1]) / self.size[1]).astype(np.intp), self.nby - 1)
+    def query(self, cz: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and indices of the nearest of the centers `cz` for the
+        points `z` inside the window, both complex, as the scan computes and
+        breaks ties."""
+        bx = np.minimum(((z.real - self.origin[0]) / self.size[0]).astype(np.intp), self.nbx - 1)
+        by = np.minimum(((z.imag - self.origin[1]) / self.size[1]).astype(np.intp), self.nby - 1)
         b = by * self.nbx + bx
         first, lens = self.starts[b], self.starts[b + 1] - self.starts[b]
         # Point j's candidates fill flat[offsets[j]:offsets[j] + lens[j]].
         offsets = np.cumsum(lens) - lens
         flat = self.items[np.arange(lens.sum()) + np.repeat(first - offsets, lens)]
-        dx = centers[flat, 0] - np.repeat(xy[:, 0], lens)
-        dy = centers[flat, 1] - np.repeat(xy[:, 1], lens)
+        # Complex subtraction is the two float subtractions of the scan.
+        diff = cz[flat] - np.repeat(z, lens)
+        dx, dy = diff.real, diff.imag
         d2 = dx * dx + dy * dy
         least = np.minimum.reduceat(d2, offsets)
         # Lists ascend by index, so a point's first minimum has the lowest index.
         hits = np.flatnonzero(d2 == np.repeat(least, lens))
         return np.sqrt(least), flat[hits[np.searchsorted(hits, offsets)]]
+
+
+def _split_tiles(pstarts, pitems, cx, cy, origin, size, shape, margin):
+    """The lists of the tiles of `size` on a grid of `shape` (columns, rows)
+    from `origin`, from the lists pitems[pstarts[p]:pstarts[p + 1]] of the
+    tiles _SPLIT times larger; a list keeps the candidates within
+    (1 + margin[0]) U + margin[1] of its tile, in their order."""
+    f, (w, h), (ncx, ncy) = _SPLIT, size, shape
+    npx, npy = -(-ncx // f), -(-ncy // f)
+    plens = np.diff(pstarts)
+    lo_x = origin[0] + np.arange(ncx) * w
+    lo_y = origin[1] + np.arange(ncy) * h
+    # Row dx of the (f, npx) tables: child column f*px + dx of parent column px.
+    col = f * np.arange(npx) + np.arange(f)[:, None]
+    lox = lo_x[np.minimum(col, ncx - 1)]
+    hix = lox + w
+    on_grid = (col < ncx).T.ravel()  # the last parent column may overhang the grid
+    counts, items = [], []
+    for py in range(npy):
+        p0, p1 = py * npx, (py + 1) * npx
+        e0, lens = pstarts[p0], plens[p0:p1]
+        n = pstarts[p1] - e0
+        offs = pstarts[p0:p1] - e0
+        pl = pitems[e0:e0 + n]
+        far_x, near_x = _axis_distances(cx[pl], np.repeat(lox, lens, 1), np.repeat(hix, lens, 1))
+        near_x[ncx - f * (npx - 1):, n - lens[-1]:] = np.inf  # off-grid children keep nothing
+        # The (dx, parent, item) flat order -> the row's (parent, dx, item) order.
+        seg = np.repeat(lens, f)
+        order = np.arange(f * n) + np.repeat(
+            (np.arange(f)[:, None] * n + offs).T.ravel() - (np.cumsum(seg) - seg), seg
+        )
+        row_items = np.tile(pl, f)[order]
+        y = cy[pl]
+        for row in range(f * py, min(f * py + f, ncy)):
+            far_y, near_y = _axis_distances(y, lo_y[row], lo_y[row] + h)
+            u = np.sqrt(np.minimum.reduceat(far_x + far_y, offs, axis=1))
+            limit = (1.0 + margin[0]) * u + margin[1]
+            keep = near_x + near_y <= np.repeat(limit * limit, lens, 1)
+            kept = np.add.reduceat(keep.view(np.uint8), offs, axis=1, dtype=np.intp)
+            counts.append(kept.T.ravel()[on_grid])
+            items.append(row_items[keep.ravel()[order]])
+    return np.concatenate(([0], np.cumsum(np.concatenate(counts)))), np.concatenate(items)
 
 
 def classify_grid(

@@ -3,13 +3,14 @@
 Walks step by the conservative lower distance estimate, so they can never
 jump across Julia filaments; the reported numbers are budgeted estimates on
 the raster approximation of the boundary, at smoothing scale walk_eps.
-Walkers advance in lockstep, one bucket-index query per step for a whole
-block; the first step reuses the basepoint's query, a numpy scan of the
-boundary cell centers (`ClassificationGrid.nearest_other_label`). Each walker
-draws from its own counter-based Philox stream keyed by (seed, sample_index);
-one numpy call computes the next chunk of every stream that needs one. So
-every hit is independent of the block size and of the order in which walkers
-are processed.
+Walkers advance in lockstep, a group at a time, with one bucket-index query
+per step for every block of live walkers; the first step reuses the
+basepoint's query, a numpy scan of the boundary cell centers
+(`ClassificationGrid.nearest_other_label`). Each walker draws from its own
+counter-based Philox stream keyed by (seed, sample_index); one numpy call
+computes the next chunk of every stream in the group that needs one. So
+every hit is independent of the group and block sizes and of the order in
+which walkers are processed.
 """
 
 from __future__ import annotations
@@ -27,10 +28,15 @@ from .orbits import CLASS_ATTRACTING, Kind, classify_orbits_array
 
 TWO_PI = 2.0 * math.pi
 _MAX_WALK_STEPS = 100_000
-_BLOCK = 1024  # walkers advanced together; bounds the per-block arrays
-# Uniforms a walker takes from its stream per refill. A multiple of 4, since
-# one Philox4x64 counter block yields four doubles: a refill then starts on a
-# fresh counter block and can be addressed by (key, counter) alone.
+_GROUP = 16384  # walkers advanced in lockstep; bounds the per-walker arrays
+_BLOCK = 1024  # points per bucket-index query; bounds its candidate arrays
+# A walker takes one uniform per jump from its stream, in chunks that start at
+# step 0, step _FIRST_DRAWS and every multiple of _DRAW_CHUNK. Each bound is a
+# multiple of 4, since one Philox4x64 counter block yields four doubles: a
+# chunk then starts on a fresh counter block and can be addressed by (key,
+# counter) alone. About four in five calibration walks end within
+# _FIRST_DRAWS steps, so the first chunk is short.
+_FIRST_DRAWS = 8
 _DRAW_CHUNK = 32
 
 # Philox4x64-10 (Salmon et al. 2011): round multipliers and Weyl key bumps.
@@ -48,28 +54,28 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * np.uint64(m), x_hi * m_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32)
 
 
-def _philox_chunks(seed: int, walkers, refill: int) -> np.ndarray:
-    """Chunk `refill` of _DRAW_CHUNK uniforms of each stream (seed, i), i in `walkers`.
+def _philox_uniforms(seed: int, walkers, start: int, count: int) -> np.ndarray:
+    """Uniforms start .. start + count - 1 of each stream (seed, i), i in
+    `walkers`, one row each; start and count are multiples of 4.
 
-    Row k holds the draws refill*_DRAW_CHUNK.. of
+    Row k holds those draws of
     np.random.Generator(np.random.Philox(key=[seed, walkers[k]])).uniform(),
     bit for bit: that generator increments its 256-bit counter before each
     block of four words, so block b of a stream is Philox4x64-10 of the
     counter b + 1 under the key (seed, i), and each uniform is
     (word >> 11) * 2**-53. All arithmetic is on uint64 arrays, which wrap.
     """
-    blocks = _DRAW_CHUNK // 4
     k1 = np.asarray(walkers, dtype=np.uint64)[:, None]
     k0 = np.full(1, seed, dtype=np.uint64)
-    c0 = np.arange(refill * blocks + 1, (refill + 1) * blocks + 1, dtype=np.uint64)
-    c0 = np.broadcast_to(c0, (k1.shape[0], blocks))
+    c0 = np.arange(start // 4 + 1, (start + count) // 4 + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(c0, (k1.shape[0], count // 4))
     c1 = c2 = c3 = np.zeros_like(c0)
     for _ in range(10):
         lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(k1.shape[0], _DRAW_CHUNK)
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(k1.shape[0], count)
     return (words >> 11) * 2.0**-53
 
 
@@ -78,19 +84,20 @@ def _walk_lockstep(
     basepoint: complex,
     walk_eps: float,
     n: int,
-    draw: Callable[[np.ndarray, int], np.ndarray],
+    draw: Callable[[np.ndarray, int, int], np.ndarray],
     max_steps: int,
 ) -> np.ndarray:
     """Walk-on-spheres from `basepoint` for walkers 0..n-1, in lockstep.
 
-    Each step queries the bucket index once for all live walkers; step 0
-    reuses the basepoint's own query, which is a scan. A walker whose lower
-    distance estimate drops below walk_eps records the nearest boundary-raster
-    cell center; otherwise it jumps to a uniform point on the circle of radius
-    lower (capped at a quarter of the window diagonal). A walker that leaves
-    the window or exceeds max_steps records NaN. Walker j takes one uniform
-    per jump from its own stream, refilled in chunks: draw(js, r) holds chunk
-    r of the streams of walkers js, one row each, so no hit depends on another.
+    Each step queries the bucket index for all live walkers, _BLOCK points a
+    call; step 0 reuses the basepoint's own query, which is a scan. A walker
+    whose lower distance estimate drops below walk_eps records the nearest
+    boundary-raster cell center; otherwise it jumps to a uniform point on the
+    circle of radius lower (capped at a quarter of the window diagonal). A
+    walker that leaves the window or exceeds max_steps records NaN. Walker j
+    takes one uniform per jump from its own stream, in chunks: draw(js, s, c)
+    holds uniforms s .. s + c - 1 of the streams of walkers js, one row each,
+    so no hit depends on another.
     """
     hx, hy = grid.cell_size
     if walk_eps < 2.0 * max(hx, hy) - 1e-12:
@@ -106,33 +113,37 @@ def _walk_lockstep(
         return hits
     re_min, re_max, im_min, im_max = grid.window
     cap = 0.25 * math.hypot(re_max - re_min, im_max - im_min)
-    corner_lo, corner_hi = np.array([re_min, im_min]), np.array([re_max, im_max])
     diag = grid.cell_diagonal
 
     live = np.arange(n)
     xy = np.tile(np.array(start, dtype=float), (n, 1))
     d, nearest = np.full(n, d0), np.full(n, nearest0)
-    draws = np.empty((n, _DRAW_CHUNK))
+    # Row k of draws holds live[k]'s chunk, which began at step `first`.
+    draws, first, refill = np.empty((n, 0)), 0, 0
     for step in range(max_steps):
         if step:
-            d, nearest = grid.nearest_other_label(label, xy)
+            d, nearest = np.empty(live.size), np.empty(live.size, dtype=np.intp)
+            for lo in range(0, live.size, _BLOCK):
+                part = slice(lo, lo + _BLOCK)
+                d[part], nearest[part] = grid.nearest_other_label(label, xy[part])
         lower = np.maximum(d - diag, 0.0)
         done = lower < walk_eps
         if done.any():
             hits[live[done]] = grid.other_label_center(label, nearest[done])
             walking = ~done
-            live, xy, lower = live[walking], xy[walking], lower[walking]
+            live, xy, lower, draws = live[walking], xy[walking], lower[walking], draws[walking]
         if live.size == 0:
             break
-        refill, col = divmod(step, _DRAW_CHUNK)
-        if col == 0:
-            draws[live] = draw(live, refill)
+        if step == refill:
+            size = _FIRST_DRAWS if step == 0 else _DRAW_CHUNK - step % _DRAW_CHUNK
+            draws, first, refill = draw(live, step, size), step, step + size
         radius = np.minimum(lower, cap)
-        theta = TWO_PI * draws[live, col]
-        xy[:, 0] += radius * np.cos(theta)
-        xy[:, 1] += radius * np.sin(theta)
-        inside = ((corner_lo <= xy) & (xy <= corner_hi)).all(axis=1)
-        live, xy = live[inside], xy[inside]
+        theta = TWO_PI * draws[:, step - first]
+        x, y = xy[:, 0], xy[:, 1]
+        x += radius * np.cos(theta)
+        y += radius * np.sin(theta)
+        inside = (x >= re_min) & (x <= re_max) & (y >= im_min) & (y <= im_max)
+        live, xy, draws = live[inside], xy[inside], draws[inside]
     return hits
 
 
@@ -146,11 +157,11 @@ def _walk_hits(
 ) -> np.ndarray:
     """Hits of walks 0..n_walks-1 on the streams (seed, i); NaN marks an exit."""
     hits = np.empty(n_walks, dtype=complex)
-    for lo in range(0, n_walks, _BLOCK):
-        hi = min(lo + _BLOCK, n_walks)
+    for lo in range(0, n_walks, _GROUP):
+        hi = min(lo + _GROUP, n_walks)
         hits[lo:hi] = _walk_lockstep(
             grid, basepoint, walk_eps, hi - lo,
-            lambda js, r, lo=lo: _philox_chunks(seed, lo + js, r), max_steps,
+            lambda js, s, c, lo=lo: _philox_uniforms(seed, lo + js, s, c), max_steps,
         )
     return hits
 
@@ -266,9 +277,10 @@ def _dense_orbit_stat(
     for _ in range(budget + 1):
         if z.size == 0:
             break
-        best = np.minimum(best, np.abs(z[None, :] - t[:, None]).min(axis=1))
+        diff = z[None, :] - t[:, None]
+        best = np.minimum(best, np.hypot(diff.real, diff.imag).min(axis=1))
         w = m.evaluate_array(z)
-        z = w[np.abs(w) <= escape_radius]
+        z = w[np.hypot(w.real, w.imag) <= escape_radius]
     return float(best.max())
 
 
@@ -307,7 +319,8 @@ def disk_grid(resolution: int = 400, margin: float = 0.2) -> ClassificationGrid:
         escape_radius=50.0,
         tol=1e-6,
     )
-    inside = np.abs(grid.cell_centers()) < _DISK_RADIUS
+    centers = grid.cell_centers()
+    inside = np.hypot(centers.real, centers.imag) < _DISK_RADIUS
     grid.kinds[inside] = Kind.ATTRACTING
     grid.classes[inside] = CLASS_ATTRACTING
     return label_components(grid)

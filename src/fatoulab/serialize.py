@@ -50,21 +50,25 @@ def _num(x) -> str:
     return repr(float(x))
 
 
+# Row k is the color of Kind k; row 4 that of a drift-certified escape.
+_PALETTE_ROWS = np.array(
+    [PALETTE[name] for name in ("undecided", "escaping", "attracting", "parabolic", "escaping_drift")],
+    dtype=np.uint8,
+)
+
+
 def _cell_colors(grid: ClassificationGrid) -> np.ndarray:
-    rgb = np.zeros((grid.ny, grid.nx, 3), dtype=np.uint8)
-    kinds = grid.kinds
-    rgb[kinds == Kind.ESCAPING] = PALETTE["escaping"]
-    rgb[(kinds == Kind.ESCAPING) & (grid.classes != 0)] = PALETTE["escaping_drift"]
-    rgb[kinds == Kind.ATTRACTING] = PALETTE["attracting"]
-    rgb[kinds == Kind.PARABOLIC] = PALETTE["parabolic"]
-    return rgb
+    """(ny, nx, 3) colors of the cells, top image row first (+Im up)."""
+    kinds, classes = grid.kinds[::-1], grid.classes[::-1]
+    rows = np.where((kinds == Kind.ESCAPING) & (classes != 0), 4, kinds)
+    return np.take(_PALETTE_ROWS, rows, axis=0)
 
 
 def grid_to_ppm(grid: ClassificationGrid, path: str | Path) -> None:
     """Binary P6 image; the top image row is the top of the window (max Im)."""
-    rgb = _cell_colors(grid)[::-1]  # flip so +Im is up
-    header = f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + rgb.tobytes())
+    with open(path, "wb") as f:
+        f.write(f"P6\n{grid.nx} {grid.ny}\n255\n".encode("ascii"))
+        f.write(_cell_colors(grid))
 
 
 def _write_csv(path: str | Path, header: str, lines) -> None:

@@ -461,6 +461,15 @@ def test_render_strips_lists_three_major_components(tmp_path):
     assert cli.main(["render", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["major_components"] == 3
+    # The counts agree with np.unique over the labels and kinds of grid.csv.
+    rows = np.genfromtxt(out / "grid.csv", delimiter=",", skip_header=1, dtype=str)
+    labels, sizes = np.unique(rows[:, 3].astype(int), return_counts=True)
+    sizes, labels = sizes[labels > 0], labels[labels > 0]
+    assert summary["components"] == labels.size
+    assert summary["major_labels"] == labels[sizes >= 0.01 * 300 * 300].tolist()
+    kinds, counts = np.unique(rows[:, 2], return_counts=True)
+    by_kind = {k: c for k, c in zip(kinds.tolist(), counts.tolist())}
+    assert summary["cells_by_kind"] == {k: by_kind.get(k, 0) for k in summary["cells_by_kind"]}
 
 
 def test_seed_override_changes_hash(tmp_path):

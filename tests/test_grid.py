@@ -340,6 +340,82 @@ def test_distance_equals_brute_force_over_all_other_label_cells():
     assert d.shape == i.shape == (0,)
 
 
+def _all_pairs_lists(g, centers):
+    """The bucket lists as the index build first made them, comparing every
+    bucket with every center: the reference for the tile-split build."""
+    re_min, re_max, im_min, im_max = g.window
+    hx, hy = g.cell_size
+    k = grid_module._BUCKET_CELLS
+    sx, sy = k * hx, k * hy
+    nbx, nby = -(-g.nx // k), -(-g.ny // k)
+    slack = 1e-12 * max(abs(re_min), abs(re_max), abs(im_min), abs(im_max))
+
+    def axis(c, lo, width):
+        below, above = c - lo, lo + width - c
+        far = np.maximum(np.abs(below), np.abs(above))
+        near = np.maximum(np.maximum(-below, -above), 0.0)
+        return far * far, near * near
+
+    far_x, near_x = axis(centers[:, 0], re_min + np.arange(nbx)[:, None] * sx, sx)
+    far_y, near_y = axis(centers[:, 1], im_min + np.arange(nby)[:, None] * sy, sy)
+    u = np.sqrt((far_x + far_y[:, None]).min(axis=2))
+    limit = (1.0 + 1e-9) * u + slack
+    near = (near_x + near_y[:, None]).reshape(-1, len(centers))
+    bucket, center = np.nonzero(near <= (limit * limit).reshape(-1, 1))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(bucket, minlength=nbx * nby))))
+    return starts, center
+
+
+def _assert_lists_equal_all_pairs(g, label):
+    centers = g._other_label_centers(label)
+    index = grid_module._BucketIndex.build(g, centers)
+    starts, items = _all_pairs_lists(g, centers)
+    assert index.starts.tolist() == starts.tolist()
+    assert index.items.tolist() == items.tolist()
+    return len(centers)
+
+
+@pytest.mark.parametrize("shape, density, window", [
+    ((30, 40), 0.6, None),
+    ((57, 23), 0.5, None),
+    ((97, 130), 0.8, None),
+    ((64, 64), 0.3, (-3.7, 2.1, -1.3, 3.3)),
+    ((41, 170), 0.7, (10.0, 10.5, -250.0, -180.0)),
+])
+def test_tile_split_lists_equal_the_all_pairs_lists(shape, density, window):
+    """The tile-split build gives every bucket the list, in the order, that
+    comparing every bucket with every center gives: on random rasters with
+    several labels, for label 0 with its frame and for each other label,
+    with resolutions that 8 does not divide, on non-square cells and on a
+    window far from the origin."""
+    rng = np.random.default_rng(shape[0] * shape[1])
+    kinds = (rng.uniform(size=shape) < density).astype(int) * int(Kind.ATTRACTING)
+    g = _synthetic_grid(kinds)
+    if window is not None:
+        g = dataclasses.replace(g, window=window, labeled=True)
+    labels = np.unique(g.labels).tolist()
+    assert 0 in labels and len(labels) > 2
+    for label in labels[:6]:
+        _assert_lists_equal_all_pairs(g, label)
+
+
+def test_tile_split_lists_on_the_calibration_disk_and_with_one_center():
+    g = disk_grid(resolution=203)
+    assert _assert_lists_equal_all_pairs(g, g.label_at(0j)) > 400
+    assert _assert_lists_equal_all_pairs(g, 0) > 400
+    kinds = np.full((45, 70), int(Kind.ATTRACTING))
+    kinds[17, 33] = 0
+    g = _synthetic_grid(kinds)
+    assert _assert_lists_equal_all_pairs(g, g.label_at(3 + 3j)) == 1
+
+
+def test_tile_split_build_without_centers_lists_nothing():
+    g = _synthetic_grid(np.full((20, 30), int(Kind.ATTRACTING)))
+    index = grid_module._BucketIndex.build(g, np.empty((0, 2)))
+    assert (index.nbx, index.nby) == (4, 3)
+    assert index.starts.tolist() == [0] * 13 and index.items.size == 0
+
+
 def test_no_other_label_gives_inf_and_minus_one_on_both_paths():
     g = _synthetic_grid(np.full((6, 8), int(Kind.ATTRACTING)))
     label = g.label_at(3 + 3j)

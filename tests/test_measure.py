@@ -7,8 +7,9 @@ from fatoulab.errors import LeftWindow, NotFatouClassified, TooManyWindowExits
 from fatoulab.grid import classify_grid, label_components
 from fatoulab.measure import (
     _DRAW_CHUNK,
+    _FIRST_DRAWS,
     _MAX_WALK_STEPS,
-    _philox_chunks,
+    _philox_uniforms,
     _walk_hits,
     _walk_lockstep,
     calibrate_disk,
@@ -103,7 +104,7 @@ def test_measure_report_fractions_exact(exp_map, exp_wide_grid):
 def test_measure_report_independent_of_block_size(exp_map, exp_wide_grid, monkeypatch):
     eps = 2.5 * max(exp_wide_grid.cell_size)
     r1 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
-    monkeypatch.setattr(measure, "_BLOCK", 7)
+    monkeypatch.setattr(measure, "_GROUP", 7)
     r2 = measure_report(exp_map, exp_wide_grid, 0.3574 + 0j, 200, eps, 60, rng_seed=5)
     assert r1.fractions == r2.fractions
     assert [(h.sample_id, h.hit) for h in r1.hits] == [(h.sample_id, h.hit) for h in r2.hits]
@@ -115,43 +116,69 @@ def _sample_rng(seed, sample_index):
 
 
 def test_philox_chunks_equal_numpy_philox_at_edge_keys_and_counters():
-    """Chunk r of walker i is draws r*k..(r+1)*k-1 of _sample_rng(seed, i), bit for
-    bit, for keys at the edges of both 64-bit words, drawn for all walkers at once."""
+    """Uniforms s..s+c-1 of walker i are those draws of _sample_rng(seed, i),
+    bit for bit, for keys at the edges of both 64-bit words, drawn for all
+    walkers at once: the walk's first three chunks, a short and a long chunk
+    off those bounds, and a chunk whose counter passes 2**32."""
     walkers = np.array([0, 2**32 - 1, 2**32, 2**63], dtype=np.uint64)
+    chunks = [(0, _FIRST_DRAWS), (_FIRST_DRAWS, _DRAW_CHUNK - _FIRST_DRAWS),
+              (_DRAW_CHUNK, _DRAW_CHUNK), (2 * _DRAW_CHUNK, 4), (4, 4 * _DRAW_CHUNK)]
     for seed in (0, 1, 2**64 - 1):
-        streams = [_sample_rng(seed, int(i)).uniform(size=4 * _DRAW_CHUNK) for i in walkers]
-        for r in range(4):
-            chunks = _philox_chunks(seed, walkers, r)
-            assert chunks.shape == (walkers.size, _DRAW_CHUNK)
-            for chunk, stream in zip(chunks, streams):
-                assert chunk.tobytes() == stream[r * _DRAW_CHUNK:(r + 1) * _DRAW_CHUNK].tobytes()
+        streams = [_sample_rng(seed, int(i)).uniform(size=5 * _DRAW_CHUNK) for i in walkers]
+        for start, count in chunks:
+            uniforms = _philox_uniforms(seed, walkers, start, count)
+            assert uniforms.shape == (walkers.size, count)
+            for row, stream in zip(uniforms, streams):
+                assert row.tobytes() == stream[start:start + count].tobytes()
+        far = _philox_uniforms(seed, walkers[:1], 4 * 2**32, 8)
+        rng = _sample_rng(seed, 0)
+        rng.bit_generator.advance(2**32)
+        assert far.tobytes() == rng.uniform(size=8).tobytes()
 
 
-def _single_walker_hits(grid, basepoint, eps, seed, n):
-    """Reference: walker i alone, drawing its chunks in order from _sample_rng(seed, i)."""
-    hits = []
-    for i in range(n):
-        rng = _sample_rng(seed, i)
-        hit = _walk_lockstep(
-            grid, basepoint, eps, 1, lambda js, r: rng.uniform(size=(1, _DRAW_CHUNK)), _MAX_WALK_STEPS
-        )[0]
+def _single_walker_hits(grid, basepoint, eps, seed, walkers):
+    """Reference: each walker i alone, drawing each chunk in order from
+    _sample_rng(seed, i), one numpy call per chunk. Also returns the most
+    uniforms a walker drew."""
+    hits, most = [], 0
+    for i in walkers:
+        rng, drawn = _sample_rng(seed, i), [0]
+
+        def draw(js, start, count):
+            assert js.tolist() == [0] and start == drawn[0]
+            drawn[0] += count
+            return rng.uniform(size=(1, count))
+
+        hit = _walk_lockstep(grid, basepoint, eps, 1, draw, _MAX_WALK_STEPS)[0]
         hits.append(None if np.isnan(hit.real) else complex(hit))
-    return hits
+        most = max(most, drawn[0])
+    return hits, most
 
 
 def test_lockstep_hits_equal_single_walker_hits_on_disk():
+    """Walks in lockstep, on the chunks drawn for the whole group at once, hit
+    where each walker alone hits with numpy's own Philox stream. On the
+    calibration disk, walkers 2667, 2744 and 2867 of seed 0 draw a third
+    chunk."""
     g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     for basepoint in (0j, 0.5 + 0j):
         batched = _walk_hits(g, basepoint, eps, 9, 300)
-        single = _single_walker_hits(g, basepoint, eps, 9, 300)
+        single, most = _single_walker_hits(g, basepoint, eps, 9, range(300))
         assert batched.tolist() == single
+        assert most > _FIRST_DRAWS
+    g = disk_grid(resolution=400)
+    eps = 2.5 * max(g.cell_size)
+    batched = _walk_hits(g, 0j, eps, 0, 2900)
+    single, most = _single_walker_hits(g, 0j, eps, 0, range(2650, 2900))
+    assert batched[2650:].tolist() == single
+    assert most > _DRAW_CHUNK
 
 
 def test_lockstep_hits_equal_single_walker_hits_with_exits(exp_map, exp_wide_grid):
     eps = 2.5 * max(exp_wide_grid.cell_size)
     batched = _walk_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
-    single = _single_walker_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, 150)
+    single, _ = _single_walker_hits(exp_wide_grid, 0.3574 + 0j, eps, 2, range(150))
     exited = [h is None for h in single]
     assert 0 < sum(exited) < 150
     assert np.isnan(batched.real).tolist() == exited
@@ -184,11 +211,14 @@ def test_basepoint_near_the_boundary_stops_every_walker_at_step_0(monkeypatch):
 
 
 def test_hits_do_not_depend_on_the_block_size(monkeypatch):
+    """Neither the walkers advanced together nor the points per index query
+    change a hit."""
     g = disk_grid(resolution=200)
     eps = 2.5 * max(g.cell_size)
     for basepoint in (0j, 0.5 + 0j):
         ref = _walk_hits(g, basepoint, eps, 6, 300)
-        for block in (1, 7, 1024):
+        for group, block in ((1, 1024), (7, 3), (300, 1), (16384, 7), (16384, 1024)):
+            monkeypatch.setattr(measure, "_GROUP", group)
             monkeypatch.setattr(measure, "_BLOCK", block)
             assert _walk_hits(g, basepoint, eps, 6, 300).tobytes() == ref.tobytes()
 

@@ -52,6 +52,24 @@ def test_grid_ppm_palette(tmp_path, exp_grid):
     assert tuple(body[exp_grid.ny - 1 - iy, ix]) == serialize.PALETTE["attracting"]
 
 
+def test_grid_ppm_equals_one_mask_per_kind(tmp_path):
+    """The palette lookup colors every cell as one boolean mask per kind
+    does, drift-certified escapes (a nonzero class) in their own hue and a
+    nonzero class on any other kind ignored, with +Im up."""
+    rng = np.random.default_rng(3)
+    kinds = rng.integers(0, len(Kind), size=(37, 53))
+    g = _grid(kinds, np.zeros_like(kinds), np.zeros_like(kinds))
+    g.classes[:] = rng.integers(0, 3, size=kinds.shape)
+    serialize.grid_to_ppm(g, tmp_path / "g.ppm")
+    rgb = np.zeros((g.ny, g.nx, 3), dtype=np.uint8)
+    rgb[g.kinds == Kind.ESCAPING] = serialize.PALETTE["escaping"]
+    rgb[(g.kinds == Kind.ESCAPING) & (g.classes != 0)] = serialize.PALETTE["escaping_drift"]
+    rgb[g.kinds == Kind.ATTRACTING] = serialize.PALETTE["attracting"]
+    rgb[g.kinds == Kind.PARABOLIC] = serialize.PALETTE["parabolic"]
+    header = f"P6\n{g.nx} {g.ny}\n255\n".encode()
+    assert (tmp_path / "g.ppm").read_bytes() == header + rgb[::-1].tobytes()
+
+
 def _grid_csv_reference(grid, path):
     """grid.csv as csv.writer writes it, one row per cell: the reference bytes."""
     with open(path, "w", newline="") as f:
