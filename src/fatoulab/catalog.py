@@ -119,7 +119,7 @@ class EntireMap:
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorised f(z), inf or nan exactly where f overflows in floating
         point; never raises Overflow and never warns. Callers read escape from
-        the value: a non-finite entry fails every `|w| <= R` and `< tol` test."""
+        the value: a non-finite entry fails every escape and capture test."""
         z = np.ascontiguousarray(z, dtype=complex)
         # -z negated as float64 pairs: the bits of complex negation, at a fraction of its cost
         arg = z if self.family == EXP_LAMBDA else np.negative(z.view(np.float64)).view(complex)

@@ -40,7 +40,7 @@ from .errors import CalibrationFailure, ConfigError, FatouLabError, Overflow
 from .grid import classify_grid, label_components
 from .hyperbolic import contraction_audit
 from .measure import calibrate_disk, measure_report
-from .orbits import DEFAULT_ESCAPE_RADIUS, DEFAULT_TOL, Kind, default_attractors, parabolic_points
+from .orbits import DEFAULT_ESCAPE_RADIUS, Kind, certified_radius, default_attractors, parabolic_points
 
 SUBCOMMANDS = ("render", "periodic", "access", "audit", "measure", "inner", "scan")
 
@@ -122,13 +122,11 @@ SCHEMA = {
     "budgets.pullback": (200, _int_at_least(1)),
     "budgets.walk": (100000, _int_at_least(1)),
     "escape_radius": (DEFAULT_ESCAPE_RADIUS, _POSITIVE),
-    "tolerances": ({}, _OBJECT),
-    "tolerances.orbit_tol": (DEFAULT_TOL, _POSITIVE),
     "attractors": ("auto", _must(
         "'auto' or a list of [re, im, period]",
         lambda v: v == "auto" or _is_list(
             v, lambda a: _is_list(a, _is_real, 3) and _is_int(a[2]) and a[2] >= 1))),
-    # The seed is a uint64 word of every Philox key (measure._philox_chunks).
+    # The seed is a uint64 word of every Philox key (measure._philox_uniforms).
     "rng_seed": (0, _must("an integer in [0, 2**64)", lambda v: _is_int(v) and 0 <= v < 2**64)),
     "out_dir": ("out", _must("a string", lambda v: isinstance(v, str))),
     "render": ({}, _OBJECT),
@@ -220,8 +218,12 @@ def resolve_config(raw: dict, subcommand: str, overrides: dict) -> dict:
         holder[name] = {} if check is _OBJECT else copy.deepcopy(source[name])
 
     if cfg["attractors"] != "auto":
-        _require(all(abs(_as_complex(a)) < cfg["escape_radius"] for a in cfg["attractors"]),
-                 "attractors: every modulus must be below escape_radius")
+        m = _map_of(cfg)
+        for a in cfg["attractors"]:
+            _require(abs(_as_complex(a)) < cfg["escape_radius"],
+                     "attractors: every modulus must be below escape_radius")
+            _require(certified_radius(m, _as_complex(a), a[2]) is not None,
+                     f"attractors: {a} has no certified attracting disk")
     section = cfg[subcommand]
     if subcommand == "audit":
         _require(("orbit" in section) != ("fixed_point" in section),
@@ -274,7 +276,6 @@ def _build_grid(cfg: dict, m: EntireMap):
         cfg["budgets"]["orbit"],
         escape_radius=cfg["escape_radius"],
         attractors=_attractors_of(cfg, m),
-        tol=cfg["tolerances"]["orbit_tol"],
     )
     return label_components(grid)
 

@@ -23,7 +23,6 @@ from .catalog import EntireMap
 from .errors import OutOfWindow
 from .orbits import (
     DEFAULT_ESCAPE_RADIUS,
-    DEFAULT_TOL,
     attractor_conjugation,
     classify_orbits_array,
     conjugate_classes,
@@ -54,7 +53,6 @@ class ClassificationGrid:
     attractors: tuple[tuple[complex, int], ...]
     budget: int
     escape_radius: float
-    tol: float
     labeled: bool = False
     # Per-label caches of the distance layer. Not init fields, so every
     # dataclasses.replace starts them empty.
@@ -322,7 +320,6 @@ def classify_grid(
     budget: int,
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     attractors: tuple[tuple[complex, int], ...] = (),
-    tol: float = DEFAULT_TOL,
 ) -> ClassificationGrid:
     """The orbit kernel at every cell, in one `classify_orbits_array` call.
 
@@ -351,15 +348,14 @@ def classify_grid(
         attractors=tuple((complex(p), int(q)) for p, q in attractors),
         budget=budget,
         escape_radius=float(escape_radius),
-        tol=float(tol),
     )
     _, _, im_min, im_max = grid.window
-    sigma = attractor_conjugation(grid.attractors, grid.tol) if im_min == -im_max else None
+    sigma = attractor_conjugation(grid.attractors) if im_min == -im_max else None
     # Rows 0 ... mirrored - 1 are mirrored onto rows ny - 1 ... ny - mirrored.
     mirrored = 0 if sigma is None else ny // 2
     rows = ny - mirrored
     res = classify_orbits_array(
-        m, grid.cell_centers(rows).ravel(), budget, escape_radius, grid.attractors, tol
+        m, grid.cell_centers(rows).ravel(), budget, escape_radius, grid.attractors
     )
     grid.kinds[:rows] = res.kinds.reshape(rows, nx)
     grid.iterations[:rows] = res.iterations.reshape(rows, nx)

@@ -225,9 +225,7 @@ def measure_report(
     if left > 0.5 * n_samples:
         raise TooManyWindowExits(f"{left}/{n_samples} walks exited the window")
 
-    res = classify_orbits_array(
-        m, hits, orbit_budget, grid.escape_radius, grid.attractors, grid.tol
-    )
+    res = classify_orbits_array(m, hits, orbit_budget, grid.escape_radius, grid.attractors)
     n_ok = len(ids)
     n_esc = int(np.count_nonzero(res.kinds == Kind.ESCAPING))
     n_bnd = int(
@@ -317,7 +315,6 @@ def disk_grid(resolution: int = 400, margin: float = 0.2) -> ClassificationGrid:
         attractors=((0.0 + 0.0j, 1),),
         budget=1,
         escape_radius=50.0,
-        tol=1e-6,
     )
     centers = grid.cell_centers()
     inside = np.hypot(centers.real, centers.imag) < _DISK_RADIUS

@@ -18,12 +18,11 @@ every capture test, so overflow escapes at the step it happens, with class 0.
 
 Every Fatou verdict is the first entry into a set S with f(S) inside S:
 
-- An attracting fixed point p captures an orbit at its first step inside a
-  certified disk D(p, r), one that f maps into D(p, 0.99 r) with
-  |f'| <= 0.99 on it (`certified_radius`): every orbit that enters such a
-  disk converges to p. A listed cycle of period q > 1, or a fixed point with
-  no certified disk, captures an orbit instead when it comes within tol/4 of
-  p and q more steps move it by less than tol.
+- A listed attracting cycle, of any period q, captures an orbit at its first
+  step inside a certified disk D(p, r) about its listed point p, one that f^q
+  maps into D(p, 0.99 r) with |(f^q)'| <= 0.99 on it (`certified_radius`):
+  every orbit that enters such a disk converges to the cycle. A listed entry
+  with no certified disk is refused.
 - The parabolic point 0 of z_exp takes an orbit at its first step in the
   petal {Re(1/z) > PETAL}. w = 1/z conjugates f to F(w) = w e^{1/w}, and for
   |w| >= 2, |F(w) - w - 1| <= 2(e^{1/2} - 3/2) < 0.3: every {Re(1/z) > c}
@@ -59,7 +58,6 @@ from .catalog import (
 from .errors import Overflow
 
 DEFAULT_ESCAPE_RADIUS = 50.0
-DEFAULT_TOL = 1e-6
 
 _DRIFT_FAMILIES = (Z_PLUS_EXP, FATOU_PLUS)
 
@@ -75,7 +73,7 @@ PETAL = 600.0
 DRIFT_MAX_RE = 30.0
 
 # Certified attracting disks: radii 1, 1/2, ... down to 2^-_RADIUS_HALVINGS,
-# each mapped into _CONTRACTION times itself with |f'| <= _CONTRACTION on it.
+# each mapped by f^q into _CONTRACTION times itself with |(f^q)'| <= _CONTRACTION on it.
 _RADIUS_HALVINGS = 20
 _CONTRACTION = 0.99
 
@@ -112,8 +110,9 @@ def default_attractors(
 ) -> tuple[tuple[complex, int], ...]:
     """Known attracting cycles per family (empty where none exist).
 
-    Only cycles of modulus below `escape_radius` are kept: orbits escape
-    before they could reach the others.
+    Only certified cycles of modulus below `escape_radius` are kept: orbits
+    escape before they could reach the others, and the kernel refuses the
+    rest (exp_lambda within about 2e-5 of 1/e, multiplier above 0.99).
     """
     cycles: tuple[tuple[complex, int], ...] = ()
     if m.family == EXP_LAMBDA and 0 < m.lam < 1.0 / math.e:
@@ -127,35 +126,38 @@ def default_attractors(
         cycles = ((complex(damped_newton(g, 0.0, 3e-16, 50)), 1),)
     elif m.family == FATOU_MINUS:
         cycles = tuple((complex(0.0, TWO_PI * k), 1) for k in range(-k_bound, k_bound + 1))
-    return tuple(c for c in cycles if abs(c[0]) < escape_radius)
+    return tuple((p, q) for p, q in cycles
+                 if abs(p) < escape_radius and certified_radius(m, p, q) is not None)
 
 
-def certified_radius(m: EntireMap, p: complex) -> float | None:
-    """The largest r of 1, 1/2, ..., 2^-20 whose disk D(p, r) certifies p as attracting.
+def certified_radius(m: EntireMap, p: complex, q: int) -> float | None:
+    """The largest r of 1, 1/2, ..., 2^-20 whose disk D(p, r) certifies p as
+    a point of an attracting cycle of period q.
 
-    With L = m.derivative_bound(p, r), the disk is certified when
-    L r + |f(p) - p| <= 0.99 r: then f maps D(p, r) into D(p, 0.99 r), and
-    L <= 0.99 follows, so f contracts the disk and every orbit entering it
-    converges to the fixed point it holds. None when no radius qualifies, or
-    f(p) overflows.
+    With p_0 = p, p_{i+1} = f(p_i), s_0 = r and s_{i+1} = L_i s_i, where
+    L_i = m.derivative_bound(p_i, s_i), f maps D(p_i, s_i) into
+    D(p_{i+1}, s_{i+1}). So s_q + |p_q - p| <= 0.99 r makes f^q map D(p, r)
+    into D(p, 0.99 r) with |(f^q)'| <= s_q / r <= 0.99 there, and every orbit
+    entering the disk converges to the cycle. None when no radius qualifies,
+    or the orbit or a bound overflows.
     """
     try:
-        gap = abs(m.evaluate(p) - p)
-    except Overflow:
-        return None
-    # L r + gap <= 0.99 r needs gap < 0.99, which also keeps the bound finite
-    if not gap < _CONTRACTION:
-        return None
-    for halvings in range(_RADIUS_HALVINGS + 1):
-        r = math.ldexp(1.0, -halvings)
-        if m.derivative_bound(p, r) * r + gap <= _CONTRACTION * r:
-            return r
+        orbit = [p]
+        for _ in range(q):
+            orbit.append(m.evaluate(orbit[-1]))
+        gap = abs(orbit.pop() - p)
+        for halvings in range(_RADIUS_HALVINGS + 1):
+            r = s = math.ldexp(1.0, -halvings)
+            for point in orbit:
+                s = m.derivative_bound(point, s) * s
+            if s + gap <= _CONTRACTION * r:
+                return r
+    except (Overflow, OverflowError):  # f past the scalar guard; math.exp in the bound
+        pass
     return None
 
 
-def attractor_conjugation(
-    attractors: tuple[tuple[complex, int], ...], tol: float = DEFAULT_TOL
-) -> np.ndarray | None:
+def attractor_conjugation(attractors: tuple[tuple[complex, int], ...]) -> np.ndarray | None:
     """sigma with attractors[sigma[j]] = (conj p_j, q_j), or None when some
     conj p_j is not listed with the period q_j, or when sigma would reverse
     the order of two entries whose capture regions can meet.
@@ -163,8 +165,8 @@ def attractor_conjugation(
     sigma[j] is the first such entry. A map with real coefficients takes the
     capture region of p_j onto that of conj p_j, and a point in two regions
     goes to the first entry, so the conjugate of an orbit captured by
-    attractor j is captured by attractor sigma[j]. A region lies within a
-    certified radius (at most 1) or tol/4 of its point.
+    attractor j is captured by attractor sigma[j]. A region is a certified
+    disk, of radius at most 1 about its point.
     """
     first: dict[tuple[complex, int], int] = {}
     for i, a in enumerate(attractors):
@@ -172,9 +174,8 @@ def attractor_conjugation(
     sigma = [first.get((p.conjugate(), q)) for p, q in attractors]
     if None in sigma:
         return None
-    reach = [max(1.0, tol / 4.0) if q == 1 else tol / 4.0 for _, q in attractors]
     for i, j in itertools.combinations(range(len(attractors)), 2):
-        if sigma[i] > sigma[j] and abs(attractors[i][0] - attractors[j][0]) < reach[i] + reach[j]:
+        if sigma[i] > sigma[j] and abs(attractors[i][0] - attractors[j][0]) < 2.0:
             return None
     return np.array(sigma, dtype=np.int32)
 
@@ -209,7 +210,6 @@ def classify_orbits_array(
     budget: int,
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     attractors: tuple[tuple[complex, int], ...] = (),
-    tol: float = DEFAULT_TOL,
 ) -> OrbitArrays:
     """Kinds, verdict steps and label classes of the orbits of `z0`.
 
@@ -218,26 +218,33 @@ def classify_orbits_array(
     for a drift escape in the half-strip k of z_plus_exp (CLASS_DRIFT for
     fatou_plus), and 0 otherwise. The iterations of a verdict are its step n:
     the first step inside the certified disk or the petal, or the step of the
-    first resolved rise from S.
+    first resolved rise from S. ValueError for an attractor (p, q) without a
+    certified disk.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    for p, _ in attractors:
+    disks = []
+    for p, q in attractors:
         if abs(p) >= escape_radius:
             raise ValueError("escape_radius must exceed every attractor modulus")
+        r = certified_radius(m, p, q)
+        if r is None:
+            raise ValueError(f"no certified attracting disk about {p} for period {q}")
+        disks.append((p, r))
 
     z = np.asarray(z0, dtype=complex).ravel()
     n = z.size
     kinds = np.zeros(n, dtype=np.int8)
     iterations = np.full(n, budget, dtype=np.int32)
     classes = np.zeros(n, dtype=np.int32)
-    radii = tuple(certified_radius(m, p) if q == 1 else None for p, q in attractors)
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        _classify_block(
-            m, z[block], budget, escape_radius, attractors, radii, tol,
-            kinds[block], iterations[block], classes[block],
-        )
+    # A squared distance past the float range is inf, and fails the capture test.
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            _classify_block(
+                m, z[block], budget, escape_radius, disks,
+                kinds[block], iterations[block], classes[block],
+            )
     return OrbitArrays(kinds, iterations, classes)
 
 
@@ -246,26 +253,23 @@ def _classify_block(
     z: np.ndarray,
     budget: int,
     escape_radius: float,
-    attractors: tuple[tuple[complex, int], ...],
-    radii: tuple[float | None, ...],
-    tol: float,
+    disks: list[tuple[complex, float]],
     kinds: np.ndarray,
     iterations: np.ndarray,
     classes: np.ndarray,
 ) -> None:
     """Run the step loop of `classify_orbits_array` on one block to the end.
 
-    `radii` holds each attractor's certified radius, or None where the tol
-    rule applies. Writes each point's verdict into the block's views `kinds`,
-    `iterations` and `classes`. The orbits still running stay compacted: `z`
-    and `pos` (their positions in the block) hold only them.
+    `disks` holds each attractor's point and certified radius. Writes each
+    point's verdict into the block's views `kinds`, `iterations` and
+    `classes`. The orbits still running stay compacted: `z` and `pos` (their
+    positions in the block) hold only them.
     """
     pos = np.arange(z.size)
     # The one parabolic point of the catalog is 0, so w - p is w itself.
     parabolic = bool(parabolic_points(m))
     drift = m.family in _DRIFT_FAMILIES
     strips = m.family == Z_PLUS_EXP
-    capture = tol / 4.0
 
     for step in range(1, budget + 1):
         if pos.size == 0:
@@ -277,14 +281,11 @@ def _classify_block(
         # radius escape; neither is Fatou evidence (class 0).
         escaped = ~(abs_w <= escape_radius)
         undecided = ~escaped
-        for j, ((p, q), r) in enumerate(zip(attractors, radii)):
-            sel = np.flatnonzero(np.abs(w - p) < (capture if r is None else r))
+        for j, (p, r) in enumerate(disks):
+            # Float parts round alike at every SIMD dispatch level; complex abs does not.
+            dx, dy = w.real - p.real, w.imag - p.imag
+            sel = np.flatnonzero(dx * dx + dy * dy < r * r)
             sel = sel[undecided[sel]]
-            if r is None and sel.size:
-                wq = w[sel]
-                for _ in range(q):
-                    wq = m.evaluate_array(wq)
-                sel = sel[np.abs(wq - w[sel]) < tol]  # fails where wq overflowed
             kinds[pos[sel]] = Kind.ATTRACTING
             classes[pos[sel]] = CLASS_ATTRACTING + j
             undecided[sel] = False

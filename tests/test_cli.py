@@ -102,6 +102,7 @@ def test_schema_violations_exit_2(tmp_path):
         ("periodic", {**BASE, "periodic": {"seed_region": [2.3, 2.0, 0.1, -0.1]}}),
         ("inner", {**BASE, "inner": {"blaschke": {"zeros": [[0.0, 0.0], [0.0, 0.0]]},
                                      "periods": [2, 2]}}),
+        ("render", {**BASE, "attractors": [[2.1532923641103494, 0.0, 1]]}),
     ],
     ids=["max_period_string", "escape_radius_string", "parabolic_scan_without_parabolic_point",
          "lambda_string", "attractor_string", "budgets_not_object",
@@ -111,13 +112,30 @@ def test_schema_violations_exit_2(tmp_path):
          "candidate_empty_num", "candidate_empty_den", "calibration_resolution_2",
          "audit_orbit_not_consecutive", "audit_orbit_overflows", "window_minus_infinity",
          "lambda_nan", "walk_eps_cells_infinity", "escape_radius_10_400", "window_bound_10_400",
-         "lambda_10_400", "seed_region_reversed", "inner_periods_repeated"],
+         "lambda_10_400", "seed_region_reversed", "inner_periods_repeated",
+         "attractor_repelling"],
 )
 def test_malformed_values_exit_2_before_writing(tmp_path, sub, payload):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_render_with_a_written_period_2_cycle(tmp_path):
+    """lam e^z at lam = -4 with its attracting 2-cycle written as one entry of
+    period 2: the render exits 0 and labels the cycle's basin."""
+    z = 0.0
+    for _ in range(4000):
+        z = -4.0 * math.exp(z)
+    payload = {**BASE, "map": {"family": "exp_lambda", "lambda": -4.0},
+               "window": [-4.0, 2.0, -3.0, 3.0], "attractors": [[z, 0.0, 2]]}
+    out = tmp_path / "out"
+    assert cli.main(["render", "--config", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["errors"] == []
+    assert summary["cells_by_kind"]["attracting"] > 0.5 * 80 * 80
+    assert json.loads((out / "resolved_config.json").read_text())["attractors"] == [[z, 0.0, 2]]
 
 
 @pytest.mark.parametrize("sub, section, field", [
@@ -176,12 +194,12 @@ def test_render_end_to_end_and_byte_identical(tmp_path):
 
 
 def test_resolved_config_echoes_defaults(tmp_path):
-    cfg = write_config(tmp_path, BASE)
+    cfg = write_config(tmp_path, {**BASE, "tolerances": {"orbit_tol": 1e-6}})
     out = tmp_path / "echo"
     assert cli.main(["render", "--config", str(cfg), "--out", str(out)]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["escape_radius"] == 50.0  # default filled in
-    assert resolved["tolerances"]["orbit_tol"] == 1e-6
+    assert "tolerances" not in resolved  # no longer a field: dropped like any unknown key
     assert "out_dir" not in resolved  # location is not a run parameter
 
 
@@ -224,7 +242,6 @@ TOP_DEFAULTS = {
     "resolution": [200, 200],
     "budgets": {"orbit": 300, "pullback": 200, "walk": 100000},
     "escape_radius": 50.0,
-    "tolerances": {"orbit_tol": 1e-6},
     "attractors": "auto",
     "rng_seed": 0,
 }
@@ -598,7 +615,6 @@ _TOP = {
     "resolution": [20, 20],
     "budgets": {"orbit": 50, "pullback": 50, "walk": 1000},
     "escape_radius": 50.0,
-    "tolerances": {"orbit_tol": 1e-6},
     "attractors": "auto",
     "rng_seed": 0,
     "out_dir": "out",

@@ -102,7 +102,7 @@ def _synthetic_grid(kinds, classes=None):
         iterations=np.zeros((ny, nx), np.int32),
         classes=np.asarray(classes, dtype=np.int32),
         attractors=((0j, 1),),
-        budget=1, escape_radius=50.0, tol=1e-6,
+        budget=1, escape_radius=50.0,
     )
     return label_components(g)
 
@@ -381,13 +381,17 @@ def _assert_lists_equal_all_pairs(g, label):
     ((97, 130), 0.8, None),
     ((64, 64), 0.3, (-3.7, 2.1, -1.3, 3.3)),
     ((41, 170), 0.7, (10.0, 10.5, -250.0, -180.0)),
+    ((30, 40), 0.6, (0.0, 40.0, 0.0, 30.000007575)),
 ])
 def test_tile_split_lists_equal_the_all_pairs_lists(shape, density, window):
     """The tile-split build gives every bucket the list, in the order, that
     comparing every bucket with every center gives: on random rasters with
     several labels, for label 0 with its frame and for each other label,
     with resolutions that 8 does not divide, on non-square cells and on a
-    window far from the origin."""
+    window far from the origin. The last window stretches the first raster's
+    cells by 2.525e-7 in height, which puts centers 4.2e-8 inside and 4.2e-8
+    and 5e-8 outside a bucket's U (relative): a build that scaled U by
+    1 - 1e-7 or by 1 + 1e-7 would list other centers there."""
     rng = np.random.default_rng(shape[0] * shape[1])
     kinds = (rng.uniform(size=shape) < density).astype(int) * int(Kind.ATTRACTING)
     g = _synthetic_grid(kinds)

@@ -46,7 +46,7 @@ def test_exp_lambda_attracting():
     att = default_attractors(m)
     assert att[0][1] == 1
     assert abs(att[0][0] - QA) < 1e-9
-    r = certified_radius(m, att[0][0])
+    r = certified_radius(m, att[0][0], 1)
     assert r == 1.0
     for z0 in (0.0, 1.9, -3.0 + 1.0j, 0.5 + 2.5j):
         kind, n, cls = _one(m, z0, 200, attractors=att)
@@ -173,9 +173,7 @@ def test_scalar_matches_array_kernel(exp_map, exp_grid):
     centers = exp_grid.cell_centers()
     idx = rng.integers(0, centers.size, 25)
     pts = centers.ravel()[idx]
-    kw = dict(
-        escape_radius=exp_grid.escape_radius, attractors=exp_grid.attractors, tol=exp_grid.tol
-    )
+    kw = dict(escape_radius=exp_grid.escape_radius, attractors=exp_grid.attractors)
     res = classify_orbits_array(exp_map, pts, exp_grid.budget, **kw)
     batch = zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist())
     for z, verdict in zip(pts.tolist(), batch):
@@ -226,10 +224,10 @@ def cmath_exp(lam):
 
 
 def old_rule(f, z0, budget, attractors, tol=1e-6, escape_radius=50.0):
-    """(kind, iterations, class) by the capture rule that precedes certified
-    disks, in plain cmath: attractor j captures the orbit at the first step
-    within tol/4 of p_j after which q_j more steps move it by less than tol;
-    an overflow or a modulus past the radius escapes first."""
+    """(kind, iterations, class) by the tol rule that certified disks
+    replaced, frozen, in plain cmath: attractor j captures the orbit at the
+    first step within tol/4 of p_j after which q_j more steps move it by less
+    than tol; an overflow or a modulus past the radius escapes first."""
     z = z0
     for step in range(1, budget + 1):
         try:
@@ -252,24 +250,53 @@ def _lattice(re0, re1, im0, im1, n):
     return (re + 1j * im).ravel()
 
 
+def fixed_point_radius(m, p):
+    """certified_radius of a fixed point as it was before periods, frozen:
+    the largest r of 1, 1/2, ..., 2^-20 with
+    derivative_bound(p, r) r + |f(p) - p| <= 0.99 r."""
+    gap = abs(m.evaluate(p) - p)
+    if not gap < 0.99:
+        return None
+    for halvings in range(21):
+        r = math.ldexp(1.0, -halvings)
+        if m.derivative_bound(p, r) * r + gap <= 0.99 * r:
+            return r
+    return None
+
+
+def two_cycle_point(lam):
+    """The point near 0 of the attracting 2-cycle of lam e^z, lam in {-3, -4,
+    -6}: the limit of the even iterates of the asymptotic value 0."""
+    return iterate(cmath_exp(lam), 0.0, 4000)
+
+
 def test_certified_disks_map_into_themselves():
-    """On 4096 points of the circle |z - p| = r, |f(z) - p| < r; by the maximum
-    principle f then maps the whole disk D(p, r) into itself. exp_lambda runs
-    over a grid of lambda in (0, 1/e), fatou_minus over p = 2 pi i k, |k| <= 8."""
+    """On 4096 points of the circle |z - p| = r, |f^q(z) - p| < r; by the
+    maximum principle f^q then maps the whole disk D(p, r) into itself.
+    exp_lambda runs over a grid of lambda in (0, 1/e), fatou_minus over
+    p = 2 pi i k, |k| <= 8, both with q = 1 and the radii of the rule before
+    periods, bit for bit; and the attracting 2-cycles of lam e^z at lam = -3,
+    -4 and -6 with q = 2."""
     circle = np.exp(2j * np.pi * np.arange(4096) / 4096)
-    # (map, f in numpy, p, the radius the README quotes or None)
+    # (map, f in numpy, p, q, the radius the README quotes or None)
     cases = [
         (exp_lambda(lam), lambda z, lam=lam: lam * np.exp(z),
-         default_attractors(exp_lambda(lam))[0][0], {0.25: 1.0, 0.36: 0.125}.get(lam))
+         default_attractors(exp_lambda(lam))[0][0], 1, {0.25: 1.0, 0.36: 0.125}.get(lam))
         for lam in np.linspace(0.0, 1.0 / math.e, 76)[1:-1].tolist() + [0.25, 0.36]
     ]
-    cases += [(fatou_minus(), lambda z: z - 1.0 + np.exp(-z), complex(0.0, 2 * np.pi * k), 0.5)
+    cases += [(fatou_minus(), lambda z: z - 1.0 + np.exp(-z), complex(0.0, 2 * np.pi * k), 1, 0.5)
               for k in range(-8, 9)]
-    for m, f, p, quoted in cases:
-        r = certified_radius(m, p)
+    cases += [(exp_lambda(lam), lambda z, lam=lam: lam * np.exp(z), two_cycle_point(lam), 2, r)
+              for lam, r in ((-3.0, 1 / 16), (-4.0, 1 / 8), (-6.0, 1 / 4))]
+    for m, f, p, q, quoted in cases:
+        r = certified_radius(m, p, q)
         assert r is not None, (m, p)
         assert quoted is None or r == quoted
-        assert np.max(np.abs(f(p + r * circle) - p)) < r, (m, p, r)
+        assert q > 1 or r == fixed_point_radius(m, p)
+        w = p + r * circle
+        for _ in range(q):
+            w = f(w)
+        assert np.max(np.abs(w - p)) < r, (m, p, r)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.25, 0.36, None])
@@ -298,31 +325,53 @@ def test_certified_captures_agree_with_the_old_rule(lam):
     assert (res.kinds == Kind.ATTRACTING).sum() > 0.1 * z.size
 
 
-def test_uncertified_entries_take_the_tol_rule():
-    """A listed cycle of period 2, a repelling fixed point, a point 0.64 from
-    the nearest fixed point, and an attracting fixed point whose multiplier
-    0.9925 leaves no certified disk are all decided by the tol rule, verdict
-    for verdict."""
+def test_uncertified_entries_are_refused():
+    """A repelling fixed point, a point 0.64 from the nearest fixed point, the
+    repelling point again as a cycle of period 2, an attracting fixed point
+    whose multiplier 0.9925 leaves no certified disk, and a point of z_exp's
+    parabolic petal have no certified disk: the kernel refuses each, and
+    default_attractors leaves the fixed point of multiplier 0.9925 out. The
+    attracting fixed point, listed with period 2, is certified."""
     m = exp_lambda(0.25)
-    att = ((QR, 1), (QA, 2), (1.0, 1))
-    assert [certified_radius(m, p) for p, q in att if q == 1] == [None, None]
-    z = _lattice(-2.0, 4.0, -3.0, 3.0, 20)
-    res = classify_orbits_array(m, z, 300, attractors=att)
-    got = list(zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist()))
-    assert got == [old_rule(cmath_exp_quarter, z0, 300, att) for z0 in z.tolist()]
-    assert got.count((Kind.ATTRACTING, 1, CLASS_ATTRACTING + 1)) == 0
-    assert sum(k == Kind.ATTRACTING for k, _, _ in got) > 100
+    z = np.zeros(3, dtype=complex)
+    for entry in ((QR, 1), (1.0, 1), (QR, 2)):
+        assert certified_radius(m, *entry) is None
+        with pytest.raises(ValueError, match="no certified attracting disk"):
+            classify_orbits_array(m, z, 10, attractors=((QA, 1), entry))
+    assert certified_radius(m, QA, 2) is not None
+    res = classify_orbits_array(m, z, 10, attractors=((QA, 2),))
+    assert res.kinds.tolist() == [Kind.ATTRACTING] * 3
 
-    lam = 0.9925 * math.exp(-0.9925)
-    m = exp_lambda(lam)
-    att = default_attractors(m)
-    assert certified_radius(m, att[0][0]) is None
-    z = att[0][0] + 0.3 * np.exp(2j * np.pi * np.arange(12) / 12)
-    res = classify_orbits_array(m, z, 3000, attractors=att)
-    got = list(zip(res.kinds.tolist(), res.iterations.tolist(), res.classes.tolist()))
-    assert got == [old_rule(cmath_exp(lam), z0, 3000, att) for z0 in z.tolist()]
-    # the real start p + 0.3 lies past the repelling fixed point near 1.0076
-    assert [k for k, _, _ in got] == [Kind.ESCAPING] + [Kind.ATTRACTING] * 11
+    # lam e^p = p at p = 0.9925, the multiplier
+    m = exp_lambda(0.9925 * math.exp(-0.9925))
+    assert certified_radius(m, 0.9925, 1) is None
+    assert default_attractors(m) == ()
+    with pytest.raises(ValueError, match="no certified attracting disk"):
+        classify_orbits_array(m, z, 10, attractors=((0.9925, 1),))
+
+    # f moves 5e-4 by about its square, but |f'| is near 1 about 0
+    assert certified_radius(z_exp(), 5e-4, 1) is None
+    with pytest.raises(ValueError, match="no certified attracting disk"):
+        classify_orbits_array(z_exp(), z, 10, attractors=((5e-4, 1),))
+
+
+def test_period_2_disks_decide_like_the_tol_rule_and_no_later():
+    """lam e^z at lam = -4 with its attracting 2-cycle listed by the point
+    near 0: on a lattice of [-4, 2] x [-3, 3] every kind and class equals the
+    tol rule's, and every verdict comes at the same step or earlier, most of
+    them much earlier."""
+    lam = -4.0
+    att = ((two_cycle_point(lam), 2),)
+    z = _lattice(-4.0, 2.0, -3.0, 3.0, 40)
+    res = classify_orbits_array(exp_lambda(lam), z, 300, attractors=att)
+    kinds, iterations, classes = np.array([old_rule(cmath_exp(lam), z0, 300, att)
+                                           for z0 in z.tolist()]).T
+    assert np.array_equal(res.kinds, kinds)
+    assert np.array_equal(res.classes, classes)
+    assert np.all(res.iterations <= iterations)
+    attracting = res.kinds == Kind.ATTRACTING
+    assert attracting.sum() > 0.5 * z.size
+    assert np.median(res.iterations[attracting]) < 0.5 * np.median(iterations[attracting])
 
 
 @pytest.mark.parametrize("m, window, n, budget", [
@@ -361,19 +410,6 @@ def test_verdicts_survive_a_one_ulp_shift_of_every_value(monkeypatch, m, window,
         assert len(calls) >= exact.iterations.max()
         assert np.array_equal(moved.kinds, exact.kinds)
         assert np.array_equal(moved.classes, exact.classes)
-
-
-def test_a_capture_is_not_relabeled_by_the_petal_test():
-    """z_exp with a listed point p = 5e-4 inside the petal Re(1/z) > 600: an
-    orbit landing on p at step 1 is captured by the tol rule (f moves p by
-    p^2 < tol) and keeps that verdict although f(z0) lies in the petal."""
-    m, p = z_exp(), 5e-4
-    z0 = p
-    for _ in range(60):  # f(z0) = p, by fixed-point iteration of z0 = p e^{z0}
-        z0 = p * cmath.exp(z0)
-    assert abs(cmath_z_exp(z0) - p) < 1e-7
-    assert _one(m, z0, 10, attractors=((p, 1),)) == (Kind.ATTRACTING, 1, CLASS_ATTRACTING)
-    assert _one(m, z0, 10) == (Kind.PARABOLIC, 1, CLASS_PARABOLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +682,10 @@ def test_conjugate_classes_do_not_depend_on_the_block_size(monkeypatch, m):
 def test_attractor_conjugation():
     """sigma maps each entry to the first entry with the conjugate point and
     the same period; a missing conjugate, or one of another period, gives
-    None. So does a pair whose capture regions can meet in reversed order:
-    a point in both goes to the first entry, its conjugate to the other
-    entry's conjugate. Conjugate points get the same certified radius."""
+    None. So does a pair whose capture regions, disks of radius at most 1,
+    can meet in reversed order: a point in both goes to the first entry, its
+    conjugate to the other entry's conjugate. Conjugate points get the same
+    certified radius."""
     fm = default_attractors(fatou_minus())
     assert len(fm) == 15
     assert attractor_conjugation(fm).tolist() == list(range(14, -1, -1))
@@ -660,7 +697,6 @@ def test_attractor_conjugation():
     assert attractor_conjugation(((a, 1), (b, 2))) is None
     near = 0.3574 + 0.001j
     assert attractor_conjugation(((near, 1), (near.conjugate(), 1))) is None
-    assert attractor_conjugation(((near, 2), (near.conjugate(), 2))).tolist() == [1, 0]
-    assert attractor_conjugation(((near, 2), (near.conjugate(), 2)), tol=0.01) is None
+    assert attractor_conjugation(((near, 2), (near.conjugate(), 2))) is None
     m = fatou_minus()
-    assert [certified_radius(m, p) for p, _ in fm] == [certified_radius(m, p) for p, _ in fm[::-1]]
+    assert [certified_radius(m, p, 1) for p, _ in fm] == [certified_radius(m, p, 1) for p, _ in fm[::-1]]

@@ -87,7 +87,7 @@ def _grid(kinds, labels, iterations):
         window=(-1.0, 1.0, -1.0, 1.0), nx=nx, ny=ny, kinds=kinds.astype(np.int8),
         labels=labels.astype(np.int32), iterations=iterations.astype(np.int32),
         classes=np.zeros((ny, nx), dtype=np.int32), attractors=(), budget=2000,
-        escape_radius=50.0, tol=1e-6,
+        escape_radius=50.0,
     )
 
 
