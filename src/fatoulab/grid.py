@@ -40,7 +40,9 @@ class ClassificationGrid:
     """Rectangular raster of orbit verdicts with component labels.
 
     Arrays are indexed [iy, ix] with iy increasing along +Im and ix along +Re.
-    Frozen by convention after construction; all reads are thread-safe.
+    Frozen by convention after construction. Reads fill the per-label caches
+    `_centers` and `_indexes` on first use, so a grid is not for sharing
+    between threads; the orbit kernel's helper threads never touch one.
     """
 
     window: tuple[float, float, float, float]  # re_min, re_max, im_min, im_max

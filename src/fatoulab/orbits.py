@@ -7,10 +7,14 @@ holds, which makes the classification monotone in the budget: any
 non-Undecided verdict at budget b is reproduced verbatim at every larger
 budget.
 
-The kernel runs its step loop to the end on consecutive blocks of `_BLOCK`
-points, so that a block's working arrays stay in a core's L2 cache instead of
-streaming through memory at every step. Each orbit depends on its start point
-alone, so the results do not depend on the block size.
+The kernel splits its points into k interleaved parts z[i::k], one per usable
+CPU and at most one per block of `_BLOCK` points, and steps each part's blocks
+in turn, part 0 on the calling thread and the others on helper threads: numpy
+releases the GIL in exp and the other large array loops, and a block's working
+arrays stay in a core's L2 cache. A block stops on its part once fewer than
+`_TAIL` orbits run; the calling thread finishes these tails after the helpers
+join. Each orbit depends on its start point alone, so no result depends on the
+block size, the part count or the tail size.
 
 Each step is one `EntireMap.evaluate_array` call. Escape is read from its
 value alone: where f overflows to inf or nan, the value fails |w| <= R and
@@ -41,6 +45,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +90,16 @@ CLASS_PARABOLIC = 2000
 CLASS_DRIFT = 3500  # + half-strip k of z_plus_exp, the nearest integer to Im z / 2 pi
 
 # Points per kernel block, about 2 MB of working arrays. On exp_lambda, z_exp
-# and fatou_minus grids 2^14 ran slower, fatou_minus (17 attractor tests per
-# step) most, and 2^16 no faster.
+# and fatou_minus grids 2^14 ran slower, fatou_minus (15 attractor tests per
+# step at the default radius) most, and 2^16 no faster. There are no more parts
+# than blocks, so that every part starts on at least half a block: smaller
+# parts would spend their steps waiting for the GIL between numpy calls.
 _BLOCK = 1 << 15
+
+# Running orbits below which a block leaves its part for the calling thread.
+# On small arrays two threads mostly wait for the GIL between numpy calls:
+# without this rule a 500^2 fatou_minus grid ran 1.2-1.3 times as long.
+_TAIL = _BLOCK // 8
 
 
 class Kind(enum.IntEnum):
@@ -237,43 +250,78 @@ def classify_orbits_array(
     kinds = np.zeros(n, dtype=np.int8)
     iterations = np.full(n, budget, dtype=np.int32)
     classes = np.zeros(n, dtype=np.int32)
-    # A squared distance past the float range is inf, and fails the capture test.
+    k = max(1, min(_usable_cpus(), -(-n // _BLOCK)))
+    stop = _TAIL if k > 1 else 0
+    tails: list[list] = [[] for _ in range(k)]
+    errors: list[BaseException] = []
+
+    def run_part(i: int) -> None:
+        try:
+            # numpy's error state is per thread. A squared distance past the
+            # float range is inf, and fails the capture test.
+            with np.errstate(over="ignore"):
+                part = z[i::k], kinds[i::k], iterations[i::k], classes[i::k]
+                for lo in range(0, part[0].size, _BLOCK):
+                    zb, *views = (a[lo:lo + _BLOCK] for a in part)
+                    # A contiguous copy steps through the numpy loops the whole array does.
+                    state = _classify_block(m, np.ascontiguousarray(zb), np.arange(zb.size), 1,
+                                            stop, budget, escape_radius, disks, *views)
+                    if state[1].size:
+                        tails[i].append((state, views))
+        except BaseException as exc:  # raised on the calling thread once every helper has joined
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run_part, args=(i,)) for i in range(1, k)]
+    try:
+        for t in helpers:
+            t.start()
+        run_part(0)
+    finally:
+        for t in helpers:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[0]
     with np.errstate(over="ignore"):
-        for lo in range(0, n, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            _classify_block(
-                m, z[block], budget, escape_radius, disks,
-                kinds[block], iterations[block], classes[block],
-            )
+        for (zb, pos, step), views in itertools.chain.from_iterable(tails):
+            _classify_block(m, zb, pos, step, 0, budget, escape_radius, disks, *views)
     return OrbitArrays(kinds, iterations, classes)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _classify_block(
     m: EntireMap,
     z: np.ndarray,
+    pos: np.ndarray,
+    step: int,
+    stop: int,
     budget: int,
     escape_radius: float,
     disks: list[tuple[complex, float]],
     kinds: np.ndarray,
     iterations: np.ndarray,
     classes: np.ndarray,
-) -> None:
-    """Run the step loop of `classify_orbits_array` on one block to the end.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the step loop of `classify_orbits_array` on one block from `step`
+    until the budget is spent or fewer than `stop` orbits are running.
 
     `disks` holds each attractor's point and certified radius. Writes each
     point's verdict into the block's views `kinds`, `iterations` and
     `classes`. The orbits still running stay compacted: `z` and `pos` (their
-    positions in the block) hold only them.
+    positions in the block) hold only them. Returns `z`, `pos` and the next
+    step, from which a later call goes on.
     """
-    pos = np.arange(z.size)
     # The one parabolic point of the catalog is 0, so w - p is w itself.
     parabolic = bool(parabolic_points(m))
     drift = m.family in _DRIFT_FAMILIES
     strips = m.family == Z_PLUS_EXP
 
-    for step in range(1, budget + 1):
-        if pos.size == 0:
-            break
+    while step <= budget and pos.size and pos.size >= stop:
         w = m.evaluate_array(z)
         abs_w = np.abs(w)
 
@@ -315,3 +363,5 @@ def _classify_block(
             kinds[pos[escaped]] = Kind.ESCAPING
             iterations[pos[~undecided]] = step
             pos, z = pos[undecided], w[undecided]
+        step += 1
+    return z, pos, step

@@ -1,5 +1,8 @@
 import cmath
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from fatoulab import orbits
 from fatoulab.catalog import EntireMap, exp_lambda, fatou_minus, fatou_plus, z_exp, z_plus_exp
 from fatoulab.errors import Overflow
+from fatoulab.grid import classify_grid
 from fatoulab.orbits import (
     CLASS_ATTRACTING,
     CLASS_DRIFT,
@@ -180,9 +184,42 @@ def test_scalar_matches_array_kernel(exp_map, exp_grid):
         assert _one(exp_map, z, exp_grid.budget, **kw) == verdict
 
 
+# (map, window, budget, a verdict kind that must occur, least distinct verdict steps)
+_SPLIT_CASES = (
+    (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 5),
+    (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC, 5),
+    (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING, 5),
+    (fatou_minus(), (-4.0, 4.0, -20.0, 20.0), 300, Kind.ATTRACTING, 5),
+    (fatou_plus(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 4),
+)
+
+
+def _split_points(window, n, rng):
+    re0, re1, im0, im1 = window
+    return rng.uniform(re0, re1, n) + 1j * rng.uniform(im0, im1, n)
+
+
+def _split_like_one_part(monkeypatch, m, z, budget, block, parts, tail):
+    """The results of `block`-point blocks on `parts` parts with tail size
+    `tail`, asserted equal to the one-part, one-block result bit for bit."""
+    kw = dict(attractors=default_attractors(m))
+    monkeypatch.setattr(orbits, "_usable_cpus", lambda: 1)
+    whole = classify_orbits_array(m, z, budget, **kw)
+    monkeypatch.setattr(orbits, "_BLOCK", block)
+    monkeypatch.setattr(orbits, "_TAIL", tail)
+    monkeypatch.setattr(orbits, "_usable_cpus", lambda: parts)
+    split = classify_orbits_array(m, z, budget, **kw)
+    monkeypatch.undo()
+    for name in ("kinds", "iterations", "classes"):
+        assert np.array_equal(getattr(split, name), getattr(whole, name)), (m.family, parts, tail, name)
+    return whole
+
+
 @pytest.mark.parametrize("block, n", [(7, 150), (1000, 2500)])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
-    """Blocks of 7 and of 1000 points give the single-block kinds, iterations
+    """Blocks of 7 and of 1000 points, on 1, 2 and 3 parts, with no tail rule
+    and with every block handed to the calling thread once fewer than a
+    block's points run, give the one-part, single-block kinds, iterations
     and classes: drift verdicts (z_plus_exp, fatou_plus), parabolic verdicts
     (z_exp) and attractor captures (exp_lambda, and fatou_minus with its 15
     attractor tests per step) end at many steps inside each block. fatou_plus
@@ -190,24 +227,66 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
     steps 1 to 4 on 150 points, the fewest distinct verdict steps of the five
     cases; the other four end at 5 or more."""
     rng = np.random.default_rng(5)
-    cases = (
-        (z_plus_exp(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 5),
-        (z_exp(), (-2.0, 2.0, -2.0, 2.0), 1000, Kind.PARABOLIC, 5),
-        (exp_lambda(0.25), (-2.0, 4.0, -3.0, 3.0), 300, Kind.ATTRACTING, 5),
-        (fatou_minus(), (-4.0, 4.0, -20.0, 20.0), 300, Kind.ATTRACTING, 5),
-        (fatou_plus(), (-2.0, 10.0, -3 * np.pi, 3 * np.pi), 400, Kind.ESCAPING, 4),
-    )
-    for m, (re0, re1, im0, im1), budget, kind, steps in cases:
-        z = rng.uniform(re0, re1, n) + 1j * rng.uniform(im0, im1, n)
-        kw = dict(attractors=default_attractors(m))
-        whole = classify_orbits_array(m, z, budget, **kw)
+    for m, window, budget, kind, steps in _SPLIT_CASES:
+        z = _split_points(window, n, rng)
+        for parts in (1, 2, 3):
+            for tail in (0, block):
+                whole = _split_like_one_part(monkeypatch, m, z, budget, block, parts, tail)
         assert ((whole.kinds == kind) & (whole.classes != 0)).any()
         assert np.unique(whole.iterations).size >= steps
-        monkeypatch.setattr(orbits, "_BLOCK", block)
-        blocked = classify_orbits_array(m, z, budget, **kw)
-        monkeypatch.undo()
-        for name in ("kinds", "iterations", "classes"):
-            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (m.family, name)
+
+
+def test_more_parts_than_cores_with_fast_thread_switches(monkeypatch):
+    """8 parts, more than the cores of most test machines, with the
+    interpreter switching threads every microsecond: the same arrays. Each
+    map runs 2,000 points on blocks of 64, about a second in all."""
+    rng = np.random.default_rng(6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for m, window, budget, *_ in _SPLIT_CASES:
+            z = _split_points(window, 2000, rng)
+            _split_like_one_part(monkeypatch, m, z, budget, 64, 8, 16)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_a_helper_part_reaches_the_caller(monkeypatch):
+    """A RuntimeError on a helper thread is raised by the kernel call, and
+    every helper has ended by then."""
+    evaluate_array = EntireMap.evaluate_array
+
+    def fails_off_the_calling_thread(self, z):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper part")
+        return evaluate_array(self, z)
+
+    monkeypatch.setattr(EntireMap, "evaluate_array", fails_off_the_calling_thread)
+    monkeypatch.setattr(orbits, "_BLOCK", 64)
+    monkeypatch.setattr(orbits, "_TAIL", 0)
+    monkeypatch.setattr(orbits, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    z = np.linspace(-1.0, 1.0, 256) + 0.5j
+    with pytest.raises(RuntimeError, match="helper part"):
+        classify_orbits_array(exp_lambda(0.25), z, 50)
+    assert threading.active_count() == before
+
+
+def test_helper_parts_do_not_warn_on_an_overflowing_capture_test(monkeypatch):
+    """At 400 < Re z < 700, (1/4)e^z is finite but its squared distance to
+    the attractor overflows: every part, helpers too, runs its capture tests
+    under its own errstate, since numpy's error state is per thread. Past
+    Re z of about 710, (1/4)e^z itself overflows inside `evaluate_array`,
+    whose own errstate would hide a missing one in the kernel."""
+    m = exp_lambda(0.25)
+    monkeypatch.setattr(orbits, "_BLOCK", 64)
+    monkeypatch.setattr(orbits, "_TAIL", 0)
+    monkeypatch.setattr(orbits, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = classify_grid(m, (400.0, 700.0, -1.0, 2.0), (32, 16), 20,
+                          attractors=default_attractors(m))
+    assert (g.kinds == Kind.ESCAPING).all() and (g.iterations == 1).all()
 
 
 # ---------------------------------------------------------------------------
