@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import damped_newton
+from .catalog import TWO_PI, damped_newton
 from .errors import LiftGridExhausted, LiftNotExpandingWarning, PoleOnCircle, RotationLike
-
-TWO_PI = 2.0 * math.pi
 
 _MIN_GRID_BITS = 14
 _MAX_GRID_BITS = 19

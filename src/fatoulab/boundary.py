@@ -25,7 +25,7 @@ from .errors import (
     VertexLeftFatou,
 )
 from .grid import ClassificationGrid
-from .orbits import Kind, classify_orbits_array, parabolic_points
+from .orbits import DEFAULT_ESCAPE_RADIUS, Kind, classify_orbits_array, parabolic_points
 from .raster import outer_ring
 
 _NEWTON_STEPS = 100
@@ -286,7 +286,7 @@ def escaping_component_scan(
     p: PeriodicBoundaryPoint,
     probes: list[complex],
     budget: int,
-    escape_radius: float = 50.0,
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ) -> ScanReport:
     """Classify probe orbits on the boundary component of p; p itself is exempt."""
     exempt, rest, kinds = _scan(m, probes, p.point, 1e-9, budget, escape_radius)
@@ -306,7 +306,7 @@ def parabolic_boundary_scan(
     m: EntireMap,
     probes: list[complex],
     budget: int = 2000,
-    escape_radius: float = 50.0,
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ) -> ParabolicScanReport:
     """Scan probes around a parabolic basin: boundary probes should escape,
     petal-interior controls converge to the fixed point, which is itself exempt."""

@@ -21,12 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import EntireMap
+from .catalog import TWO_PI, EntireMap
 from .errors import LeftWindow, NotFatouClassified, TooManyWindowExits
 from .grid import ClassificationGrid, label_components
-from .orbits import CLASS_ATTRACTING, Kind, classify_orbits_array
+from .orbits import CLASS_ATTRACTING, DEFAULT_ESCAPE_RADIUS, Kind, classify_orbits_array
 
-TWO_PI = 2.0 * math.pi
 _MAX_WALK_STEPS = 100_000
 _GROUP = 16384  # walkers advanced in lockstep; bounds the per-walker arrays
 _BLOCK = 1024  # points per bucket-index query; bounds its candidate arrays
@@ -314,7 +313,7 @@ def disk_grid(resolution: int = 400, margin: float = 0.2) -> ClassificationGrid:
         classes=np.zeros((n, n), dtype=np.int32),
         attractors=((0.0 + 0.0j, 1),),
         budget=1,
-        escape_radius=50.0,
+        escape_radius=DEFAULT_ESCAPE_RADIUS,
     )
     centers = grid.cell_centers()
     inside = np.hypot(centers.real, centers.imag) < _DISK_RADIUS

@@ -7,18 +7,20 @@ holds, which makes the classification monotone in the budget: any
 non-Undecided verdict at budget b is reproduced verbatim at every larger
 budget.
 
-The kernel splits its points into k interleaved parts z[i::k], one per usable
-CPU and at most one per block of `_BLOCK` points, and steps each part's blocks
-in turn, part 0 on the calling thread and the others on helper threads: numpy
+The kernel splits its points into k interleaved parts, one per usable CPU and
+at most one per block of `_BLOCK` points, and steps each part's blocks in
+turn, part 0 on the calling thread and the others on helper threads: numpy
 releases the GIL in exp and the other large array loops, and a block's working
-arrays stay in a core's L2 cache. A block stops on its part once fewer than
-`_TAIL` orbits run; the calling thread finishes these tails after the helpers
-join. Each orbit depends on its start point alone, so no result depends on the
+arrays stay in a core's L2 cache. At every part count a block stops once fewer
+than `_TAIL` orbits run, and after the helpers join the calling thread steps
+all these tails as one working set, each joining at the step it stopped on.
+Each orbit depends on its start point alone, so no result depends on the
 block size, the part count or the tail size.
 
 Each step is one `EntireMap.evaluate_array` call. Escape is read from its
-value alone: where f overflows to inf or nan, the value fails |w| <= R and
-every capture test, so overflow escapes at the step it happens, with class 0.
+value alone: a value escapes unless its float parts have x^2 + y^2 <= R^2.
+Where f overflows to inf or nan, the value fails that test and every capture
+test, so overflow escapes at the step it happens, with class 0.
 
 Every Fatou verdict is the first entry into a set S with f(S) inside S:
 
@@ -96,9 +98,9 @@ CLASS_DRIFT = 3500  # + half-strip k of z_plus_exp, the nearest integer to Im z 
 # parts would spend their steps waiting for the GIL between numpy calls.
 _BLOCK = 1 << 15
 
-# Running orbits below which a block leaves its part for the calling thread.
-# On small arrays two threads mostly wait for the GIL between numpy calls:
-# without this rule a 500^2 fatou_minus grid ran 1.2-1.3 times as long.
+# Running orbits below which a block leaves its part for the calling thread's
+# working set. On small arrays two threads mostly wait for the GIL between numpy
+# calls: without this rule a 500^2 fatou_minus grid ran 1.2-1.3 times as long.
 _TAIL = _BLOCK // 8
 
 
@@ -251,23 +253,18 @@ def classify_orbits_array(
     iterations = np.full(n, budget, dtype=np.int32)
     classes = np.zeros(n, dtype=np.int32)
     k = max(1, min(_usable_cpus(), -(-n // _BLOCK)))
-    stop = _TAIL if k > 1 else 0
-    tails: list[list] = [[] for _ in range(k)]
+    tails: list[tuple[np.ndarray, np.ndarray, int]] = []
     errors: list[BaseException] = []
 
     def run_part(i: int) -> None:
         try:
-            # numpy's error state is per thread. A squared distance past the
-            # float range is inf, and fails the capture test.
+            # numpy's error state is per thread. A squared modulus past the
+            # float range is inf, and fails the escape and capture tests.
             with np.errstate(over="ignore"):
-                part = z[i::k], kinds[i::k], iterations[i::k], classes[i::k]
-                for lo in range(0, part[0].size, _BLOCK):
-                    zb, *views = (a[lo:lo + _BLOCK] for a in part)
-                    # A contiguous copy steps through the numpy loops the whole array does.
-                    state = _classify_block(m, np.ascontiguousarray(zb), np.arange(zb.size), 1,
-                                            stop, budget, escape_radius, disks, *views)
-                    if state[1].size:
-                        tails[i].append((state, views))
+                for lo in range(i, n, k * _BLOCK):
+                    pos = np.arange(lo, min(n, lo + k * _BLOCK), k)
+                    tails.append(_classify_block(m, z[pos], pos, 1, _TAIL, budget, escape_radius,
+                                                 disks, kinds, iterations, classes))
         except BaseException as exc:  # raised on the calling thread once every helper has joined
             errors.append(exc)
 
@@ -282,9 +279,14 @@ def classify_orbits_array(
                 t.join()
     if errors:
         raise errors[0]
+    # The tails join one working set in step order, each at the step it stopped on;
+    # a block that spent its budget comes back at budget + 1 and is not stepped again.
+    zw, pw, step = z[:0], np.arange(0), 1
     with np.errstate(over="ignore"):
-        for (zb, pos, step), views in itertools.chain.from_iterable(tails):
-            _classify_block(m, zb, pos, step, 0, budget, escape_radius, disks, *views)
+        for zt, pt, st in sorted(tails, key=lambda t: t[2]) + [(z[:0], pw, budget + 1)]:
+            zw, pw, _ = _classify_block(m, zw, pw, step, 0, st - 1, escape_radius, disks,
+                                        kinds, iterations, classes)
+            zw, pw, step = np.concatenate((zw, zt)), np.concatenate((pw, pt)), st
     return OrbitArrays(kinds, iterations, classes)
 
 
@@ -300,38 +302,39 @@ def _classify_block(
     pos: np.ndarray,
     step: int,
     stop: int,
-    budget: int,
+    last: int,
     escape_radius: float,
     disks: list[tuple[complex, float]],
     kinds: np.ndarray,
     iterations: np.ndarray,
     classes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the step loop of `classify_orbits_array` on one block from `step`
-    until the budget is spent or fewer than `stop` orbits are running.
+    """Run the step loop of `classify_orbits_array` on the orbits at `z` from
+    `step` through step `last`, or until fewer than `stop` of them run.
 
-    `disks` holds each attractor's point and certified radius. Writes each
-    point's verdict into the block's views `kinds`, `iterations` and
-    `classes`. The orbits still running stay compacted: `z` and `pos` (their
-    positions in the block) hold only them. Returns `z`, `pos` and the next
-    step, from which a later call goes on.
+    `pos` holds each orbit's position in the whole arrays `kinds`,
+    `iterations` and `classes`, into which each verdict is written, and
+    `disks` each attractor's point and certified radius. The orbits still
+    running stay compacted: `z` and `pos` hold only them. Returns `z`, `pos`
+    and the next step, from which a later call goes on.
     """
     # The one parabolic point of the catalog is 0, so w - p is w itself.
     parabolic = bool(parabolic_points(m))
     drift = m.family in _DRIFT_FAMILIES
     strips = m.family == Z_PLUS_EXP
 
-    while step <= budget and pos.size and pos.size >= stop:
+    while step <= last and pos.size and pos.size >= stop:
         w = m.evaluate_array(z)
-        abs_w = np.abs(w)
+        # Float parts round alike at every SIMD dispatch level; complex abs does not.
+        wx, wy = w.real, w.imag
+        mod2 = wx * wx + wy * wy
 
         # Overflow of f (inf or nan fails the test) and a modulus past the
         # radius escape; neither is Fatou evidence (class 0).
-        escaped = ~(abs_w <= escape_radius)
+        escaped = ~(mod2 <= escape_radius * escape_radius)
         undecided = ~escaped
         for j, (p, r) in enumerate(disks):
-            # Float parts round alike at every SIMD dispatch level; complex abs does not.
-            dx, dy = w.real - p.real, w.imag - p.imag
+            dx, dy = wx - p.real, wy - p.imag
             sel = np.flatnonzero(dx * dx + dy * dy < r * r)
             sel = sel[undecided[sel]]
             kinds[pos[sel]] = Kind.ATTRACTING
@@ -339,10 +342,7 @@ def _classify_block(
             undecided[sel] = False
 
         if parabolic:
-            # x > c |w|^2 implies |w| < 1/c: the test runs on those few points
-            sel = np.flatnonzero(abs_w < 1.0 / PETAL)
-            x, y = w.real[sel], w.imag[sel]
-            sel = sel[undecided[sel] & (x > PETAL * (x * x + y * y))]
+            sel = np.flatnonzero(undecided & (wx > PETAL * mod2))
             kinds[pos[sel]] = Kind.PARABOLIC
             classes[pos[sel]] = CLASS_PARABOLIC
             undecided[sel] = False
@@ -350,9 +350,9 @@ def _classify_block(
         if drift:
             # For z_plus_exp a rise from x > 0 means e^{-x} cos y > 0, which
             # places z in S: the sign of the computed cosine is exact.
-            drifted = undecided & (z.real > 0.0) & (z.real < DRIFT_MAX_RE) & (w.real > z.real)
+            drifted = undecided & (z.real > 0.0) & (z.real < DRIFT_MAX_RE) & (wx > z.real)
             if drifted.any():
-                strip = np.round(w.imag[drifted] / TWO_PI).astype(np.int32) if strips else 0
+                strip = np.round(wy[drifted] / TWO_PI).astype(np.int32) if strips else 0
                 classes[pos[drifted]] = CLASS_DRIFT + strip
                 escaped |= drifted
                 undecided &= ~drifted

@@ -201,37 +201,51 @@ def _split_points(window, n, rng):
 
 def _split_like_one_part(monkeypatch, m, z, budget, block, parts, tail):
     """The results of `block`-point blocks on `parts` parts with tail size
-    `tail`, asserted equal to the one-part, one-block result bit for bit."""
+    `tail`, asserted equal to the one-part, one-block result bit for bit,
+    and the number of `evaluate_array` calls of the split run."""
     kw = dict(attractors=default_attractors(m))
     monkeypatch.setattr(orbits, "_usable_cpus", lambda: 1)
     whole = classify_orbits_array(m, z, budget, **kw)
     monkeypatch.setattr(orbits, "_BLOCK", block)
     monkeypatch.setattr(orbits, "_TAIL", tail)
     monkeypatch.setattr(orbits, "_usable_cpus", lambda: parts)
+    evaluate_array, calls = EntireMap.evaluate_array, []
+
+    def counted(self, z):
+        calls.append(z.size)
+        return evaluate_array(self, z)
+
+    monkeypatch.setattr(EntireMap, "evaluate_array", counted)
     split = classify_orbits_array(m, z, budget, **kw)
     monkeypatch.undo()
     for name in ("kinds", "iterations", "classes"):
         assert np.array_equal(getattr(split, name), getattr(whole, name)), (m.family, parts, tail, name)
-    return whole
+    return whole, len(calls)
 
 
 @pytest.mark.parametrize("block, n", [(7, 150), (1000, 2500)])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, block, n):
-    """Blocks of 7 and of 1000 points, on 1, 2 and 3 parts, with no tail rule
-    and with every block handed to the calling thread once fewer than a
-    block's points run, give the one-part, single-block kinds, iterations
-    and classes: drift verdicts (z_plus_exp, fatou_plus), parabolic verdicts
-    (z_exp) and attractor captures (exp_lambda, and fatou_minus with its 15
-    attractor tests per step) end at many steps inside each block. fatou_plus
-    orbits enter Re z > 0 within a few steps, so its drift verdicts end at
-    steps 1 to 4 on 150 points, the fewest distinct verdict steps of the five
-    cases; the other four end at 5 or more."""
+    """Blocks of 7 and of 1000 points, on 1, 2 and 3 parts, with no tail rule,
+    with every block handed to the calling thread once fewer than a block's
+    points run, and with every block handed over before its first step, give
+    the one-part, single-block kinds, iterations and classes: drift verdicts
+    (z_plus_exp, fatou_plus), parabolic verdicts (z_exp) and attractor
+    captures (exp_lambda, and fatou_minus with its 15 attractor tests per
+    step) end at many steps inside each block. fatou_plus orbits enter
+    Re z > 0 within a few steps, so its drift verdicts end at steps 1 to 4 on
+    150 points, the fewest distinct verdict steps of the five cases; the
+    other four end at 5 or more. When every block is handed over at step 1,
+    the tails form one working set, which takes one `evaluate_array` call
+    per step of the longest orbit, where separate blocks would take one per
+    step of each block's longest orbit."""
     rng = np.random.default_rng(5)
     for m, window, budget, kind, steps in _SPLIT_CASES:
         z = _split_points(window, n, rng)
         for parts in (1, 2, 3):
-            for tail in (0, block):
-                whole = _split_like_one_part(monkeypatch, m, z, budget, block, parts, tail)
+            for tail in (0, block, block + 1):
+                whole, calls = _split_like_one_part(monkeypatch, m, z, budget, block, parts, tail)
+                if tail > block:
+                    assert calls == whole.iterations.max(), (m.family, parts)
         assert ((whole.kinds == kind) & (whole.classes != 0)).any()
         assert np.unique(whole.iterations).size >= steps
 
@@ -687,6 +701,22 @@ def test_a_finite_step_past_the_scalar_guard_is_not_an_escape(z0):
     att = default_attractors(m, escape_radius=1000.0)
     assert _one(m, z0, 10, escape_radius=1000.0, attractors=att) == (
         Kind.ATTRACTING, 2, CLASS_ATTRACTING)
+
+
+@pytest.mark.parametrize("radius", [50.0, 3.7])
+def test_the_escape_test_squares_float_parts(monkeypatch, radius):
+    """With f patched to the identity, 4,096 points within rounding of
+    |w| = R escape at step 1 exactly where x*x + y*y > R*R holds in Python
+    floats, whose multiplies and adds round alike on every machine. numpy's
+    complex abs, whose rounding depends on the SIMD dispatch level, gives
+    another verdict on about a fifth of these points."""
+    t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    w = radius * np.cos(t) + 1j * radius * np.sin(t)
+    monkeypatch.setattr(EntireMap, "evaluate_array", lambda self, z: z)
+    res = classify_orbits_array(exp_lambda(0.25), w, 1, escape_radius=radius)
+    outside = [x * x + y * y > radius * radius for x, y in zip(w.real.tolist(), w.imag.tolist())]
+    assert res.kinds.tolist() == [Kind.ESCAPING if o else Kind.UNDECIDED for o in outside]
+    assert 0 < sum(outside) < len(outside)
 
 
 ALL_FAMILIES = [exp_lambda(0.25), exp_lambda(-1.5), fatou_plus(), fatou_minus(), z_plus_exp(), z_exp()]
